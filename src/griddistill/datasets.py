@@ -244,8 +244,9 @@ def _validate_g_consistency(transitions: list) -> None:
 
 
 def load(path: str) -> OfflineDataset:
-    """Load and validate a saved dataset; raises SchemaError on missing
-    fields, row-count mismatch, or broken return consistency."""
+    """Load and validate a saved dataset; raises SchemaError on a line that
+    is not a JSON object, missing fields, row-count mismatch, or broken
+    return consistency."""
     meta_path = _meta_path(path)
     if not os.path.exists(meta_path):
         raise SchemaError(f"missing meta sidecar {meta_path}")
@@ -260,7 +261,12 @@ def load(path: str) -> OfflineDataset:
             line = line.strip()
             if not line:
                 continue
-            row = json.loads(line)
+            try:
+                row = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise SchemaError(f"line {lineno + 1}: malformed JSON ({exc.msg})") from exc
+            if not isinstance(row, dict):
+                raise SchemaError(f"line {lineno + 1}: not a JSON object")
             missing = [f for f in TRANSITION_FIELDS if f not in row]
             if missing:
                 raise SchemaError(f"line {lineno + 1}: missing fields {missing}")

@@ -194,13 +194,43 @@ def save_synthetic(syn: SyntheticDataset, path: str) -> None:
         fh.write("{" + ",".join(parts) + "}\n")
 
 
+def _as_array(obj: dict, key: str, dtype, path: str) -> np.ndarray:
+    try:
+        return np.asarray(obj[key], dtype=dtype)
+    except (TypeError, ValueError) as exc:
+        raise datasets.SchemaError(f"{path}: {key} is not a rectangular numeric array") from exc
+
+
 def load_synthetic(path: str) -> SyntheticDataset:
+    """Load a saved synthetic set, validated at the file boundary: raises
+    SchemaError unless xs is a finite 2-D matrix, labels hold one action in
+    [0, N_ACTIONS) per row, and label_logits, when present, are finite
+    (rows, N_ACTIONS)."""
     with open(path) as fh:
-        obj = json.load(fh)
+        try:
+            obj = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise datasets.SchemaError(f"{path}: malformed JSON ({exc})") from exc
+    if not isinstance(obj, dict) or not {"xs", "labels"} <= obj.keys():
+        raise datasets.SchemaError(f"{path}: expected an object with xs and labels")
+    xs = _as_array(obj, "xs", np.float64, path)
+    if xs.ndim != 2 or not np.isfinite(xs).all():
+        raise datasets.SchemaError(f"{path}: xs must be a finite 2-D matrix")
+    labels = _as_array(obj, "labels", None, path)
+    if (
+        labels.shape != (len(xs),)
+        or labels.dtype.kind not in "iu"
+        or not np.all((labels >= 0) & (labels < N_ACTIONS))
+    ):
+        raise datasets.SchemaError(f"{path}: labels must hold one action in [0, 5) per row")
     logits = obj.get("label_logits")
+    if logits is not None:
+        logits = _as_array(obj, "label_logits", np.float64, path)
+        if logits.shape != (len(xs), N_ACTIONS) or not np.isfinite(logits).all():
+            raise datasets.SchemaError(f"{path}: label_logits must be a finite (rows, 5) matrix")
     return SyntheticDataset(
-        xs=np.asarray(obj["xs"], dtype=np.float64),
-        labels=np.asarray(obj["labels"], dtype=np.int64),
-        label_logits=None if logits is None else np.asarray(logits, dtype=np.float64),
+        xs=xs,
+        labels=labels.astype(np.int64),
+        label_logits=logits,
         provenance=obj.get("provenance", {}),
     )

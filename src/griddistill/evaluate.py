@@ -1,20 +1,24 @@
 """Monte Carlo evaluation of trained students (and the planner itself) on
 in-distribution and out-of-distribution seed sets, plus report emission.
 
-Students act by argmax over the policy distribution by default, so cohort
-comparisons reflect training rather than action-sampling noise; a
-stochastic rule is available behind a flag. Reports carry both pooled
+On a fixed map a policy is a table from cell to action distribution: one
+batched forward over the map's cell observations for a student, one-hot
+greedy actions for the planner. Students act by argmax by default, so
+cohort comparisons reflect training rather than action-sampling noise; the
+`stochastic` action rule samples from the table instead, one stream per
+episode. The planner always acts greedily. Reports carry both pooled
 statistics over every episode and the mean of per-student statistics; the
 CSV holds the pooled numbers, the markdown tables the per-student ones.
 """
 
 import os
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from . import expert, gridenv, tinynet
-from .gridenv import EnvConfig
+from .gridenv import N_ACTIONS, EnvConfig
 from .rng import RngStream, derive_stream
 
 METHOD_ORDER = ("expert", "bc10", "bc25", "bc40", "bc100", "synthetic")
@@ -60,6 +64,29 @@ def _sample_from(probs: np.ndarray, rng: RngStream) -> int:
     return len(probs) - 1
 
 
+def _episode_return(table: np.ndarray, spec: gridenv.GridSpec, rng: RngStream | None) -> float:
+    """One episode walking a (cells, N_ACTIONS) policy table; undiscounted
+    return. Each visited cell's row gives the action: its argmax (ties break
+    to the lowest index) when `rng` is None, else a draw from it."""
+    n = spec.config.grid_n
+
+    def choose(state):
+        probs = table[state.agent[0] * n + state.agent[1]]
+        return int(np.argmax(probs)) if rng is None else _sample_from(probs, rng)
+
+    return sum(s[3] for s in gridenv.run_episode(spec, choose))
+
+
+def student_table(params: tinynet.PolicyParams, spec: gridenv.GridSpec) -> np.ndarray:
+    """A student's action distribution on every cell of the map."""
+    return tinynet.forward(params, gridenv.cell_observations(spec))
+
+
+def planner_table(spec: gridenv.GridSpec, gamma: float) -> np.ndarray:
+    """The planner's greedy action on every cell, as one-hot rows."""
+    return np.eye(N_ACTIONS)[expert.value_iteration(spec, gamma=gamma).greedy_action]
+
+
 def run_policy(
     params: tinynet.PolicyParams,
     spec: gridenv.GridSpec,
@@ -67,34 +94,42 @@ def run_policy(
     rng: RngStream | None = None,
 ) -> float:
     """Roll one episode with the network policy; undiscounted return."""
-    state = gridenv.initial_state(spec)
-    total = 0.0
-    while not state.terminated:
-        probs = tinynet.forward(params, gridenv.observe(state))
-        if action_rule == "argmax":
-            action = int(np.argmax(probs))  # ties break to the lowest index
-        else:
-            action = _sample_from(probs, rng)
-        state, reward, _done = gridenv.step(state, action)
-        total += reward
-    return total
+    if action_rule == "stochastic" and rng is None:
+        raise ValueError("the stochastic rule needs a stream")
+    table = student_table(params, spec)
+    return _episode_return(table, spec, rng if action_rule == "stochastic" else None)
 
 
-def _pooled_and_per_student(returns_by_student: list) -> tuple:
-    pooled = np.concatenate(returns_by_student)
-    means = [float(np.mean(r)) for r in returns_by_student]
-    stds = [float(np.std(r)) for r in returns_by_student]
-    return (
-        float(pooled.mean()),
-        float(pooled.std()),
-        len(pooled),
-        float(np.mean(means)),
-        float(np.mean(stds)),
-    )
-
-
-def _spec_cache(config: EnvConfig, seeds: list) -> dict:
-    return {seed: gridenv.generate(config, seed) for seed in seeds}
+def _evaluate(policies: list, streams, env_config, eval_cfg, method, dataset_size) -> tuple:
+    """The evaluation body shared by cohorts and the planner. Member i's
+    table on each map is `policies[i](spec)`, rolled episodes_per_seed times
+    and dropped; `streams(split, i, seed, e)` gives each episode's stream, or
+    None for argmax. Returns the (ID, OOD) reports, pooled across members."""
+    reports = []
+    for split, seeds in (("ID", eval_cfg.id_seeds), ("OOD", eval_cfg.ood_seeds)):
+        by_member = [[] for _ in policies]
+        for seed in seeds:
+            spec = gridenv.generate(env_config, seed)
+            for i, policy in enumerate(policies):
+                table = policy(spec)
+                by_member[i].extend(
+                    _episode_return(table, spec, streams(split, i, seed, e))
+                    for e in range(eval_cfg.episodes_per_seed)
+                )
+        pooled = np.concatenate(by_member)
+        reports.append(
+            EvalReport(
+                method=method,
+                split=split,
+                mean_return=float(pooled.mean()),
+                std_return=float(pooled.std()),
+                n_episodes=len(pooled),
+                dataset_size=dataset_size,
+                student_mean=float(np.mean([float(np.mean(r)) for r in by_member])),
+                student_std=float(np.mean([float(np.std(r)) for r in by_member])),
+            )
+        )
+    return reports[0], reports[1]
 
 
 def evaluate_cohort(
@@ -108,71 +143,27 @@ def evaluate_cohort(
     """Pool episode returns across all students and seeds per split."""
     if not runs:
         raise ValueError("cohort is empty")
-    reports = []
-    for split, seeds in (("ID", eval_cfg.id_seeds), ("OOD", eval_cfg.ood_seeds)):
-        specs = _spec_cache(env_config, seeds)
-        by_student = []
-        for run in runs:
-            returns = []
-            for seed in seeds:
-                for e in range(eval_cfg.episodes_per_seed):
-                    rng = None
-                    if eval_cfg.action_rule == "stochastic":
-                        rng = derive_stream(
-                            root_seed, f"eval:{split}:{run.student_index}:{seed}:{e}"
-                        )
-                    returns.append(run_policy(run.params, specs[seed], eval_cfg.action_rule, rng))
-            by_student.append(np.asarray(returns))
-        mean, std, n, smean, sstd = _pooled_and_per_student(by_student)
-        reports.append(
-            EvalReport(
-                method=method,
-                split=split,
-                mean_return=mean,
-                std_return=std,
-                n_episodes=n,
-                dataset_size=dataset_size,
-                student_mean=smean,
-                student_std=sstd,
-            )
-        )
-    return reports[0], reports[1]
+
+    def streams(split, i, seed, e):
+        if eval_cfg.action_rule == "argmax":
+            return None
+        return derive_stream(root_seed, f"eval:{split}:{runs[i].student_index}:{seed}:{e}")
+
+    policies = [partial(student_table, run.params) for run in runs]
+    return _evaluate(policies, streams, env_config, eval_cfg, method, dataset_size)
 
 
 def evaluate_expert(
     env_config: EnvConfig,
     eval_cfg: EvalConfig,
     root_seed: int,
-    epsilon: float = 0.0,
     gamma: float = 0.99,
 ) -> tuple[EvalReport, EvalReport]:
     """The planner evaluated as a cohort of one (dataset_size 0: it never
-    trains on the offline data)."""
-    reports = []
-    for split, seeds in (("ID", eval_cfg.id_seeds), ("OOD", eval_cfg.ood_seeds)):
-        returns = []
-        for seed in seeds:
-            spec = gridenv.generate(env_config, seed)
-            table = expert.value_iteration(spec, gamma=gamma)
-            policy = expert.ExpertPolicy(table=table, epsilon=epsilon)
-            for e in range(eval_cfg.episodes_per_seed):
-                rng = derive_stream(root_seed, f"eval-expert:{split}:{seed}:{e}")
-                episode = expert.rollout(policy, spec, rng)
-                returns.append(sum(s[3] for s in episode.steps))
-        arr = np.asarray(returns)
-        reports.append(
-            EvalReport(
-                method="expert",
-                split=split,
-                mean_return=float(arr.mean()),
-                std_return=float(arr.std()),
-                n_episodes=len(arr),
-                dataset_size=0,
-                student_mean=float(arr.mean()),
-                student_std=float(arr.std()),
-            )
-        )
-    return reports[0], reports[1]
+    trains on the offline data). It acts greedily under either action rule
+    and draws no randomness, so `root_seed` is unused."""
+    policies = [partial(planner_table, gamma=gamma)]
+    return _evaluate(policies, lambda *_: None, env_config, eval_cfg, "expert", 0)
 
 
 CSV_HEADER = "method,split,mean_return,std_return,n_episodes,dataset_size"

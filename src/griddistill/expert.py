@@ -120,15 +120,12 @@ class Episode:
 
 
 def rollout(policy: ExpertPolicy, spec: GridSpec, rng: RngStream) -> Episode:
-    state = gridenv.initial_state(spec)
-    steps = []
-    while not state.terminated:
-        obs = gridenv.observe(state)
-        action = act(policy, state, rng)
-        next_state, reward, done = gridenv.step(state, action)
-        steps.append((obs, action, gridenv.observe(next_state), reward, done))
-        state = next_state
-    return Episode(seed=spec.seed, epsilon=policy.epsilon, steps=steps)
+    steps = gridenv.run_episode(spec, lambda state: act(policy, state, rng))
+    return Episode(
+        seed=spec.seed,
+        epsilon=policy.epsilon,
+        steps=[(gridenv.observe(s), a, gridenv.observe(s2), r, d) for s, a, s2, r, d in steps],
+    )
 
 
 def collect_rollouts(

@@ -4,10 +4,10 @@ Every seed yields a different map (walls, hazards, start, goal) under the
 same rules, mimicking procedural game benchmarks at desk scale. Transitions
 are deterministic; observations are one-hot grid channels rather than
 pixels, laid out channel-major as [agent | goal | wall | hazard], each
-channel a row-major grid_n x grid_n block.
+channel a row-major grid_n x grid_n block. `run_episode` is the one
+episode loop; collection and evaluation both roll through it.
 """
 
-import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -185,17 +185,25 @@ def observe(state: GridState) -> np.ndarray:
     return obs
 
 
-def trajectory_log_prob(traj, policy) -> float:
-    """Sum of log pi(a_t | s_t) over (observation, action) pairs.
+def cell_observations(spec: GridSpec) -> np.ndarray:
+    """Every cell's observation on this map, (grid_n^2, obs_dim): row
+    r * grid_n + c is observe() with the agent on (r, c). Wall rows are
+    included although the agent never stands there."""
+    cells = spec.config.grid_n ** 2
+    obs = np.tile(observe(initial_state(spec)), (cells, 1))
+    obs[:, :cells] = np.eye(cells)
+    return obs
 
-    With deterministic transitions this is the log-probability of the
-    trajectory up to the (constant) transition terms. Returns -inf when the
-    policy assigns zero probability to any taken action.
-    """
-    total = 0.0
-    for obs, action in traj:
-        p = float(policy(obs)[action])
-        if p <= 0.0:
-            return float("-inf")
-        total += math.log(p)
-    return total
+
+def run_episode(spec: GridSpec, choose) -> list:
+    """The episode loop: from the start state, step with `choose(state)`
+    until the episode ends. Returns the (state, action, next_state, reward,
+    done) steps in order."""
+    state = initial_state(spec)
+    steps = []
+    while not state.terminated:
+        action = choose(state)
+        next_state, reward, done = step(state, action)
+        steps.append((state, action, next_state, reward, done))
+        state = next_state
+    return steps

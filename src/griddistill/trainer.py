@@ -70,13 +70,12 @@ def train_student(
     opt = Adam(dim=shape.param_count, lr=cfg.lr)
     theta = params.theta
     ones = np.ones(cfg.batch)
-    last_loss = float("nan")
     for _ in range(cfg.steps):
         xs, labels = _draw_batch(source, cfg.batch, rng)
         current = tinynet.PolicyParams(theta=theta, shape=shape)
-        last_loss = tinynet.bc_loss(current, xs, labels, ones)
         grad = tinynet.bc_grad(current, xs, labels, ones)
         theta = opt.step(theta, grad)
+    last_loss = tinynet.bc_loss(current, xs, labels, ones) if cfg.steps else float("nan")
     return StudentRun(
         student_index=student_index,
         params=tinynet.PolicyParams(theta=theta, shape=shape),

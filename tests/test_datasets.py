@@ -173,6 +173,17 @@ class TestSaveLoad:
         with pytest.raises(SchemaError):
             datasets.load(path)
 
+    @pytest.mark.parametrize("bad_line", ['{"episode_id":0,"t":0,"seed":0,"obs":[1', "7"])
+    def test_non_object_line_raises_with_line_number(self, tmp_path, bad_line):
+        ds = toy_dataset([[1.0, 2.0]])
+        path = str(tmp_path / "j.jsonl")
+        datasets.save(ds, path)
+        lines = open(path).read().splitlines()
+        with open(path, "w") as fh:
+            fh.write(lines[0] + "\n" + bad_line + "\n")
+        with pytest.raises(SchemaError, match="^line 2: "):
+            datasets.load(path)
+
     def test_broken_g_consistency_raises(self, tmp_path):
         ds = toy_dataset([[1.0, 2.0]])
         path = str(tmp_path / "g.jsonl")

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -209,6 +211,44 @@ class TestSyntheticFile:
         dst.save_synthetic(syn, path)
         loaded = dst.load_synthetic(path)
         assert np.array_equal(loaded.label_logits, syn.label_logits)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda o: o.pop("xs"),
+            lambda o: o.pop("labels"),
+            lambda o: o.__setitem__("xs", o["xs"][0]),  # 1-D
+            lambda o: o.__setitem__("xs", [[1e999] + row[1:] for row in o["xs"]]),
+            lambda o: o.__setitem__("xs", [o["xs"][0], o["xs"][1][:-1]] + o["xs"][2:]),
+            lambda o: o.__setitem__("labels", o["labels"][:-3]),
+            lambda o: o.__setitem__("labels", o["labels"] + [0, 0, 0]),
+            lambda o: o.__setitem__("labels", [5] + o["labels"][1:]),
+            lambda o: o.__setitem__("labels", [-1] + o["labels"][1:]),
+            lambda o: o.__setitem__("labels", [0.5] + o["labels"][1:]),
+            lambda o: o.__setitem__("label_logits", [[0.0] * 5] * (len(o["xs"]) - 1)),
+            lambda o: o.__setitem__("label_logits", [[0.0] * 4] * len(o["xs"])),
+        ],
+    )
+    def test_malformed_file_raises_schema_error(self, small_collection, tmp_path, edit):
+        syn = dst.init_synthetic(small_collection, 9, False, derive_stream(18, "f"))
+        path = str(tmp_path / "syn.json")
+        dst.save_synthetic(syn, path)
+        obj = json.load(open(path))
+        edit(obj)
+        with open(path, "w") as fh:
+            json.dump(obj, fh)
+        with pytest.raises(datasets.SchemaError):
+            dst.load_synthetic(path)
+
+    def test_truncated_file_raises_schema_error(self, small_collection, tmp_path):
+        syn = dst.init_synthetic(small_collection, 9, False, derive_stream(19, "f"))
+        path = str(tmp_path / "syn.json")
+        dst.save_synthetic(syn, path)
+        body = open(path).read()
+        with open(path, "w") as fh:
+            fh.write(body[: len(body) // 2])
+        with pytest.raises(datasets.SchemaError):
+            dst.load_synthetic(path)
 
     def test_bytes_deterministic(self, small_collection, tmp_path):
         syn = dst.init_synthetic(small_collection, 7, False, derive_stream(17, "f"))

@@ -69,6 +69,60 @@ class TestRunPolicy:
         assert abs(returns.mean() - exact) <= 5 * sem
 
 
+    def test_stochastic_rule_needs_a_stream(self):
+        spec = make_spec(np.zeros((2, 2)), start=(0, 0), goal=(0, 1))
+        with pytest.raises(ValueError):
+            evaluate.run_policy(policy_always(3, in_dim=16), spec, "stochastic")
+
+
+def step_loop_return(params, spec, action_rule, rng):
+    """Reference evaluation: one forward of observe(state) on every step."""
+    state = gridenv.initial_state(spec)
+    total = 0.0
+    while not state.terminated:
+        probs = tinynet.forward(params, gridenv.observe(state))
+        if action_rule == "argmax":
+            action = int(np.argmax(probs))
+        else:
+            action = evaluate._sample_from(probs, rng)
+        state, reward, _done = gridenv.step(state, action)
+        total += reward
+    return total
+
+
+class TestPolicyTableEquivalence:
+    """Table-driven episodes against the per-step references they replace,
+    return for return. Batched and one-row forwards may differ in the last
+    bits, so the comparison is on returns, not on probabilities."""
+
+    SEEDS = range(200)
+
+    @pytest.mark.parametrize("action_rule", ["argmax", "stochastic"])
+    def test_student_table_matches_step_loop(self, action_rule):
+        env = EnvConfig()
+        shape = NetShape(in_dim=env.obs_dim)
+        students = [tinynet.init_params(shape, derive_stream(i, "eq:init")) for i in range(2)]
+        returns = []
+        for seed in self.SEEDS:
+            spec = gridenv.generate(env, seed)
+            for i, params in enumerate(students):
+                label = f"eq:{i}:{seed}"
+                got = evaluate.run_policy(params, spec, action_rule, derive_stream(3, label))
+                want = step_loop_return(params, spec, action_rule, derive_stream(3, label))
+                assert got == want, (seed, i)
+                returns.append(got)
+        assert len(set(returns)) > 5  # the maps exercise more than one outcome
+
+    def test_planner_table_matches_greedy_rollout(self):
+        env = EnvConfig()
+        for seed in self.SEEDS:
+            spec = gridenv.generate(env, seed)
+            table = evaluate.planner_table(spec, gamma=0.99)
+            policy = expert.ExpertPolicy(table=expert.value_iteration(spec), epsilon=0.0)
+            episode = expert.rollout(policy, spec, derive_stream(seed, "eq:planner"))
+            assert evaluate._episode_return(table, spec, None) == sum(s[3] for s in episode.steps)
+
+
 class TestEvaluateCohort:
     def _cohort(self, params_list):
         return [
@@ -134,6 +188,12 @@ class TestEvaluateExpert:
             direct.append(sum(s[3] for s in ep.steps))
         assert rep_id.mean_return == pytest.approx(np.mean(direct))
         assert rep_id.dataset_size == 0
+
+    def test_planner_acts_greedily_under_stochastic_rule(self):
+        env = EnvConfig()
+        greedy = EvalConfig(id_seeds=[0, 1, 2], ood_seeds=[10_000])
+        sampled = EvalConfig(id_seeds=[0, 1, 2], ood_seeds=[10_000], action_rule="stochastic")
+        assert evaluate.evaluate_expert(env, greedy, 1) == evaluate.evaluate_expert(env, sampled, 2)
 
 
 class TestEvalConfig:

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -188,28 +186,32 @@ class TestObserve:
         assert obs[3 * n2 :].sum() == len(spec.hazards)
 
 
-class TestTrajectoryLogProb:
-    def test_uniform_policy(self):
-        traj = [(np.zeros(16), a) for a in (0, 2, 4)]
-        lp = gridenv.trajectory_log_prob(traj, lambda obs: np.full(5, 0.2))
-        assert lp == pytest.approx(3 * math.log(0.2))
+class TestCellObservations:
+    def test_rows_match_observe_on_every_cell(self):
+        for seed in range(20):
+            spec = gridenv.generate(EnvConfig(), seed)
+            table = gridenv.cell_observations(spec)
+            n = spec.config.grid_n
+            assert table.shape == (n * n, spec.config.obs_dim)
+            for r in range(n):
+                for c in range(n):
+                    state = gridenv.GridState(spec=spec, agent=(r, c), t=0, terminated=False)
+                    assert np.array_equal(table[r * n + c], gridenv.observe(state))
 
-    def test_deterministic_match(self):
-        traj = [(np.zeros(16), 1), (np.zeros(16), 1)]
-        probs = np.zeros(5)
-        probs[1] = 1.0
-        assert gridenv.trajectory_log_prob(traj, lambda obs: probs) == 0.0
 
-    def test_zero_probability_is_neg_inf(self):
-        traj = [(np.zeros(16), 0)]
-        probs = np.zeros(5)
-        probs[1] = 1.0
-        assert gridenv.trajectory_log_prob(traj, lambda obs: probs) == float("-inf")
+class TestRunEpisode:
+    def test_steps_chain_and_end_on_done(self):
+        spec = gridenv.generate(EnvConfig(), 11)
+        seen = []
 
-    def test_hand_computed_mixed(self):
-        p1 = np.array([0.5, 0.2, 0.1, 0.1, 0.1])
-        p2 = np.array([0.05, 0.05, 0.7, 0.1, 0.1])
-        table = {0: p1, 1: p2}
-        traj = [(np.array([0.0]), 0), (np.array([1.0]), 2)]
-        lp = gridenv.trajectory_log_prob(traj, lambda obs: table[int(obs[0])])
-        assert lp == pytest.approx(math.log(0.5) + math.log(0.7))
+        def choose(state):
+            seen.append(state)
+            return 3
+
+        steps = gridenv.run_episode(spec, choose)
+        assert [s[0] for s in steps] == seen
+        assert steps[0][0] == gridenv.initial_state(spec)
+        for (_, _, nxt, _, _), (state, _, _, _, _) in zip(steps, steps[1:]):
+            assert nxt == state
+        assert [s[4] for s in steps] == [False] * (len(steps) - 1) + [True]
+        assert all(s[1] == 3 for s in steps)

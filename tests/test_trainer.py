@@ -4,6 +4,7 @@ import pytest
 from griddistill import datasets, expert, tinynet, trainer
 from griddistill import distill as dst
 from griddistill.gridenv import EnvConfig
+from griddistill.optim import Adam
 from griddistill.rng import derive_stream
 from griddistill.tinynet import NetShape
 
@@ -24,6 +25,23 @@ class TestTrainStudent:
         run = trainer.train_student(tiny_collection, cfg, shape, derive_stream(1, "s"))
         ref = tinynet.init_params(shape, derive_stream(1, "s"))
         assert np.array_equal(run.params.theta, ref.theta)
+        assert np.isnan(run.final_train_loss)
+
+    def test_final_loss_is_last_batch_pre_update_loss(self, tiny_collection):
+        shape = NetShape(in_dim=144)
+        cfg = trainer.TrainConfig(steps=3, batch=8)
+        run = trainer.train_student(tiny_collection, cfg, shape, derive_stream(6, "s"))
+        rng = derive_stream(6, "s")
+        theta = tinynet.init_params(shape, rng).theta
+        opt = Adam(dim=shape.param_count, lr=cfg.lr)
+        ones = np.ones(cfg.batch)
+        for _ in range(cfg.steps):
+            xs, labels = datasets.sample_batch(tiny_collection, cfg.batch, rng)
+            current = tinynet.PolicyParams(theta=theta, shape=shape)
+            loss = tinynet.bc_loss(current, xs, labels, ones)
+            theta = opt.step(theta, tinynet.bc_grad(current, xs, labels, ones))
+        assert run.final_train_loss == loss
+        assert np.array_equal(run.params.theta, theta)
 
     def test_one_repeated_example_reaches_low_loss(self):
         ds = constant_dataset(n_rows=1)
