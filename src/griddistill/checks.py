@@ -44,7 +44,7 @@ def check_bc_grad(n_cases: int = 20, tol: float = 1e-4, root_seed: int = 1234) -
         shape = tinynet.NetShape(in_dim=in_dim, hidden=hidden, out_dim=out_dim)
         params = tinynet.init_params(shape, rng)
         xs = np.array([[rng.next_gauss() for _ in range(in_dim)] for _ in range(m)])
-        labels = np.array([rng.next_int(out_dim) for _ in range(m)], dtype=np.int64)
+        labels = rng.next_int_array(out_dim, m)
         weights = np.array([0.25 + rng.next_uniform() for _ in range(m)])
         analytic = tinynet.bc_grad(params, xs, labels, weights)
 
@@ -73,12 +73,12 @@ def check_matching_grad(n_cases: int = 10, tol: float = 1e-3, root_seed: int = 9
         learn = case % 2 == 1
         xs = np.array([[rng.next_gauss() for _ in range(4)] for _ in range(m)])
         real_xs = np.array([[rng.next_gauss() for _ in range(4)] for _ in range(3)])
-        real_labels = np.array([rng.next_int(2) for _ in range(3)], dtype=np.int64)
+        real_labels = rng.next_int_array(2, 3)
         g_real = tinynet.bc_grad(params, real_xs, real_labels, np.ones(3))
         if learn:
             labels = np.array([[rng.next_gauss() for _ in range(2)] for _ in range(m)])
         else:
-            labels = np.array([rng.next_int(2) for _ in range(m)], dtype=np.int64)
+            labels = rng.next_int_array(2, m)
         res = tinynet.matching_grad_wrt_examples(params, g_real, xs, labels, learn_labels=learn)
 
         def softmax_rows(z):

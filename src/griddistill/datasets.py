@@ -178,7 +178,7 @@ def sample_batch(ds: OfflineDataset, batch: int, rng: RngStream) -> tuple[np.nda
         raise ValueError("cannot sample from an empty dataset")
     obs = ds.obs_matrix()
     actions = ds.action_vector()
-    idx = np.array([rng.next_int(len(ds)) for _ in range(batch)], dtype=np.int64)
+    idx = rng.next_int_array(len(ds), batch)
     return obs[idx], actions[idx]
 
 
@@ -244,16 +244,21 @@ def _validate_g_consistency(transitions: list) -> None:
 
 
 def load(path: str) -> OfflineDataset:
-    """Load and validate a saved dataset; raises SchemaError on a line that
-    is not a JSON object, missing fields, row-count mismatch, or broken
-    return consistency."""
+    """Load and validate a saved dataset; raises SchemaError on a sidecar
+    or line that is not a JSON object, missing fields, row-count mismatch,
+    or broken return consistency."""
     meta_path = _meta_path(path)
     if not os.path.exists(meta_path):
         raise SchemaError(f"missing meta sidecar {meta_path}")
     with open(meta_path) as fh:
-        meta = json.load(fh)
+        try:
+            meta = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise SchemaError(f"{meta_path}: malformed JSON ({exc.msg})") from exc
+    if not isinstance(meta, dict):
+        raise SchemaError(f"{meta_path}: not a JSON object")
     if "rows" not in meta:
-        raise SchemaError("meta.json missing row count")
+        raise SchemaError(f"{meta_path}: missing row count")
     expected_rows = meta.pop("rows")
     transitions = []
     with open(path) as fh:

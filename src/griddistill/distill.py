@@ -86,22 +86,19 @@ def init_synthetic(
     n = len(ds)
     if balanced:
         base, extra = divmod(m, N_ACTIONS)
-        idx = []
+        parts = []
         for a in range(N_ACTIONS):
             quota = base + (1 if a < extra else 0)
             pool = np.flatnonzero(actions == a)
             if len(pool) >= quota:
-                order = rng.shuffle(len(pool))
-                idx.extend(int(pool[j]) for j in order[:quota])
+                parts.append(pool[rng.shuffle(len(pool))[:quota]])
             else:
-                idx.extend(int(j) for j in pool)
-                for _ in range(quota - len(pool)):
-                    idx.append(rng.next_int(n))
+                parts += [pool, rng.next_int_array(n, quota - len(pool))]
+        idx = np.concatenate(parts)
     elif m <= n:
-        idx = rng.shuffle(n)[:m]
+        idx = np.asarray(rng.shuffle(n)[:m], dtype=np.int64)
     else:
-        idx = [rng.next_int(n) for _ in range(m)]
-    idx = np.asarray(idx, dtype=np.int64)
+        idx = rng.next_int_array(n, m)
     labels = actions[idx].copy()
     logits = None
     if learn_labels:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import datasets, tinynet
+from . import tinynet
 from .distill import SyntheticDataset
 from .optim import Adam
 from .rng import RngStream, derive_stream
@@ -47,14 +47,6 @@ class StudentRun:
     config: TrainConfig
 
 
-def _draw_batch(source, batch: int, rng: RngStream):
-    if isinstance(source, SyntheticDataset):
-        idx = np.array([rng.next_int(len(source)) for _ in range(batch)], dtype=np.int64)
-        labels = source.training_labels()
-        return source.xs[idx], labels[idx]
-    return datasets.sample_batch(source, batch, rng)
-
-
 def train_student(
     source,
     cfg: TrainConfig,
@@ -66,12 +58,17 @@ def train_student(
     adam_step. final_train_loss is the last batch's pre-update loss."""
     if len(source) == 0:
         raise ValueError("training source is empty")
+    if isinstance(source, SyntheticDataset):
+        rows, targets = source.xs, source.training_labels()
+    else:
+        rows, targets = source.obs_matrix(), source.action_vector()
     params = tinynet.init_params(shape, rng)
     opt = Adam(dim=shape.param_count, lr=cfg.lr)
     theta = params.theta
     ones = np.ones(cfg.batch)
     for _ in range(cfg.steps):
-        xs, labels = _draw_batch(source, cfg.batch, rng)
+        idx = rng.next_int_array(len(rows), cfg.batch)
+        xs, labels = rows[idx], targets[idx]
         current = tinynet.PolicyParams(theta=theta, shape=shape)
         grad = tinynet.bc_grad(current, xs, labels, ones)
         theta = opt.step(theta, grad)

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -202,6 +203,19 @@ class TestSaveLoad:
         with open(path, "w") as fh:
             fh.write("")
         with pytest.raises(SchemaError):
+            datasets.load(path)
+
+    @pytest.mark.parametrize(
+        "sidecar, reason", [('{"rows": 0', "malformed JSON"), ("7", "not a JSON object")]
+    )
+    def test_bad_meta_sidecar_raises_naming_it(self, tmp_path, sidecar, reason):
+        path = str(tmp_path / "x.jsonl")
+        with open(path, "w") as fh:
+            fh.write("")
+        meta_path = str(tmp_path / "x.meta.json")
+        with open(meta_path, "w") as fh:
+            fh.write(sidecar)
+        with pytest.raises(SchemaError, match=f"^{re.escape(meta_path)}: {reason}"):
             datasets.load(path)
 
     def test_meta_row_count_matches_lines(self, tmp_path):

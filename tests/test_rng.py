@@ -49,13 +49,79 @@ def test_next_uniform_range():
     assert all(0.0 <= u < 1.0 for u in draws)
 
 
+# draw counts around the 256-output block: none, tail only, whole blocks,
+# blocks plus tail, and the two init_params sizes of the default network
+BULK_COUNTS = (0, 1, 255, 256, 257, 512, 4608, 4768)
+BULK_STREAMS = ((77, "bulk"), (0, "student:3"), (42, "distill"))
+
+
 def test_next_uniform_array_matches_scalar():
-    a = derive_stream(77, "bulk")
-    b = derive_stream(77, "bulk")
-    arr = a.next_uniform_array(500)
-    scalars = np.array([b.next_uniform() for _ in range(500)])
-    assert np.array_equal(arr, scalars)
+    for seed, label in BULK_STREAMS:
+        a = derive_stream(seed, label)
+        b = derive_stream(seed, label)
+        for k in BULK_COUNTS:  # one stream carried through every count
+            arr = a.next_uniform_array(k)
+            scalars = np.array([b.next_uniform() for _ in range(k)])
+            assert arr.dtype == np.float64
+            assert np.array_equal(arr, scalars), (seed, label, k)
+            assert a.state == b.state, (seed, label, k)
+
+
+@pytest.mark.parametrize("seed, label", BULK_STREAMS)
+@pytest.mark.parametrize("k", BULK_COUNTS)
+def test_next_u64_array_matches_scalar(seed, label, k):
+    a = derive_stream(seed, label)
+    b = derive_stream(seed, label)
+    arr = a.next_u64_array(k)
+    assert arr.dtype == np.uint64
+    assert [int(x) for x in arr] == [b.next_u64() for _ in range(k)]
     assert a.state == b.state
+
+
+@pytest.mark.parametrize("n", (1, 5, 540, 1 << 32, (1 << 62) + 1, 1 << 63))
+@pytest.mark.parametrize("k", (15, 256, 600))
+def test_next_int_array_matches_scalar(n, k):
+    # 2**62 + 1 rejects about a quarter of all words; 2**63 never rejects
+    a = derive_stream(n, "ints")
+    b = derive_stream(n, "ints")
+    arr = a.next_int_array(n, k)
+    assert arr.dtype == np.int64
+    assert [int(x) for x in arr] == [b.next_int(n) for _ in range(k)]
+    assert a.state == b.state
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda s: s.next_int_array(0, 10),
+        lambda s: s.next_int_array((1 << 63) + 1, 10),
+        lambda s: s.next_int_array(5, -1),
+        lambda s: s.next_u64_array(-1),
+        lambda s: s.next_uniform_array(-1),
+    ],
+)
+def test_bulk_draw_bad_arguments_rejected(call):
+    with pytest.raises(ValueError):
+        call(derive_stream(1, "bad"))
+
+
+def test_pinned_regression_vector():
+    # recorded from the pure-Python scalar generator before the bulk path
+    # existed; pins both paths so they cannot drift together
+    s = derive_stream(42, "distill")
+    assert [s.next_u64() for _ in range(4)] == [
+        0xAB9E9ED6E44FAE50,
+        0x7C5CE28B2D7CC7B8,
+        0xC7BBFD00372484CE,
+        0xF887F72FF0CEB3EE,
+    ]
+    u = derive_stream(42, "init").next_uniform_array(4608)
+    assert [u[i] for i in (0, 255, 256, 4607)] == [
+        0.16912946873529056,
+        0.5601318092307233,
+        0.01748402102891089,
+        0.3597256031623345,
+    ]
 
 
 def test_next_int_rejects_zero():

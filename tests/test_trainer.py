@@ -108,12 +108,14 @@ class TestTrainCohort:
 
     def test_parallel_matches_serial(self, tiny_collection):
         shape = NetShape(in_dim=144)
-        cfg = trainer.TrainConfig(steps=10, batch=8)
-        serial = trainer.train_cohort(tiny_collection, cfg, shape, 4, root_seed=11, jobs=1)
-        parallel = trainer.train_cohort(tiny_collection, cfg, shape, 4, root_seed=11, jobs=4)
-        assert [r.student_index for r in parallel] == [0, 1, 2, 3]
-        for a, b in zip(serial, parallel):
-            assert np.array_equal(a.params.theta, b.params.theta)
+        # batch 256 draws its indices in whole table blocks from every thread
+        for batch in (8, 256):
+            cfg = trainer.TrainConfig(steps=10, batch=batch)
+            serial = trainer.train_cohort(tiny_collection, cfg, shape, 4, root_seed=11, jobs=1)
+            parallel = trainer.train_cohort(tiny_collection, cfg, shape, 4, root_seed=11, jobs=4)
+            assert [r.student_index for r in parallel] == [0, 1, 2, 3]
+            for a, b in zip(serial, parallel):
+                assert np.array_equal(a.params.theta, b.params.theta), batch
 
     def test_default_configs_match_protocol(self):
         assert trainer.TrainConfig.for_real() == trainer.TrainConfig(steps=1000, batch=256, lr=5e-3)
