@@ -10,6 +10,7 @@ the map definition alone.
 import numpy as np
 
 from . import expert, gridenv, tinynet
+from .distill import SyntheticDataset
 from .gridenv import ACTION_MOVES, EnvConfig, GridSpec
 from .rng import derive_stream, splitmix64
 
@@ -58,6 +59,16 @@ def check_bc_grad(n_cases: int = 20, tol: float = 1e-4, root_seed: int = 1234) -
     if worst > tol:
         raise AssertionError(f"bc_grad vs finite differences: max rel err {worst:.3e} > {tol}")
     return worst
+
+
+def matching_loss(params: tinynet.PolicyParams, real_xs, real_labels, syn: SyntheticDataset) -> float:
+    """Squared L2 distance between the real-batch and synthetic-batch
+    cloning gradients, flat layout: the objective whose gradient
+    `tinynet.matching_grad_wrt_examples` computes analytically."""
+    g_real = tinynet.bc_grad(params, real_xs, real_labels, np.ones(len(real_xs)))
+    g_syn = tinynet.bc_grad(params, syn.xs, syn.training_labels(), np.ones(len(syn)))
+    r = g_real - g_syn
+    return float(r @ r)
 
 
 def check_matching_grad(n_cases: int = 10, tol: float = 1e-3, root_seed: int = 99) -> float:

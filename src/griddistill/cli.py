@@ -187,23 +187,16 @@ def _train_source(config: ExperimentConfig, method: str):
     raise ValueError(f"unknown training method {method!r}")
 
 
-def cmd_train(config: ExperimentConfig, method: str, jobs: int = 1) -> None:
+def cmd_train(config: ExperimentConfig, method: str) -> None:
     source, size, train_cfg = _train_source(config, method)
     cohort_seed = derive_stream(config.root_seed, f"train:{method}").next_u64()
-    runs = train_cohort(
-        source,
-        train_cfg,
-        config.net_shape(),
-        config.student.n_students,
-        cohort_seed,
-        jobs=jobs,
+    cohort = train_cohort(
+        source, train_cfg, config.net_shape(), config.student.n_students, cohort_seed
     )
     method_dir = _method_dir(config, method)
     os.makedirs(method_dir, exist_ok=True)
-    for run in runs:
-        tinynet.save_checkpoint(
-            run.params, os.path.join(method_dir, f"student_{run.student_index}.json")
-        )
+    for i, params in enumerate(cohort):
+        tinynet.save_checkpoint(params, os.path.join(method_dir, f"student_{i}.json"))
     with open(os.path.join(method_dir, "meta.json"), "w") as fh:
         json.dump(
             {
@@ -212,19 +205,17 @@ def cmd_train(config: ExperimentConfig, method: str, jobs: int = 1) -> None:
                 "steps": train_cfg.steps,
                 "batch": train_cfg.batch,
                 "lr": train_cfg.lr,
-                "n_students": len(runs),
+                "n_students": len(cohort),
             },
             fh,
             indent=2,
             sort_keys=True,
         )
         fh.write("\n")
-    print(f"trained {len(runs)} students on {method} (dataset size {size}) -> {method_dir}")
+    print(f"trained {len(cohort)} students on {method} (dataset size {size}) -> {method_dir}")
 
 
 def _load_cohort(config: ExperimentConfig, method: str):
-    from .trainer import StudentRun
-
     method_dir = _method_dir(config, method)
     meta_path = os.path.join(method_dir, "meta.json")
     if not os.path.exists(meta_path):
@@ -234,45 +225,35 @@ def _load_cohort(config: ExperimentConfig, method: str):
         )
     with open(meta_path) as fh:
         meta = json.load(fh)
-    runs = []
+    cohort = []
     for i in range(meta["n_students"]):
         path = os.path.join(method_dir, f"student_{i}.json")
         if not os.path.exists(path):
             raise FileNotFoundError(f"missing checkpoint for method '{method}': {path}")
-        params = tinynet.load_checkpoint(path)
-        runs.append(
-            StudentRun(
-                student_index=i,
-                params=params,
-                final_train_loss=float("nan"),
-                config=TrainConfig(steps=meta["steps"], batch=meta["batch"], lr=meta["lr"]),
-            )
-        )
-    return runs, meta["dataset_size"]
+        cohort.append(tinynet.load_checkpoint(path))
+    return cohort, meta["dataset_size"]
 
 
 def cmd_eval(config: ExperimentConfig) -> None:
     eval_cfg = config.eval.to_eval_config()
     reports = []
-    rep_id, rep_ood = evaluate.evaluate_expert(
-        config.env, eval_cfg, root_seed=config.root_seed, gamma=config.collect.gamma
-    )
+    rep_id, rep_ood = evaluate.evaluate_expert(config.env, eval_cfg, gamma=config.collect.gamma)
     reports.extend([rep_id, rep_ood])
     for method in config.methods():
-        runs, size = _load_cohort(config, method)
+        cohort, size = _load_cohort(config, method)
         rep_id, rep_ood = evaluate.evaluate_cohort(
-            runs, config.env, eval_cfg, method, size, root_seed=config.root_seed
+            cohort, config.env, eval_cfg, method, size, root_seed=config.root_seed
         )
         reports.extend([rep_id, rep_ood])
     evaluate.emit_report(reports, config.output_dir)
     print(f"wrote {len(reports)} report rows -> {config.output_dir}/results.csv")
 
 
-def cmd_run_all(config: ExperimentConfig, jobs: int = 1) -> None:
+def cmd_run_all(config: ExperimentConfig) -> None:
     cmd_collect(config)
     cmd_distill(config)
     for method in config.methods():
-        cmd_train(config, method, jobs=jobs)
+        cmd_train(config, method)
     cmd_eval(config)
 
 
@@ -302,7 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", type=str, default=None, help="JSON experiment config")
     parser.add_argument("--seed", type=int, default=None, help="root seed (overrides config)")
     parser.add_argument("--out", type=str, default=None, help="output directory (overrides config)")
-    parser.add_argument("--jobs", type=int, default=1, help="worker cap for parallel stages")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_collect = sub.add_parser("collect", help="roll out experts and write offline.jsonl")
@@ -365,11 +345,11 @@ def main(argv=None) -> int:
     elif args.command == "distill":
         cmd_distill(config)
     elif args.command == "train":
-        cmd_train(config, args.method, jobs=args.jobs)
+        cmd_train(config, args.method)
     elif args.command == "eval":
         cmd_eval(config)
     elif args.command == "run-all":
-        cmd_run_all(config, jobs=args.jobs)
+        cmd_run_all(config)
     return 0
 
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .gridenv import N_ACTIONS
 from .rng import RngStream
 
 TRANSITION_FIELDS = (
@@ -156,6 +157,8 @@ def percentile_filter(ds: OfflineDataset, x: float) -> tuple[FilterSpec, Offline
     if not (0.0 < x <= 100.0):
         raise ValueError("percentile must be in (0, 100]")
     g0 = ds.episode_g0()
+    if not g0:
+        raise ValueError("cannot filter a dataset with no episodes")
     ranked = sorted(g0.items(), key=lambda item: (-item[1], item[0]))
     keep = math.ceil(x / 100.0 * len(ranked))
     kept = ranked[:keep]
@@ -243,10 +246,25 @@ def _validate_g_consistency(transitions: list) -> None:
             raise SchemaError(f"episode {eid}: g_0 mismatch")
 
 
+def _vector(row: dict, key: str, dim: int | None, lineno: int) -> np.ndarray:
+    """row[key] as a finite float vector of length dim (any nonzero length
+    when dim is None), else SchemaError naming the line."""
+    try:
+        v = np.asarray(row[key], dtype=np.float64)
+    except (TypeError, ValueError):
+        v = None
+    ok = v is not None and v.ndim == 1 and v.size > 0 and np.isfinite(v).all()
+    if not ok or (dim is not None and len(v) != dim):
+        want = "" if dim is None else f" of length {dim}"
+        raise SchemaError(f"line {lineno}: {key} is not a finite vector{want}")
+    return v
+
+
 def load(path: str) -> OfflineDataset:
     """Load and validate a saved dataset; raises SchemaError on a sidecar
-    or line that is not a JSON object, missing fields, row-count mismatch,
-    or broken return consistency."""
+    or line that is not a JSON object, missing fields, an action outside
+    [0, N_ACTIONS), an obs/next_obs that is not a finite vector of the
+    first row's length, row-count mismatch, or broken return consistency."""
     meta_path = _meta_path(path)
     if not os.path.exists(meta_path):
         raise SchemaError(f"missing meta sidecar {meta_path}")
@@ -261,6 +279,7 @@ def load(path: str) -> OfflineDataset:
         raise SchemaError(f"{meta_path}: missing row count")
     expected_rows = meta.pop("rows")
     transitions = []
+    dim = None
     with open(path) as fh:
         for lineno, line in enumerate(fh):
             line = line.strip()
@@ -275,14 +294,21 @@ def load(path: str) -> OfflineDataset:
             missing = [f for f in TRANSITION_FIELDS if f not in row]
             if missing:
                 raise SchemaError(f"line {lineno + 1}: missing fields {missing}")
+            action = row["action"]
+            if type(action) is not int or not 0 <= action < N_ACTIONS:
+                raise SchemaError(
+                    f"line {lineno + 1}: action {action!r} is not an integer in [0, {N_ACTIONS})"
+                )
+            obs = _vector(row, "obs", dim, lineno + 1)
+            dim = len(obs)
             transitions.append(
                 Transition(
                     episode_id=int(row["episode_id"]),
                     t=int(row["t"]),
                     seed=int(row["seed"]),
-                    obs=np.asarray(row["obs"], dtype=np.float64),
-                    action=int(row["action"]),
-                    next_obs=np.asarray(row["next_obs"], dtype=np.float64),
+                    obs=obs,
+                    action=action,
+                    next_obs=_vector(row, "next_obs", dim, lineno + 1),
                     reward=float(row["reward"]),
                     done=bool(row["done"]),
                     g_t=float(row["g_t"]),

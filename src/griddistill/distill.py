@@ -111,17 +111,6 @@ def init_synthetic(
     )
 
 
-def matching_loss(params: tinynet.PolicyParams, real_xs, real_labels, syn: SyntheticDataset) -> float:
-    """Squared L2 distance between the real-batch and synthetic-batch
-    cloning gradients, flat layout."""
-    g_real = tinynet.bc_grad(params, real_xs, real_labels, np.ones(len(real_xs)))
-    g_syn = tinynet.bc_grad(
-        params, syn.xs, syn.training_labels(), np.ones(len(syn))
-    )
-    r = g_real - g_syn
-    return float(r @ r)
-
-
 def distill(
     ds: datasets.OfflineDataset,
     cfg: DistillConfig,

@@ -87,19 +87,6 @@ def planner_table(spec: gridenv.GridSpec, gamma: float) -> np.ndarray:
     return np.eye(N_ACTIONS)[expert.value_iteration(spec, gamma=gamma).greedy_action]
 
 
-def run_policy(
-    params: tinynet.PolicyParams,
-    spec: gridenv.GridSpec,
-    action_rule: str = "argmax",
-    rng: RngStream | None = None,
-) -> float:
-    """Roll one episode with the network policy; undiscounted return."""
-    if action_rule == "stochastic" and rng is None:
-        raise ValueError("the stochastic rule needs a stream")
-    table = student_table(params, spec)
-    return _episode_return(table, spec, rng if action_rule == "stochastic" else None)
-
-
 def _evaluate(policies: list, streams, env_config, eval_cfg, method, dataset_size) -> tuple:
     """The evaluation body shared by cohorts and the planner. Member i's
     table on each map is `policies[i](spec)`, rolled episodes_per_seed times
@@ -133,35 +120,33 @@ def _evaluate(policies: list, streams, env_config, eval_cfg, method, dataset_siz
 
 
 def evaluate_cohort(
-    runs: list,
+    cohort: list,
     env_config: EnvConfig,
     eval_cfg: EvalConfig,
     method: str,
     dataset_size: int,
     root_seed: int,
 ) -> tuple[EvalReport, EvalReport]:
-    """Pool episode returns across all students and seeds per split."""
-    if not runs:
+    """Pool episode returns across all students (a list of PolicyParams in
+    student order) and seeds per split."""
+    if not cohort:
         raise ValueError("cohort is empty")
 
     def streams(split, i, seed, e):
         if eval_cfg.action_rule == "argmax":
             return None
-        return derive_stream(root_seed, f"eval:{split}:{runs[i].student_index}:{seed}:{e}")
+        return derive_stream(root_seed, f"eval:{split}:{i}:{seed}:{e}")
 
-    policies = [partial(student_table, run.params) for run in runs]
+    policies = [partial(student_table, params) for params in cohort]
     return _evaluate(policies, streams, env_config, eval_cfg, method, dataset_size)
 
 
 def evaluate_expert(
-    env_config: EnvConfig,
-    eval_cfg: EvalConfig,
-    root_seed: int,
-    gamma: float = 0.99,
+    env_config: EnvConfig, eval_cfg: EvalConfig, gamma: float = 0.99
 ) -> tuple[EvalReport, EvalReport]:
     """The planner evaluated as a cohort of one (dataset_size 0: it never
     trains on the offline data). It acts greedily under either action rule
-    and draws no randomness, so `root_seed` is unused."""
+    and draws no randomness."""
     policies = [partial(planner_table, gamma=gamma)]
     return _evaluate(policies, lambda *_: None, env_config, eval_cfg, "expert", 0)
 

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .datasets import SchemaError
 from .rng import RngStream
 
 
@@ -279,11 +280,17 @@ def save_checkpoint(params: PolicyParams, path: str) -> None:
 
 
 def load_checkpoint(path: str) -> PolicyParams:
+    """Raises SchemaError naming the path for malformed JSON or a missing
+    shape/theta key."""
     with open(path) as fh:
-        obj = json.load(fh)
-    shape = NetShape(
-        in_dim=int(obj["shape"]["in"]),
-        hidden=int(obj["shape"]["hidden"]),
-        out_dim=int(obj["shape"]["out"]),
-    )
-    return PolicyParams(theta=np.asarray(obj["theta"], dtype=np.float64), shape=shape)
+        try:
+            obj = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise SchemaError(f"{path}: malformed JSON ({exc.msg})") from exc
+    try:
+        dims = obj["shape"]
+        shape = NetShape(int(dims["in"]), int(dims["hidden"]), int(dims["out"]))
+        theta = obj["theta"]
+    except (KeyError, TypeError) as exc:
+        raise SchemaError(f"{path}: expected shape {{in, hidden, out}} and theta") from exc
+    return PolicyParams(theta=np.asarray(theta, dtype=np.float64), shape=shape)

@@ -7,7 +7,6 @@ uniformly with replacement from whichever source is given. Soft synthetic
 labels feed the cross-entropy directly, no argmax hardening.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,23 +38,11 @@ class TrainConfig:
         return cls(steps=100, batch=15, lr=5e-3)
 
 
-@dataclass
-class StudentRun:
-    student_index: int
-    params: tinynet.PolicyParams
-    final_train_loss: float
-    config: TrainConfig
-
-
 def train_student(
-    source,
-    cfg: TrainConfig,
-    shape: tinynet.NetShape,
-    rng: RngStream,
-    student_index: int = 0,
-) -> StudentRun:
+    source, cfg: TrainConfig, shape: tinynet.NetShape, rng: RngStream
+) -> tinynet.PolicyParams:
     """One student: fresh init, then cfg.steps of sample / bc_grad /
-    adam_step. final_train_loss is the last batch's pre-update loss."""
+    adam_step."""
     if len(source) == 0:
         raise ValueError("training source is empty")
     if isinstance(source, SyntheticDataset):
@@ -68,38 +55,19 @@ def train_student(
     ones = np.ones(cfg.batch)
     for _ in range(cfg.steps):
         idx = rng.next_int_array(len(rows), cfg.batch)
-        xs, labels = rows[idx], targets[idx]
         current = tinynet.PolicyParams(theta=theta, shape=shape)
-        grad = tinynet.bc_grad(current, xs, labels, ones)
-        theta = opt.step(theta, grad)
-    last_loss = tinynet.bc_loss(current, xs, labels, ones) if cfg.steps else float("nan")
-    return StudentRun(
-        student_index=student_index,
-        params=tinynet.PolicyParams(theta=theta, shape=shape),
-        final_train_loss=last_loss,
-        config=cfg,
-    )
+        theta = opt.step(theta, tinynet.bc_grad(current, rows[idx], targets[idx], ones))
+    return tinynet.PolicyParams(theta=theta, shape=shape)
 
 
 def train_cohort(
-    source,
-    cfg: TrainConfig,
-    shape: tinynet.NetShape,
-    n_students: int,
-    root_seed: int,
-    jobs: int = 1,
+    source, cfg: TrainConfig, shape: tinynet.NetShape, n_students: int, root_seed: int
 ) -> list:
-    """Independent students, each on its own derived stream `student:i`.
-    Output order is by student index regardless of scheduling."""
+    """Independent students in index order, student i on its own derived
+    stream `student:i`."""
     if n_students < 1:
         raise ValueError("n_students must be >= 1")
-
-    def one(i: int) -> StudentRun:
-        return train_student(
-            source, cfg, shape, derive_stream(root_seed, f"student:{i}"), student_index=i
-        )
-
-    if jobs <= 1 or n_students == 1:
-        return [one(i) for i in range(n_students)]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(one, range(n_students)))
+    return [
+        train_student(source, cfg, shape, derive_stream(root_seed, f"student:{i}"))
+        for i in range(n_students)
+    ]

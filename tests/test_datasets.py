@@ -99,6 +99,11 @@ class TestPercentileFilter:
                 datasets.percentile_filter(ds, x)
 
 
+    def test_no_episodes_rejected(self):
+        with pytest.raises(ValueError, match="no episodes"):
+            datasets.percentile_filter(OfflineDataset(transitions=[], meta={}), 40.0)
+
+
 class TestSampleBatch:
     def test_single_row_dataset(self):
         ds = toy_dataset([[1.0]])
@@ -183,6 +188,44 @@ class TestSaveLoad:
         with open(path, "w") as fh:
             fh.write(lines[0] + "\n" + bad_line + "\n")
         with pytest.raises(SchemaError, match="^line 2: "):
+            datasets.load(path)
+
+    @pytest.mark.parametrize(
+        "key, value, reason",
+        [
+            ("action", -1, "action -1 is not an integer"),
+            ("action", 2.7, "action 2.7 is not an integer"),
+            ("action", 7, "action 7 is not an integer"),
+            ("action", True, "action True is not an integer"),
+            ("obs", [1.0], "obs is not a finite vector of length 2"),
+            ("obs", [[1.0, 1.0]], "obs is not a finite vector of length 2"),
+            ("next_obs", [1.0, 1.0, 1.0], "next_obs is not a finite vector of length 2"),
+            ("next_obs", [float("nan"), 1.0], "next_obs is not a finite vector"),
+            ("next_obs", "ab", "next_obs is not a finite vector"),
+        ],
+    )
+    def test_bad_action_or_vector_raises_with_line_number(self, tmp_path, key, value, reason):
+        ds = toy_dataset([[1.0, 2.0]])
+        path = str(tmp_path / "v.jsonl")
+        datasets.save(ds, path)
+        lines = open(path).read().splitlines()
+        row = json.loads(lines[1])
+        row[key] = value
+        with open(path, "w") as fh:
+            fh.write(lines[0] + "\n" + json.dumps(row) + "\n")
+        with pytest.raises(SchemaError, match=f"^line 2: {re.escape(reason)}"):
+            datasets.load(path)
+
+    def test_first_row_sets_the_observation_length(self, tmp_path):
+        ds = toy_dataset([[1.0, 2.0]])
+        path = str(tmp_path / "w.jsonl")
+        datasets.save(ds, path)
+        lines = open(path).read().splitlines()
+        row = json.loads(lines[0])
+        row["obs"] = row["next_obs"] = [1.0]
+        with open(path, "w") as fh:
+            fh.write(json.dumps(row) + "\n" + lines[1] + "\n")
+        with pytest.raises(SchemaError, match="^line 2: obs is not a finite vector of length 1"):
             datasets.load(path)
 
     def test_broken_g_consistency_raises(self, tmp_path):

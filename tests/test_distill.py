@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from griddistill import datasets, expert, tinynet
+from griddistill import checks, datasets, expert, tinynet
 from griddistill import distill as dst
 from griddistill.datasets import OfflineDataset
 from griddistill.gridenv import EnvConfig
@@ -86,7 +86,7 @@ class TestMatchingLoss:
         rng = derive_stream(6, "ml")
         params = tinynet.init_params(shape, rng)
         syn = dst.init_synthetic(small_collection, 20, False, rng)
-        loss = dst.matching_loss(params, syn.xs, syn.labels, syn)
+        loss = checks.matching_loss(params, syn.xs, syn.labels, syn)
         assert loss == 0.0
 
     def test_nonnegative(self, small_collection):
@@ -95,7 +95,7 @@ class TestMatchingLoss:
         params = tinynet.init_params(shape, rng)
         syn = dst.init_synthetic(small_collection, 20, False, rng)
         xs, acts = datasets.sample_batch(small_collection, 32, rng)
-        assert dst.matching_loss(params, xs, acts, syn) >= 0.0
+        assert checks.matching_loss(params, xs, acts, syn) >= 0.0
 
     def test_composes_validated_gradients(self):
         # tiny instance: value equals the squared distance of the two
@@ -109,7 +109,7 @@ class TestMatchingLoss:
             xs=np.array([[rng.next_gauss() for _ in range(4)] for _ in range(3)]),
             labels=np.array([0, 2, 4], dtype=np.int64),
         )
-        got = dst.matching_loss(params, real_xs, real_labels, syn)
+        got = checks.matching_loss(params, real_xs, real_labels, syn)
         g_r = tinynet.bc_grad(params, real_xs, real_labels, np.ones(6))
         g_s = tinynet.bc_grad(params, syn.xs, syn.labels, np.ones(3))
         assert got == pytest.approx(float(np.sum((g_r - g_s) ** 2)), rel=1e-12)

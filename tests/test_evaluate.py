@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from griddistill import evaluate, expert, gridenv, tinynet, trainer
+from griddistill import evaluate, expert, gridenv, tinynet
 from griddistill.evaluate import EvalConfig, EvalReport
 from griddistill.gridenv import EnvConfig
 from griddistill.rng import derive_stream
@@ -20,11 +20,17 @@ def policy_always(action, in_dim):
     return params
 
 
+def student_return(params, spec, rng=None):
+    """One episode of a student's policy table: argmax without a stream,
+    sampled with one."""
+    return evaluate._episode_return(evaluate.student_table(params, spec), spec, rng)
+
+
 class TestRunPolicy:
     def test_one_step_goal(self):
         spec = make_spec(np.zeros((2, 2)), start=(0, 0), goal=(0, 1))
         params = policy_always(3, in_dim=16)  # RIGHT
-        ret = evaluate.run_policy(params, spec, "argmax")
+        ret = student_return(params, spec)
         assert ret == 10.0
 
     def test_zero_params_deterministic_up(self):
@@ -32,8 +38,8 @@ class TestRunPolicy:
         spec = make_spec(np.zeros((3, 3)), start=(2, 0), goal=(0, 0))
         shape = NetShape(in_dim=36, hidden=2, out_dim=5)
         params = PolicyParams(theta=np.zeros(shape.param_count), shape=shape)
-        a = evaluate.run_policy(params, spec, "argmax")
-        b = evaluate.run_policy(params, spec, "argmax")
+        a = student_return(params, spec)
+        b = student_return(params, spec)
         assert a == b == pytest.approx(-0.1 + 10.0)  # two UP moves up the column
 
     def test_stochastic_uniform_matches_enumeration_expectation(self):
@@ -61,18 +67,12 @@ class TestRunPolicy:
         exact = expected_return(spec.start, 0)
         n = 10_000
         returns = [
-            evaluate.run_policy(params, spec, "stochastic", derive_stream(i, "mc"))
+            student_return(params, spec, derive_stream(i, "mc"))
             for i in range(n)
         ]
         returns = np.array(returns)
         sem = returns.std() / np.sqrt(n)
         assert abs(returns.mean() - exact) <= 5 * sem
-
-
-    def test_stochastic_rule_needs_a_stream(self):
-        spec = make_spec(np.zeros((2, 2)), start=(0, 0), goal=(0, 1))
-        with pytest.raises(ValueError):
-            evaluate.run_policy(policy_always(3, in_dim=16), spec, "stochastic")
 
 
 def step_loop_return(params, spec, action_rule, rng):
@@ -107,7 +107,8 @@ class TestPolicyTableEquivalence:
             spec = gridenv.generate(env, seed)
             for i, params in enumerate(students):
                 label = f"eq:{i}:{seed}"
-                got = evaluate.run_policy(params, spec, action_rule, derive_stream(3, label))
+                rng = derive_stream(3, label) if action_rule == "stochastic" else None
+                got = student_return(params, spec, rng)
                 want = step_loop_return(params, spec, action_rule, derive_stream(3, label))
                 assert got == want, (seed, i)
                 returns.append(got)
@@ -124,19 +125,11 @@ class TestPolicyTableEquivalence:
 
 
 class TestEvaluateCohort:
-    def _cohort(self, params_list):
-        return [
-            trainer.StudentRun(student_index=i, params=p, final_train_loss=0.0, config=trainer.TrainConfig())
-            for i, p in enumerate(params_list)
-        ]
-
     def test_single_student_single_seed(self):
         env = EnvConfig()
         eval_cfg = EvalConfig(id_seeds=[3], ood_seeds=[10_000])
         params = policy_always(4, in_dim=env.obs_dim)  # STAY forever
-        rep_id, rep_ood = evaluate.evaluate_cohort(
-            self._cohort([params]), env, eval_cfg, "m", 1, root_seed=0
-        )
+        rep_id, rep_ood = evaluate.evaluate_cohort([params], env, eval_cfg, "m", 1, root_seed=0)
         assert rep_id.n_episodes == 1 and rep_ood.n_episodes == 1
         assert rep_id.std_return == 0.0
         assert rep_id.mean_return == pytest.approx(-0.1 * env.horizon)
@@ -145,11 +138,9 @@ class TestEvaluateCohort:
         env = EnvConfig()
         eval_cfg = EvalConfig(id_seeds=[0, 1, 2], ood_seeds=[10_000, 10_001])
         params = policy_always(0, in_dim=env.obs_dim)
-        once_id, once_ood = evaluate.evaluate_cohort(
-            self._cohort([params]), env, eval_cfg, "m", 1, root_seed=0
-        )
+        once_id, once_ood = evaluate.evaluate_cohort([params], env, eval_cfg, "m", 1, root_seed=0)
         twice_id, twice_ood = evaluate.evaluate_cohort(
-            self._cohort([params, params]), env, eval_cfg, "m", 1, root_seed=0
+            [params, params], env, eval_cfg, "m", 1, root_seed=0
         )
         assert twice_id.mean_return == pytest.approx(once_id.mean_return)
         assert twice_id.std_return == pytest.approx(once_id.std_return)
@@ -160,8 +151,8 @@ class TestEvaluateCohort:
         eval_cfg = EvalConfig(id_seeds=[0, 1], ood_seeds=[10_000])
         pa = policy_always(0, in_dim=env.obs_dim)
         pb = policy_always(3, in_dim=env.obs_dim)
-        fwd_id, _ = evaluate.evaluate_cohort(self._cohort([pa, pb]), env, eval_cfg, "m", 1, 0)
-        rev_id, _ = evaluate.evaluate_cohort(self._cohort([pb, pa]), env, eval_cfg, "m", 1, 0)
+        fwd_id, _ = evaluate.evaluate_cohort([pa, pb], env, eval_cfg, "m", 1, 0)
+        rev_id, _ = evaluate.evaluate_cohort([pb, pa], env, eval_cfg, "m", 1, 0)
         assert fwd_id.mean_return == pytest.approx(rev_id.mean_return)
         assert fwd_id.std_return == pytest.approx(rev_id.std_return)
 
@@ -175,7 +166,7 @@ class TestEvaluateExpert:
         env = EnvConfig()
         seeds = [0, 1, 2, 3, 4]
         eval_cfg = EvalConfig(id_seeds=seeds, ood_seeds=[10_000])
-        rep_id, _ = evaluate.evaluate_expert(env, eval_cfg, root_seed=5)
+        rep_id, _ = evaluate.evaluate_expert(env, eval_cfg)
         direct = []
         for seed in seeds:
             spec = gridenv.generate(env, seed)
@@ -193,7 +184,7 @@ class TestEvaluateExpert:
         env = EnvConfig()
         greedy = EvalConfig(id_seeds=[0, 1, 2], ood_seeds=[10_000])
         sampled = EvalConfig(id_seeds=[0, 1, 2], ood_seeds=[10_000], action_rule="stochastic")
-        assert evaluate.evaluate_expert(env, greedy, 1) == evaluate.evaluate_expert(env, sampled, 2)
+        assert evaluate.evaluate_expert(env, greedy) == evaluate.evaluate_expert(env, sampled)
 
 
 class TestEvalConfig:

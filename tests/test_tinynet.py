@@ -1,11 +1,13 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
 from griddistill import tinynet
 from griddistill.checks import finite_diff_grad, max_rel_err
+from griddistill.datasets import SchemaError
 from griddistill.rng import derive_stream
 from griddistill.tinynet import NetShape, PolicyParams
 
@@ -322,3 +324,24 @@ class TestCheckpoint:
         assert set(obj) == {"shape", "theta"}
         assert obj["shape"] == {"in": 2, "hidden": 2, "out": 2}
         assert len(obj["theta"]) == params.shape.param_count
+
+    def test_truncated_file_raises_naming_it(self, tmp_path):
+        path = str(tmp_path / "student_0.json")
+        tinynet.save_checkpoint(hand_params(), path)
+        text = open(path).read()
+        with open(path, "w") as fh:
+            fh.write(text[: len(text) // 2])
+        with pytest.raises(SchemaError, match=f"^{re.escape(path)}: malformed JSON"):
+            tinynet.load_checkpoint(path)
+
+    @pytest.mark.parametrize("drop", ["shape", "theta", "hidden"])
+    def test_missing_key_raises_naming_it(self, tmp_path, drop):
+        path = str(tmp_path / "student_0.json")
+        tinynet.save_checkpoint(hand_params(), path)
+        obj = json.load(open(path))
+        holder = obj["shape"] if drop == "hidden" else obj
+        del holder[drop]
+        with open(path, "w") as fh:
+            json.dump(obj, fh)
+        with pytest.raises(SchemaError, match=f"^{re.escape(path)}: expected shape"):
+            tinynet.load_checkpoint(path)
