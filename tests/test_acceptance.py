@@ -9,6 +9,7 @@ runs its own ten collect+distill cycles at root seeds 0..9 as specified.
 
 import filecmp
 import glob
+import hashlib
 import json
 import math
 import os
@@ -174,6 +175,30 @@ def test_ac8_determinism(base_run, tmp_path):
         "AC-8 byte-identical outputs across reruns",
         not bad_rerun,
         f"rerun diffs {bad_rerun}",
+    )
+
+
+def test_run_all_seed42_matches_golden_digests(base_run):
+    # sha256 of every output of `run-all --seed 42` but the config echo
+    # (it names the output directory); OpenBLAS picks its kernels per CPU,
+    # so another machine may differ in low bits and needs its own record
+    golden_path = os.path.join(os.path.dirname(__file__), "data", "run_all_seed42.sha256")
+    with open(golden_path) as fh:
+        pairs = [line.split("  ", 1) for line in fh.read().splitlines()]
+    golden = {rel: digest for digest, rel in pairs}
+    out = str(base_run["out"])
+    got = {}
+    for root, _dirs, files in os.walk(out):
+        for name in files:
+            rel = os.path.relpath(os.path.join(root, name), out).replace(os.sep, "/")
+            if rel != "config.echo.json":
+                with open(os.path.join(root, name), "rb") as fh:
+                    got[rel] = hashlib.sha256(fh.read()).hexdigest()
+    differ = sorted(rel for rel in golden.keys() | got.keys() if golden.get(rel) != got.get(rel))
+    _report(
+        "run-all --seed 42 outputs match tests/data/run_all_seed42.sha256",
+        not differ,
+        f"{len(got)} files, differing {differ}",
     )
 
 
