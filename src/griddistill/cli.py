@@ -175,23 +175,24 @@ def cmd_distill(config: ExperimentConfig) -> None:
 
 
 def _train_source(config: ExperimentConfig, method: str):
-    """(source, dataset_size, train config) for one method name."""
+    """(rows, targets, train config) for one method name."""
     if method == "synthetic":
         syn = load_synthetic(_synthetic_path(config))
-        return syn, len(syn), config.student.synthetic
+        return syn.xs, syn.training_labels(), config.student.synthetic
     if method.startswith("bc"):
         x = float(method[2:])
         ds = datasets.load(_offline_path(config))
         _, filtered = datasets.percentile_filter(ds, x)
-        return filtered, len(filtered), config.student.bc
+        return filtered.obs, filtered.action, config.student.bc
     raise ValueError(f"unknown training method {method!r}")
 
 
 def cmd_train(config: ExperimentConfig, method: str) -> None:
-    source, size, train_cfg = _train_source(config, method)
+    rows, targets, train_cfg = _train_source(config, method)
+    size = len(rows)
     cohort_seed = derive_stream(config.root_seed, f"train:{method}").next_u64()
     cohort = train_cohort(
-        source, train_cfg, config.net_shape(), config.student.n_students, cohort_seed
+        rows, targets, train_cfg, config.net_shape(), config.student.n_students, cohort_seed
     )
     method_dir = _method_dir(config, method)
     os.makedirs(method_dir, exist_ok=True)
@@ -216,6 +217,9 @@ def cmd_train(config: ExperimentConfig, method: str) -> None:
 
 
 def _load_cohort(config: ExperimentConfig, method: str):
+    """The method's students and dataset size; raises SchemaError naming
+    the file for a malformed meta.json or checkpoint, or a checkpoint that
+    does not fit config.net_shape()."""
     method_dir = _method_dir(config, method)
     meta_path = os.path.join(method_dir, "meta.json")
     if not os.path.exists(meta_path):
@@ -224,13 +228,26 @@ def _load_cohort(config: ExperimentConfig, method: str):
             f"run `train --method {method}` first"
         )
     with open(meta_path) as fh:
-        meta = json.load(fh)
+        try:
+            meta = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise datasets.SchemaError(f"{meta_path}: malformed JSON ({exc.msg})") from exc
+    if not isinstance(meta, dict) or not {"n_students", "dataset_size"} <= meta.keys():
+        raise datasets.SchemaError(
+            f"{meta_path}: expected an object with n_students and dataset_size"
+        )
+    shape = config.net_shape()
     cohort = []
     for i in range(meta["n_students"]):
         path = os.path.join(method_dir, f"student_{i}.json")
         if not os.path.exists(path):
             raise FileNotFoundError(f"missing checkpoint for method '{method}': {path}")
-        cohort.append(tinynet.load_checkpoint(path))
+        params = tinynet.load_checkpoint(path)
+        if params.shape != shape:
+            raise datasets.SchemaError(
+                f"{path}: network shape {params.shape} is not the config's {shape}"
+            )
+        cohort.append(params)
     return cohort, meta["dataset_size"]
 
 

@@ -1,6 +1,15 @@
 """Offline transition dataset: return computation, percentile filtering,
 batch sampling, and the JSONL + meta.json on-disk format.
 
+In memory a dataset is a set of numpy columns, one entry per transition,
+each episode one contiguous run of rows in t order:
+
+- `episode_id`, `t` (int64) and `seed` (Python ints, any size);
+- `obs`, `next_obs` (float64, rows x obs_dim) and `action` (int64);
+- `reward` (float64) and `done` (bool);
+- `g_t`, the return from step t, and `g_0`, the episode's return from its
+  first step, repeated on every row (float64).
+
 Returns are undiscounted within-episode sums; the planner's discount never
 leaks into the data. Percentile filtering operates on whole episodes ranked
 by their start return g_0, because the filter weight is constant across an
@@ -17,18 +26,18 @@ import numpy as np
 from .gridenv import N_ACTIONS
 from .rng import RngStream
 
-TRANSITION_FIELDS = (
-    "episode_id",
-    "t",
-    "seed",
-    "obs",
-    "action",
-    "next_obs",
-    "reward",
-    "done",
-    "g_t",
-    "g_0",
-)
+COLUMNS = {
+    "episode_id": np.int64,
+    "t": np.int64,
+    "seed": object,
+    "obs": np.float64,
+    "action": np.int64,
+    "next_obs": np.float64,
+    "reward": np.float64,
+    "done": bool,
+    "g_t": np.float64,
+    "g_0": np.float64,
+}
 
 
 class SchemaError(Exception):
@@ -36,112 +45,62 @@ class SchemaError(Exception):
 
 
 @dataclass(eq=False)
-class Transition:
-    episode_id: int
-    t: int
-    seed: int
-    obs: np.ndarray
-    action: int
-    next_obs: np.ndarray
-    reward: float
-    done: bool
-    g_t: float
-    g_0: float
-
-    def __eq__(self, other):
-        if not isinstance(other, Transition):
-            return NotImplemented
-        return (
-            self.episode_id == other.episode_id
-            and self.t == other.t
-            and self.seed == other.seed
-            and np.array_equal(self.obs, other.obs)
-            and self.action == other.action
-            and np.array_equal(self.next_obs, other.next_obs)
-            and self.reward == other.reward
-            and self.done == other.done
-            and self.g_t == other.g_t
-            and self.g_0 == other.g_0
-        )
-
-
-@dataclass(eq=False)
 class OfflineDataset:
-    transitions: list
+    episode_id: np.ndarray
+    t: np.ndarray
+    seed: np.ndarray
+    obs: np.ndarray
+    action: np.ndarray
+    next_obs: np.ndarray
+    reward: np.ndarray
+    done: np.ndarray
+    g_t: np.ndarray
+    g_0: np.ndarray
     meta: dict = field(default_factory=dict)
 
     def __len__(self):
-        return len(self.transitions)
-
-    def __eq__(self, other):
-        if not isinstance(other, OfflineDataset):
-            return NotImplemented
-        return self.meta == other.meta and self.transitions == other.transitions
+        return len(self.episode_id)
 
     def episode_ids(self) -> list:
         """Distinct episode ids in first-appearance order."""
-        seen = []
-        last = None
-        for tr in self.transitions:
-            if tr.episode_id != last:
-                seen.append(tr.episode_id)
-                last = tr.episode_id
-        return seen
+        return self.episode_id[_run_starts(self.episode_id)].tolist()
 
     def episode_g0(self) -> dict:
-        return {tr.episode_id: tr.g_0 for tr in self.transitions}
-
-    def obs_matrix(self) -> np.ndarray:
-        """All observations stacked (N, obs_dim); cached after first call."""
-        if not hasattr(self, "_obs_matrix"):
-            self._obs_matrix = np.stack([tr.obs for tr in self.transitions])
-            self._obs_matrix.flags.writeable = False
-        return self._obs_matrix
-
-    def action_vector(self) -> np.ndarray:
-        if not hasattr(self, "_actions"):
-            self._actions = np.array([tr.action for tr in self.transitions], dtype=np.int64)
-            self._actions.flags.writeable = False
-        return self._actions
+        starts = _run_starts(self.episode_id)
+        return dict(zip(self.episode_id[starts].tolist(), self.g_0[starts].tolist()))
 
 
-def compute_returns(steps: list, episode_id: int, seed: int) -> list:
-    """Turn one episode's (obs, action, next_obs, reward, done) steps into
-    Transitions with backward-accumulated undiscounted returns; g_0 is
-    stamped on every row."""
-    if not steps:
+def _run_starts(episode_id: np.ndarray) -> np.ndarray:
+    """Row index where each run of equal episode ids begins."""
+    change = np.ones(len(episode_id), dtype=bool)
+    change[1:] = episode_id[1:] != episode_id[:-1]
+    return np.flatnonzero(change)
+
+
+def _from_rows(rows: list, meta: dict) -> OfflineDataset:
+    """Columns from per-transition tuples in COLUMNS order."""
+    values = zip(*rows) if rows else [()] * len(COLUMNS)
+    cols = {name: np.array(col, dtype=dtype) for (name, dtype), col in zip(COLUMNS.items(), values)}
+    return OfflineDataset(**cols, meta=meta)
+
+
+def compute_returns(rewards) -> np.ndarray:
+    """One episode's undiscounted returns g_t = reward_t + g_(t+1): a
+    reversed running sum, bit-equal to the backward loop from g = 0.0
+    (adding that 0.0 turns a -0.0 sum into 0.0, as the loop does)."""
+    if len(rewards) == 0:
         raise ValueError("episode must be nonempty")
-    g = 0.0
-    g_values = [0.0] * len(steps)
-    for i in range(len(steps) - 1, -1, -1):
-        g = steps[i][3] + g
-        g_values[i] = g
-    g0 = g_values[0]
-    out = []
-    for t, (obs, action, next_obs, reward, done) in enumerate(steps):
-        out.append(
-            Transition(
-                episode_id=episode_id,
-                t=t,
-                seed=seed,
-                obs=obs,
-                action=action,
-                next_obs=next_obs,
-                reward=reward,
-                done=done,
-                g_t=g_values[t],
-                g_0=g0,
-            )
-        )
-    return out
+    return np.cumsum(np.asarray(rewards, dtype=np.float64)[::-1])[::-1] + 0.0
 
 
 def from_episodes(episodes: list, meta: dict) -> OfflineDataset:
     """Assemble an OfflineDataset from expert Episodes, ids 0..n-1."""
-    transitions = []
+    rows = []
     for i, ep in enumerate(episodes):
-        transitions.extend(compute_returns(ep.steps, episode_id=i, seed=ep.seed))
-    return OfflineDataset(transitions=transitions, meta=meta)
+        g = compute_returns([step[3] for step in ep.steps])
+        for t, (obs, action, next_obs, reward, done) in enumerate(ep.steps):
+            rows.append((i, t, ep.seed, obs, action, next_obs, reward, done, g[t], g[0]))
+    return _from_rows(rows, meta)
 
 
 @dataclass
@@ -156,20 +115,19 @@ def percentile_filter(ds: OfflineDataset, x: float) -> tuple[FilterSpec, Offline
     ascending episode id). The kept transitions stay in original order."""
     if not (0.0 < x <= 100.0):
         raise ValueError("percentile must be in (0, 100]")
-    g0 = ds.episode_g0()
-    if not g0:
+    starts = _run_starts(ds.episode_id)
+    if len(starts) == 0:
         raise ValueError("cannot filter a dataset with no episodes")
-    ranked = sorted(g0.items(), key=lambda item: (-item[1], item[0]))
-    keep = math.ceil(x / 100.0 * len(ranked))
-    kept = ranked[:keep]
-    kept_ids = {eid for eid, _ in kept}
-    threshold = kept[-1][1]
-    filtered = [tr for tr in ds.transitions if tr.episode_id in kept_ids]
+    ids, g0 = ds.episode_id[starts], ds.g_0[starts]
+    kept = np.lexsort((ids, -g0))[: math.ceil(x / 100.0 * len(ids))]
     meta = dict(ds.meta)
-    meta["episode_count"] = len(kept_ids)
+    meta["episode_count"] = len(kept)
     meta["percentile"] = x
-    spec = FilterSpec(percentile=x, threshold_b=threshold, kept_episodes=kept_ids)
-    return spec, OfflineDataset(transitions=filtered, meta=meta)
+    spec = FilterSpec(
+        percentile=x, threshold_b=float(g0[kept[-1]]), kept_episodes=set(ids[kept].tolist())
+    )
+    rows = np.isin(ds.episode_id, ids[kept])
+    return spec, OfflineDataset(**{name: getattr(ds, name)[rows] for name in COLUMNS}, meta=meta)
 
 
 def sample_batch(ds: OfflineDataset, batch: int, rng: RngStream) -> tuple[np.ndarray, np.ndarray]:
@@ -179,10 +137,8 @@ def sample_batch(ds: OfflineDataset, batch: int, rng: RngStream) -> tuple[np.nda
         raise ValueError("batch must be >= 1")
     if len(ds) == 0:
         raise ValueError("cannot sample from an empty dataset")
-    obs = ds.obs_matrix()
-    actions = ds.action_vector()
     idx = rng.next_int_array(len(ds), batch)
-    return obs[idx], actions[idx]
+    return ds.obs[idx], ds.action[idx]
 
 
 def _fmt(x: float) -> str:
@@ -194,22 +150,6 @@ def _fmt_array(arr) -> str:
     return "[" + ",".join(_fmt(v) for v in arr) + "]"
 
 
-def _transition_line(tr: Transition) -> str:
-    parts = [
-        f'"episode_id":{tr.episode_id}',
-        f'"t":{tr.t}',
-        f'"seed":{tr.seed}',
-        f'"obs":{_fmt_array(tr.obs)}',
-        f'"action":{tr.action}',
-        f'"next_obs":{_fmt_array(tr.next_obs)}',
-        f'"reward":{_fmt(tr.reward)}',
-        f'"done":{"true" if tr.done else "false"}',
-        f'"g_t":{_fmt(tr.g_t)}',
-        f'"g_0":{_fmt(tr.g_0)}',
-    ]
-    return "{" + ",".join(parts) + "}"
-
-
 def _meta_path(path: str) -> str:
     base = path[:-6] if path.endswith(".jsonl") else path
     return base + ".meta.json"
@@ -218,32 +158,57 @@ def _meta_path(path: str) -> str:
 def save(ds: OfflineDataset, path: str) -> None:
     """JSON Lines body (one transition per line) plus a <name>.meta.json
     sidecar holding the meta record and the row count."""
+    columns = [getattr(ds, name) for name in COLUMNS]
     with open(path, "w") as fh:
-        for tr in ds.transitions:
-            fh.write(_transition_line(tr) + "\n")
+        for episode_id, t, seed, obs, action, next_obs, reward, done, g_t, g_0 in zip(*columns):
+            parts = [
+                f'"episode_id":{episode_id}',
+                f'"t":{t}',
+                f'"seed":{seed}',
+                f'"obs":{_fmt_array(obs)}',
+                f'"action":{action}',
+                f'"next_obs":{_fmt_array(next_obs)}',
+                f'"reward":{_fmt(reward)}',
+                f'"done":{"true" if done else "false"}',
+                f'"g_t":{_fmt(g_t)}',
+                f'"g_0":{_fmt(g_0)}',
+            ]
+            fh.write("{" + ",".join(parts) + "}\n")
     meta = dict(ds.meta)
-    meta["rows"] = len(ds.transitions)
+    meta["rows"] = len(ds)
     with open(_meta_path(path), "w") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
-def _validate_g_consistency(transitions: list) -> None:
-    by_episode = {}
-    for tr in transitions:
-        by_episode.setdefault(tr.episode_id, []).append(tr)
-    for eid, rows in by_episode.items():
-        if any(rows[i].t != i for i in range(len(rows))):
-            raise SchemaError(f"episode {eid}: transitions not contiguous/t-ordered")
-        if not rows[-1].done:
-            raise SchemaError(f"episode {eid} does not end with done=true")
-        g_next = 0.0
-        for tr in reversed(rows):
-            if abs(tr.g_t - (tr.reward + g_next)) > 1e-9:
-                raise SchemaError(f"episode {eid}, t={tr.t}: g_t != reward + g_(t+1)")
-            g_next = tr.g_t
-        if any(abs(tr.g_0 - rows[0].g_t) > 1e-9 for tr in rows):
-            raise SchemaError(f"episode {eid}: g_0 mismatch")
+def _validate_episodes(ds: OfflineDataset) -> None:
+    """Each episode one contiguous run with t = 0, 1, ..., ending done,
+    with g_t = reward + g_(t+1) and g_0 = the first row's g_t (both within
+    1e-9); else SchemaError naming the first bad episode (in row order)."""
+    n = len(ds)
+    starts = _run_starts(ds.episode_id)
+    run_ids = ds.episode_id[starts].tolist()
+    if len(set(run_ids)) < len(run_ids):
+        eid = next(e for i, e in enumerate(run_ids) if e in run_ids[:i])
+        raise SchemaError(f"episode {eid}: rows are not one contiguous run")
+    first = np.repeat(starts, np.diff(starts, append=n))  # each row's episode start
+    is_end = np.zeros(n, dtype=bool)
+    is_end[starts - 1] = True  # the row before a start; -1 wraps to the last row
+    g_next = np.where(is_end, 0.0, np.roll(ds.g_t, -1))
+    bad_g = np.abs(ds.g_t - (ds.reward + g_next)) > 1e-9
+    checks = (
+        (ds.t != np.arange(n) - first, "episode {eid}: transitions not contiguous/t-ordered"),
+        (is_end & ~ds.done, "episode {eid} does not end with done=true"),
+        (bad_g, "episode {eid}, t={t}: g_t != reward + g_(t+1)"),
+        (np.abs(ds.g_0 - ds.g_t[first]) > 1e-9, "episode {eid}: g_0 mismatch"),
+    )
+    bad = np.logical_or.reduce([rows for rows, _ in checks])
+    if bad.any():
+        eid = int(ds.episode_id[np.argmax(bad)])
+        episode = ds.episode_id == eid
+        for rows, message in checks:
+            if (rows & episode).any():
+                raise SchemaError(message.format(eid=eid, t=ds.t[rows & episode][-1]))
 
 
 def _vector(row: dict, key: str, dim: int | None, lineno: int) -> np.ndarray:
@@ -264,7 +229,8 @@ def load(path: str) -> OfflineDataset:
     """Load and validate a saved dataset; raises SchemaError on a sidecar
     or line that is not a JSON object, missing fields, an action outside
     [0, N_ACTIONS), an obs/next_obs that is not a finite vector of the
-    first row's length, row-count mismatch, or broken return consistency."""
+    first row's length, row-count mismatch, an episode split over several
+    runs of rows, or broken return consistency."""
     meta_path = _meta_path(path)
     if not os.path.exists(meta_path):
         raise SchemaError(f"missing meta sidecar {meta_path}")
@@ -278,7 +244,7 @@ def load(path: str) -> OfflineDataset:
     if "rows" not in meta:
         raise SchemaError(f"{meta_path}: missing row count")
     expected_rows = meta.pop("rows")
-    transitions = []
+    rows = []
     dim = None
     with open(path) as fh:
         for lineno, line in enumerate(fh):
@@ -291,7 +257,7 @@ def load(path: str) -> OfflineDataset:
                 raise SchemaError(f"line {lineno + 1}: malformed JSON ({exc.msg})") from exc
             if not isinstance(row, dict):
                 raise SchemaError(f"line {lineno + 1}: not a JSON object")
-            missing = [f for f in TRANSITION_FIELDS if f not in row]
+            missing = [f for f in COLUMNS if f not in row]
             if missing:
                 raise SchemaError(f"line {lineno + 1}: missing fields {missing}")
             action = row["action"]
@@ -301,21 +267,22 @@ def load(path: str) -> OfflineDataset:
                 )
             obs = _vector(row, "obs", dim, lineno + 1)
             dim = len(obs)
-            transitions.append(
-                Transition(
-                    episode_id=int(row["episode_id"]),
-                    t=int(row["t"]),
-                    seed=int(row["seed"]),
-                    obs=obs,
-                    action=action,
-                    next_obs=_vector(row, "next_obs", dim, lineno + 1),
-                    reward=float(row["reward"]),
-                    done=bool(row["done"]),
-                    g_t=float(row["g_t"]),
-                    g_0=float(row["g_0"]),
+            rows.append(
+                (
+                    int(row["episode_id"]),
+                    int(row["t"]),
+                    int(row["seed"]),
+                    obs,
+                    action,
+                    _vector(row, "next_obs", dim, lineno + 1),
+                    float(row["reward"]),
+                    bool(row["done"]),
+                    float(row["g_t"]),
+                    float(row["g_0"]),
                 )
             )
-    if len(transitions) != expected_rows:
-        raise SchemaError(f"row count mismatch: meta says {expected_rows}, file has {len(transitions)}")
-    _validate_g_consistency(transitions)
-    return OfflineDataset(transitions=transitions, meta=meta)
+    if len(rows) != expected_rows:
+        raise SchemaError(f"row count mismatch: meta says {expected_rows}, file has {len(rows)}")
+    ds = _from_rows(rows, meta)
+    _validate_episodes(ds)
+    return ds

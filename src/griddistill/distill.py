@@ -81,15 +81,13 @@ def init_synthetic(
         raise ValueError("cannot initialize from an empty dataset")
     if m < 1:
         raise ValueError("m must be >= 1")
-    obs = ds.obs_matrix()
-    actions = ds.action_vector()
     n = len(ds)
     if balanced:
         base, extra = divmod(m, N_ACTIONS)
         parts = []
         for a in range(N_ACTIONS):
             quota = base + (1 if a < extra else 0)
-            pool = np.flatnonzero(actions == a)
+            pool = np.flatnonzero(ds.action == a)
             if len(pool) >= quota:
                 parts.append(pool[rng.shuffle(len(pool))[:quota]])
             else:
@@ -99,13 +97,13 @@ def init_synthetic(
         idx = np.asarray(rng.shuffle(n)[:m], dtype=np.int64)
     else:
         idx = rng.next_int_array(n, m)
-    labels = actions[idx].copy()
+    labels = ds.action[idx]
     logits = None
     if learn_labels:
         logits = np.zeros((m, N_ACTIONS))
         logits[np.arange(m), labels] = LABEL_LOGIT_SCALE
     return SyntheticDataset(
-        xs=obs[idx].astype(np.float64).copy(),
+        xs=ds.obs[idx],
         labels=labels,
         label_logits=logits,
     )
@@ -159,20 +157,14 @@ def distill(
     return syn, history
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def save_synthetic(syn: SyntheticDataset, path: str) -> None:
     """JSON file {xs, labels, label_logits?, provenance} with exact decimal
     floats, byte-stable across runs."""
-    rows = ",".join("[" + ",".join(_fmt(v) for v in row) + "]" for row in syn.xs)
+    rows = ",".join(datasets._fmt_array(row) for row in syn.xs)
     labels = ",".join(str(int(a)) for a in syn.labels)
     parts = [f'"xs":[{rows}]', f'"labels":[{labels}]']
     if syn.label_logits is not None:
-        lrows = ",".join(
-            "[" + ",".join(_fmt(v) for v in row) + "]" for row in syn.label_logits
-        )
+        lrows = ",".join(datasets._fmt_array(row) for row in syn.label_logits)
         parts.append(f'"label_logits":[{lrows}]')
     prov = json.dumps(syn.provenance, sort_keys=True, separators=(",", ":"))
     parts.append(f'"provenance":{prov}')

@@ -91,13 +91,6 @@ class ExpertPolicy:
         if not (0.0 <= self.epsilon <= 1.0):
             raise ValueError("epsilon must be in [0, 1]")
 
-    def action_probs(self, state: GridState) -> np.ndarray:
-        n = state.spec.config.grid_n
-        cell = state.agent[0] * n + state.agent[1]
-        probs = np.full(N_ACTIONS, self.epsilon / N_ACTIONS)
-        probs[self.table.greedy_action[cell]] += 1.0 - self.epsilon
-        return probs
-
 
 def act(policy: ExpertPolicy, state: GridState, rng: RngStream) -> int:
     """Sample from the epsilon-greedy distribution."""

@@ -51,7 +51,8 @@ class EnvConfig:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """One seed's map: immutable, shareable across threads."""
+    """One seed's map, frozen. `walls` is a numpy array, so equality and
+    hashing are written out below."""
 
     seed: int
     config: EnvConfig

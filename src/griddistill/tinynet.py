@@ -280,8 +280,8 @@ def save_checkpoint(params: PolicyParams, path: str) -> None:
 
 
 def load_checkpoint(path: str) -> PolicyParams:
-    """Raises SchemaError naming the path for malformed JSON or a missing
-    shape/theta key."""
+    """Raises SchemaError naming the path for malformed JSON, a missing
+    shape/theta key, or a theta that is not param_count finite floats."""
     with open(path) as fh:
         try:
             obj = json.load(fh)
@@ -293,4 +293,7 @@ def load_checkpoint(path: str) -> PolicyParams:
         theta = obj["theta"]
     except (KeyError, TypeError) as exc:
         raise SchemaError(f"{path}: expected shape {{in, hidden, out}} and theta") from exc
-    return PolicyParams(theta=np.asarray(theta, dtype=np.float64), shape=shape)
+    try:
+        return PolicyParams(theta=np.asarray(theta, dtype=np.float64), shape=shape)
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"{path}: {exc}") from exc

@@ -3,8 +3,9 @@ data, plus the 10-student replication protocol.
 
 Students on real data run 1000 Adam steps at batch 256; students on the
 synthetic set run 100 steps at batch 15 (both lr 5e-3). Batches are drawn
-uniformly with replacement from whichever source is given. Soft synthetic
-labels feed the cross-entropy directly, no argmax hardening.
+uniformly with replacement from the given (rows, targets) pairs: real
+observations and actions, or synthetic rows and their training labels.
+Soft synthetic labels feed the cross-entropy directly, no argmax hardening.
 """
 
 from dataclasses import dataclass
@@ -12,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tinynet
-from .distill import SyntheticDataset
 from .optim import Adam
 from .rng import RngStream, derive_stream
 
@@ -39,16 +39,18 @@ class TrainConfig:
 
 
 def train_student(
-    source, cfg: TrainConfig, shape: tinynet.NetShape, rng: RngStream
+    rows: np.ndarray,
+    targets: np.ndarray,
+    cfg: TrainConfig,
+    shape: tinynet.NetShape,
+    rng: RngStream,
 ) -> tinynet.PolicyParams:
     """One student: fresh init, then cfg.steps of sample / bc_grad /
-    adam_step."""
-    if len(source) == 0:
+    adam_step. targets[i] is row i's action, or its label distribution."""
+    if len(rows) == 0:
         raise ValueError("training source is empty")
-    if isinstance(source, SyntheticDataset):
-        rows, targets = source.xs, source.training_labels()
-    else:
-        rows, targets = source.obs_matrix(), source.action_vector()
+    if len(targets) != len(rows):
+        raise ValueError("rows and targets differ in length")
     params = tinynet.init_params(shape, rng)
     opt = Adam(dim=shape.param_count, lr=cfg.lr)
     theta = params.theta
@@ -61,13 +63,18 @@ def train_student(
 
 
 def train_cohort(
-    source, cfg: TrainConfig, shape: tinynet.NetShape, n_students: int, root_seed: int
+    rows: np.ndarray,
+    targets: np.ndarray,
+    cfg: TrainConfig,
+    shape: tinynet.NetShape,
+    n_students: int,
+    root_seed: int,
 ) -> list:
     """Independent students in index order, student i on its own derived
     stream `student:i`."""
     if n_students < 1:
         raise ValueError("n_students must be >= 1")
     return [
-        train_student(source, cfg, shape, derive_stream(root_seed, f"student:{i}"))
+        train_student(rows, targets, cfg, shape, derive_stream(root_seed, f"student:{i}"))
         for i in range(n_students)
     ]

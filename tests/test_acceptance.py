@@ -97,7 +97,8 @@ def test_ac4_synthetic_vs_real_subset_and_bc100(base_run):
     config = cli.ExperimentConfig()
     baseline_rows = dst.init_synthetic(ds, 150, False, derive_stream(42, "ac4:real150"))
     cohort = trainer.train_cohort(
-        baseline_rows,
+        baseline_rows.xs,
+        baseline_rows.training_labels(),
         trainer.TrainConfig.for_synthetic(),
         config.net_shape(),
         config.student.n_students,

@@ -1,12 +1,14 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
 import pytest
 
-from griddistill import cli, datasets, expert, gridenv
+from griddistill import cli, datasets, expert, gridenv, tinynet
 from griddistill import distill as dst
+from griddistill.rng import derive_stream
 
 SMALL_CONFIG = {
     "env": {"grid_n": 4, "hazard_count": 1, "horizon": 12},
@@ -98,10 +100,10 @@ class TestCollect:
         table = expert.value_iteration(spec)
         state = gridenv.initial_state(spec)
         n = spec.config.grid_n
-        for tr in ds.transitions:
+        for action in ds.action.tolist():
             cell = state.agent[0] * n + state.agent[1]
-            assert tr.action == table.greedy_action[cell]
-            state, _, _ = gridenv.step(state, tr.action)
+            assert action == table.greedy_action[cell]
+            state, _, _ = gridenv.step(state, action)
 
 
 class TestDistillCmd:
@@ -184,6 +186,41 @@ class TestEvalCmd:
         # expert + bc50 + bc100 + synthetic, two splits each, plus header
         assert len(rows) == 1 + 4 * 2
         assert (out / "results.md").exists()
+
+    @pytest.fixture()
+    def trained(self, tmp_path):
+        config_path = write_small_config(tmp_path)
+        out = tmp_path / "out"
+        run_cli(["--config", config_path, "--out", str(out), "run-all"])
+        return config_path, out
+
+    @pytest.mark.parametrize(
+        "text, reason",
+        [('{"batch": 8, "datase', "malformed JSON"), ("[]", "expected an object with n_students")],
+    )
+    def test_bad_cohort_meta_raises_naming_it(self, trained, text, reason):
+        config_path, out = trained
+        meta_path = out / "checkpoints" / "bc50" / "meta.json"
+        meta_path.write_text(text)
+        with pytest.raises(datasets.SchemaError, match=f"^{re.escape(str(meta_path))}: {reason}"):
+            run_cli(["--config", config_path, "--out", str(out), "eval"])
+
+    def test_checkpoint_missing_a_weight_raises_naming_it(self, trained):
+        config_path, out = trained
+        path = out / "checkpoints" / "bc100" / "student_1.json"
+        obj = json.loads(path.read_text())
+        del obj["theta"][-1]
+        path.write_text(json.dumps(obj))
+        with pytest.raises(datasets.SchemaError, match=f"^{re.escape(str(path))}: theta length"):
+            run_cli(["--config", config_path, "--out", str(out), "eval"])
+
+    def test_checkpoint_of_another_shape_raises_naming_it(self, trained):
+        config_path, out = trained
+        path = out / "checkpoints" / "synthetic" / "student_0.json"
+        other = tinynet.init_params(tinynet.NetShape(in_dim=100), derive_stream(0, "other"))
+        tinynet.save_checkpoint(other, str(path))
+        with pytest.raises(datasets.SchemaError, match=f"^{re.escape(str(path))}: network shape"):
+            run_cli(["--config", config_path, "--out", str(out), "eval"])
 
     def test_rerun_eval_byte_identical(self, tmp_path):
         config_path = write_small_config(tmp_path)

@@ -1,11 +1,13 @@
 import json
+import math
 import re
 
 import numpy as np
 import pytest
 
 from griddistill import datasets, expert
-from griddistill.datasets import OfflineDataset, SchemaError, Transition
+from griddistill.datasets import SchemaError
+from griddistill.expert import Episode
 from griddistill.gridenv import EnvConfig
 from griddistill.rng import derive_stream
 
@@ -20,40 +22,83 @@ def toy_steps(rewards, tag=0):
 
 
 def toy_dataset(episode_rewards, meta=None):
-    transitions = []
-    for eid, rewards in enumerate(episode_rewards):
-        transitions.extend(
-            datasets.compute_returns(toy_steps(rewards, tag=eid), episode_id=eid, seed=eid)
-        )
-    return OfflineDataset(transitions=transitions, meta=meta or {"root_seed": 0})
+    episodes = [
+        Episode(seed=eid, epsilon=0.0, steps=toy_steps(rewards, tag=eid))
+        for eid, rewards in enumerate(episode_rewards)
+    ]
+    return datasets.from_episodes(episodes, meta=meta or {"root_seed": 0})
+
+
+def empty_dataset():
+    return datasets.from_episodes([], meta={})
+
+
+def assert_same_columns(a, b):
+    for name, dtype in datasets.COLUMNS.items():
+        col_a, col_b = getattr(a, name), getattr(b, name)
+        assert col_a.dtype == col_b.dtype == dtype, name
+        assert col_a.shape == col_b.shape and col_a.tolist() == col_b.tolist(), name
+
+
+def backward_returns(rewards):
+    """The reference: returns accumulated from the last step back."""
+    g = 0.0
+    out = [0.0] * len(rewards)
+    for i in range(len(rewards) - 1, -1, -1):
+        g = rewards[i] + g
+        out[i] = g
+    return out
+
+
+@pytest.fixture(scope="module")
+def seed42_collection():
+    """The default collection of `run-all --seed 42`."""
+    episodes = expert.collect_rollouts(
+        EnvConfig(), list(range(200)), 100, [0.0, 0.1, 0.3], root_seed=42
+    )
+    return episodes, datasets.from_episodes(episodes, meta={})
 
 
 class TestComputeReturns:
     def test_simple_backward_sum(self):
-        rows = datasets.compute_returns(toy_steps([1.0, 2.0, 3.0]), episode_id=0, seed=0)
-        assert [r.g_t for r in rows] == [6.0, 5.0, 3.0]
-        assert all(r.g_0 == 6.0 for r in rows)
+        assert datasets.compute_returns([1.0, 2.0, 3.0]).tolist() == [6.0, 5.0, 3.0]
+        ds = toy_dataset([[1.0, 2.0, 3.0]])
+        assert ds.g_t.tolist() == [6.0, 5.0, 3.0]
+        assert ds.g_0.tolist() == [6.0, 6.0, 6.0]
 
     def test_single_transition(self):
-        rows = datasets.compute_returns(toy_steps([2.5]), episode_id=0, seed=0)
-        assert rows[0].g_t == 2.5 and rows[0].g_0 == 2.5
+        ds = toy_dataset([[2.5]])
+        assert ds.g_t.tolist() == [2.5] and ds.g_0.tolist() == [2.5]
 
     def test_empty_episode_rejected(self):
         with pytest.raises(ValueError):
-            datasets.compute_returns([], episode_id=0, seed=0)
+            datasets.compute_returns([])
 
     def test_g0_matches_forward_sum_on_collection(self):
         cfg = EnvConfig()
         episodes = expert.collect_rollouts(cfg, list(range(20)), 100, [0.0, 0.1, 0.3], root_seed=3)
         ds = datasets.from_episodes(episodes, meta={})
-        by_episode = {}
-        for tr in ds.transitions:
-            by_episode.setdefault(tr.episode_id, []).append(tr)
-        for eid, rows in by_episode.items():
+        for eid in ds.episode_ids():
+            rows = ds.episode_id == eid
             forward = 0.0
-            for tr in rows:
-                forward += tr.reward
-            assert rows[0].g_0 == pytest.approx(forward, abs=1e-12)
+            for reward in ds.reward[rows].tolist():
+                forward += reward
+            assert ds.g_0[rows][0] == pytest.approx(forward, abs=1e-12)
+
+    def test_bit_equal_to_backward_loop_on_collection(self, seed42_collection):
+        episodes, ds = seed42_collection
+        g_t, g_0 = [], []
+        for ep in episodes:
+            g = backward_returns([step[3] for step in ep.steps])
+            g_t += g
+            g_0 += [g[0]] * len(g)
+        assert ds.g_t.tobytes() == np.array(g_t).tobytes()
+        assert ds.g_0.tobytes() == np.array(g_0).tobytes()
+
+    def test_bit_equal_to_backward_loop_on_signed_zeros(self):
+        for rewards in ([-0.0], [1.0, -0.0], [-0.0, -0.0], [0.1, 0.2, -0.3], [-1.0, 1.0, -0.0]):
+            got = datasets.compute_returns(rewards)
+            assert got.tobytes() == np.array(backward_returns(rewards)).tobytes(), rewards
 
 
 class TestPercentileFilter:
@@ -67,7 +112,7 @@ class TestPercentileFilter:
     def test_hundred_percent_identity(self):
         ds = toy_dataset([[1.0, 2.0], [3.0], [0.5, 0.5]])
         _, out = datasets.percentile_filter(ds, 100.0)
-        assert out.transitions == ds.transitions
+        assert_same_columns(out, ds)
 
     def test_tie_break_lowest_episode_id(self):
         ds = toy_dataset([[5.0], [5.0], [5.0], [5.0]])
@@ -101,7 +146,26 @@ class TestPercentileFilter:
 
     def test_no_episodes_rejected(self):
         with pytest.raises(ValueError, match="no episodes"):
-            datasets.percentile_filter(OfflineDataset(transitions=[], meta={}), 40.0)
+            datasets.percentile_filter(empty_dataset(), 40.0)
+
+    @pytest.mark.parametrize("x", [1, 10, 25, 33.3, 40, 99, 100])
+    def test_matches_sort_reference(self, seed42_collection, x):
+        # a real collection (with many tied returns) and a tie-heavy toy set
+        _, real = seed42_collection
+        toy = toy_dataset([[float(g % 3)] for g in range(17)])
+        for ds in (real, toy):
+            g0 = {}
+            for eid, g in zip(ds.episode_id.tolist(), ds.g_0.tolist()):
+                g0[eid] = g
+            ranked = sorted(g0.items(), key=lambda item: (-item[1], item[0]))
+            kept = ranked[: math.ceil(x / 100.0 * len(ranked))]
+            spec, out = datasets.percentile_filter(ds, x)
+            assert spec.kept_episodes == {eid for eid, _ in kept}
+            assert spec.threshold_b == kept[-1][1]
+            rows = [i for i, eid in enumerate(ds.episode_id.tolist()) if eid in spec.kept_episodes]
+            for name in datasets.COLUMNS:
+                assert getattr(out, name).tolist() == getattr(ds, name)[rows].tolist(), name
+            assert out.meta["episode_count"] == len(kept)
 
 
 class TestSampleBatch:
@@ -115,7 +179,7 @@ class TestSampleBatch:
     def test_membership(self):
         ds = toy_dataset([[1.0, 2.0, 3.0], [4.0]])
         xs, acts = datasets.sample_batch(ds, 64, derive_stream(1, "s"))
-        rows = {tuple(tr.obs) for tr in ds.transitions}
+        rows = {tuple(obs) for obs in ds.obs.tolist()}
         assert all(tuple(x) in rows for x in xs)
 
     def test_uniform_frequencies_within_5_sigma(self):
@@ -132,7 +196,7 @@ class TestSampleBatch:
         with pytest.raises(ValueError):
             datasets.sample_batch(ds, 0, derive_stream(0, "s"))
         with pytest.raises(ValueError):
-            datasets.sample_batch(OfflineDataset(transitions=[], meta={}), 1, derive_stream(0, "s"))
+            datasets.sample_batch(empty_dataset(), 1, derive_stream(0, "s"))
 
 
 class TestSaveLoad:
@@ -141,22 +205,19 @@ class TestSaveLoad:
         path = str(tmp_path / "ds.jsonl")
         datasets.save(ds, path)
         loaded = datasets.load(path)
-        assert loaded == ds
+        assert_same_columns(loaded, ds)
+        assert loaded.meta == ds.meta
 
     def test_round_trip_awkward_floats(self, tmp_path):
         obs = np.array([0.1 + 0.2, 1e-17, -0.0])
-        tr = Transition(
-            episode_id=0, t=0, seed=2**63 + 7, obs=obs, action=4, next_obs=obs,
-            reward=-0.30000000000000004, done=True, g_t=-0.30000000000000004,
-            g_0=-0.30000000000000004,
-        )
-        ds = OfflineDataset(transitions=[tr], meta={})
+        step = (obs, 4, obs, -0.30000000000000004, True)
+        ds = datasets.from_episodes([Episode(seed=2**63 + 7, epsilon=0.0, steps=[step])], meta={})
         path = str(tmp_path / "f.jsonl")
         datasets.save(ds, path)
         loaded = datasets.load(path)
-        assert loaded.transitions[0].reward == tr.reward
-        assert np.array_equal(loaded.transitions[0].obs, obs)
-        assert loaded.transitions[0].seed == tr.seed
+        assert loaded.reward[0] == -0.30000000000000004
+        assert np.array_equal(loaded.obs[0], obs)
+        assert loaded.seed[0] == 2**63 + 7
 
     def test_truncated_file_raises(self, tmp_path):
         ds = toy_dataset([[1.0, 2.0], [3.0]])
@@ -277,3 +338,89 @@ class TestSaveLoad:
         datasets.save(ds, p1)
         datasets.save(ds, p2)
         assert open(p1, "rb").read() == open(p2, "rb").read()
+
+    def test_interleaved_episodes_raise_naming_the_episode(self, tmp_path):
+        ds = toy_dataset([[1.0, 2.0], [3.0, 4.0]])
+        path = str(tmp_path / "i.jsonl")
+        datasets.save(ds, path)
+        ep0_t0, ep0_t1, ep1_t0, ep1_t1 = open(path).read().splitlines()
+        with open(path, "w") as fh:
+            fh.write("\n".join([ep0_t0, ep1_t0, ep0_t1, ep1_t1]) + "\n")
+        with pytest.raises(SchemaError, match="^episode 0: rows are not one contiguous run$"):
+            datasets.load(path)
+
+    @pytest.mark.parametrize(
+        "row, key, value, message",
+        [
+            (3, "t", 0, "episode 1: transitions not contiguous/t-ordered"),
+            (4, "done", False, "episode 1 does not end with done=true"),
+            (2, "g_t", 99.0, "episode 1, t=0: g_t != reward + g_(t+1)"),
+            (3, "reward", 0.5, "episode 1, t=1: g_t != reward + g_(t+1)"),
+            (4, "g_0", 7.0, "episode 1: g_0 mismatch"),
+        ],
+    )
+    def test_return_consistency_messages(self, tmp_path, row, key, value, message):
+        ds = toy_dataset([[1.0, 2.0], [3.0, 4.0, 5.0]])
+        path = str(tmp_path / "r.jsonl")
+        datasets.save(ds, path)
+        lines = open(path).read().splitlines()
+        bad = json.loads(lines[row])
+        bad[key] = value
+        lines[row] = json.dumps(bad)
+        with open(path, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+        with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
+            datasets.load(path)
+
+    def test_validation_matches_per_episode_reference(self, tmp_path):
+        # random single-field corruptions of a real collection: load raises
+        # exactly what the per-episode loop below raises, or nothing when it
+        # raises nothing
+        episodes = expert.collect_rollouts(EnvConfig(), list(range(6)), 12, [0.0, 0.3], root_seed=9)
+        path = str(tmp_path / "c.jsonl")
+        datasets.save(datasets.from_episodes(episodes, meta={}), path)
+        clean = [json.loads(line) for line in open(path)]
+        rng = derive_stream(10, "corrupt")
+        for case in range(200):
+            rows = [dict(r) for r in clean]
+            for _ in range(1 + rng.next_int(2)):
+                i = rng.next_int(len(rows))
+                key = ("t", "done", "reward", "g_t", "g_0")[rng.next_int(5)]
+                if key == "t":
+                    rows[i]["t"] += 1 + rng.next_int(2)
+                elif key == "done":
+                    rows[i]["done"] = not rows[i]["done"]
+                else:
+                    rows[i][key] += (rng.next_int(3) - 1) * 10.0 ** -rng.next_int(12)
+            with open(path, "w") as fh:
+                fh.write("".join(json.dumps(r) + "\n" for r in rows))
+            try:
+                reference_validate(rows)
+                expected = None
+            except SchemaError as exc:
+                expected = str(exc)
+            try:
+                datasets.load(path)
+                got = None
+            except SchemaError as exc:
+                got = str(exc)
+            assert got == expected, case
+
+
+def reference_validate(rows):
+    """The per-episode loop load's validation replaces."""
+    by_episode = {}
+    for r in rows:
+        by_episode.setdefault(r["episode_id"], []).append(r)
+    for eid, ep in by_episode.items():
+        if any(ep[i]["t"] != i for i in range(len(ep))):
+            raise SchemaError(f"episode {eid}: transitions not contiguous/t-ordered")
+        if not ep[-1]["done"]:
+            raise SchemaError(f"episode {eid} does not end with done=true")
+        g_next = 0.0
+        for r in reversed(ep):
+            if abs(r["g_t"] - (r["reward"] + g_next)) > 1e-9:
+                raise SchemaError(f"episode {eid}, t={r['t']}: g_t != reward + g_(t+1)")
+            g_next = r["g_t"]
+        if any(abs(r["g_0"] - ep[0]["g_t"]) > 1e-9 for r in ep):
+            raise SchemaError(f"episode {eid}: g_0 mismatch")

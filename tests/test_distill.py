@@ -5,7 +5,7 @@ import pytest
 
 from griddistill import checks, datasets, expert, tinynet
 from griddistill import distill as dst
-from griddistill.datasets import OfflineDataset
+from griddistill.expert import Episode
 from griddistill.gridenv import EnvConfig
 from griddistill.optim import SgdMomentum
 from griddistill.rng import derive_stream
@@ -25,19 +25,15 @@ def constant_dataset(n_rows=8, in_dim=6):
     """Every transition is the same (obs, action) pair."""
     obs = np.zeros(in_dim)
     obs[1] = 1.0
-    rows = []
-    for i in range(n_rows):
-        rows.extend(
-            datasets.compute_returns([(obs, 2, obs, 1.0, True)], episode_id=i, seed=0)
-        )
-    return OfflineDataset(transitions=rows, meta={})
+    episodes = [Episode(seed=0, epsilon=0.0, steps=[(obs, 2, obs, 1.0, True)])] * n_rows
+    return datasets.from_episodes(episodes, meta={})
 
 
 class TestInitSynthetic:
     def test_full_draw_is_permutation(self, small_collection):
         ds = small_collection
         syn = dst.init_synthetic(ds, len(ds), False, derive_stream(0, "init"))
-        src = sorted(map(tuple, np.column_stack([ds.obs_matrix(), ds.action_vector()])))
+        src = sorted(map(tuple, np.column_stack([ds.obs, ds.action])))
         got = sorted(map(tuple, np.column_stack([syn.xs, syn.labels])))
         assert got == src
 
@@ -48,7 +44,7 @@ class TestInitSynthetic:
 
     def test_balanced_counts_within_one(self, small_collection):
         ds = small_collection
-        counts = np.bincount(ds.action_vector(), minlength=5)
+        counts = np.bincount(ds.action, minlength=5)
         m = 5 * int(counts.min())
         if m == 0:
             pytest.skip("collection lacks some action entirely")
@@ -69,7 +65,7 @@ class TestInitSynthetic:
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
-            dst.init_synthetic(OfflineDataset(transitions=[], meta={}), 5, False, derive_stream(0, "i"))
+            dst.init_synthetic(datasets.from_episodes([], {}), 5, False, derive_stream(0, "i"))
 
     def test_learn_labels_initial_logits(self):
         ds = toy_dataset([[1.0], [2.0]])
@@ -173,8 +169,8 @@ class TestDistill:
         # strictly reduce the matching distance (5 random instances)
         ds = small_collection
         shape = NetShape(in_dim=144)
-        full_xs = ds.obs_matrix()
-        full_acts = ds.action_vector()
+        full_xs = ds.obs
+        full_acts = ds.action
         ones = np.ones(len(ds))
         for case in range(5):
             rng = derive_stream(100 + case, "sanity")

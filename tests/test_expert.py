@@ -93,9 +93,6 @@ class TestAct:
         policy = expert.ExpertPolicy(table=table, epsilon=0.5)
         state = gridenv.initial_state(spec)
         greedy = int(table.greedy_action[0])
-        probs = policy.action_probs(state)
-        assert probs[greedy] == pytest.approx(0.6)
-        assert probs.sum() == pytest.approx(1.0)
         rng = derive_stream(3, "act-mix")
         n = 100_000
         hits = sum(expert.act(policy, state, rng) == greedy for _ in range(n))
