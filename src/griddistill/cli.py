@@ -50,6 +50,9 @@ class EvalSection:
     episodes_per_seed: int = 1
     action_rule: str = "argmax"
 
+    def __post_init__(self):
+        self.to_eval_config()  # EvalConfig's checks, at config load
+
     def to_eval_config(self) -> EvalConfig:
         return EvalConfig(
             id_seeds=list(range(self.id_seed_start, self.id_seed_start + self.id_seed_count)),

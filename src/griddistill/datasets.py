@@ -211,6 +211,18 @@ def _validate_episodes(ds: OfflineDataset) -> None:
                 raise SchemaError(message.format(eid=eid, t=ds.t[rows & episode][-1]))
 
 
+# the JSON type of each scalar field; a bool is not an integer here
+_SCALAR_TYPES = {
+    **dict.fromkeys(("episode_id", "t", "seed"), ("an integer", lambda v: type(v) is int)),
+    "action": (f"an integer in [0, {N_ACTIONS})", lambda v: type(v) is int and 0 <= v < N_ACTIONS),
+    "done": ("a bool", lambda v: type(v) is bool),
+    **dict.fromkeys(
+        ("reward", "g_t", "g_0"),
+        ("a finite number", lambda v: type(v) is int or type(v) is float and math.isfinite(v)),
+    ),
+}
+
+
 def _vector(row: dict, key: str, dim: int | None, lineno: int) -> np.ndarray:
     """row[key] as a finite float vector of length dim (any nonzero length
     when dim is None), else SchemaError naming the line."""
@@ -227,10 +239,12 @@ def _vector(row: dict, key: str, dim: int | None, lineno: int) -> np.ndarray:
 
 def load(path: str) -> OfflineDataset:
     """Load and validate a saved dataset; raises SchemaError on a sidecar
-    or line that is not a JSON object, missing fields, an action outside
-    [0, N_ACTIONS), an obs/next_obs that is not a finite vector of the
-    first row's length, row-count mismatch, an episode split over several
-    runs of rows, or broken return consistency."""
+    or line that is not a JSON object, missing fields, a scalar of the
+    wrong JSON type (episode_id, t, seed: integer; action: integer in
+    [0, N_ACTIONS); done: bool; reward, g_t, g_0: finite number), an
+    obs/next_obs that is not a finite vector of the first row's length,
+    row-count mismatch, an episode split over several runs of rows, or
+    broken return consistency."""
     meta_path = _meta_path(path)
     if not os.path.exists(meta_path):
         raise SchemaError(f"missing meta sidecar {meta_path}")
@@ -260,27 +274,13 @@ def load(path: str) -> OfflineDataset:
             missing = [f for f in COLUMNS if f not in row]
             if missing:
                 raise SchemaError(f"line {lineno + 1}: missing fields {missing}")
-            action = row["action"]
-            if type(action) is not int or not 0 <= action < N_ACTIONS:
-                raise SchemaError(
-                    f"line {lineno + 1}: action {action!r} is not an integer in [0, {N_ACTIONS})"
-                )
-            obs = _vector(row, "obs", dim, lineno + 1)
-            dim = len(obs)
-            rows.append(
-                (
-                    int(row["episode_id"]),
-                    int(row["t"]),
-                    int(row["seed"]),
-                    obs,
-                    action,
-                    _vector(row, "next_obs", dim, lineno + 1),
-                    float(row["reward"]),
-                    bool(row["done"]),
-                    float(row["g_t"]),
-                    float(row["g_0"]),
-                )
-            )
+            for key, (kind, ok) in _SCALAR_TYPES.items():
+                if not ok(row[key]):
+                    raise SchemaError(f"line {lineno + 1}: {key} {row[key]!r} is not {kind}")
+            row["obs"] = _vector(row, "obs", dim, lineno + 1)
+            dim = len(row["obs"])
+            row["next_obs"] = _vector(row, "next_obs", dim, lineno + 1)
+            rows.append(tuple(row[name] for name in COLUMNS))
     if len(rows) != expected_rows:
         raise SchemaError(f"row count mismatch: meta says {expected_rows}, file has {len(rows)}")
     ds = _from_rows(rows, meta)

@@ -68,11 +68,10 @@ def _episode_return(table: np.ndarray, spec: gridenv.GridSpec, rng: RngStream | 
     """One episode walking a (cells, N_ACTIONS) policy table; undiscounted
     return. Each visited cell's row gives the action: its argmax (ties break
     to the lowest index) when `rng` is None, else a draw from it."""
-    n = spec.config.grid_n
+    greedy = table.argmax(axis=1).tolist()
 
-    def choose(state):
-        probs = table[state.agent[0] * n + state.agent[1]]
-        return int(np.argmax(probs)) if rng is None else _sample_from(probs, rng)
+    def choose(cell):
+        return greedy[cell] if rng is None else _sample_from(table[cell], rng)
 
     return sum(s[3] for s in gridenv.run_episode(spec, choose))
 

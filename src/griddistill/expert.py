@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gridenv
-from .gridenv import ACTION_MOVES, N_ACTIONS, EnvConfig, GridSpec, GridState
+from .gridenv import N_ACTIONS, EnvConfig, GridSpec
 from .rng import RngStream, derive_stream
 
 
@@ -31,31 +31,6 @@ class ValueTable:
     residual: float
 
 
-def _transition_tables(spec: GridSpec):
-    """Per-action next-cell indices and rewards over flat cells."""
-    n = spec.config.grid_n
-    cells = n * n
-    goal_idx = spec.goal[0] * n + spec.goal[1]
-    nxt = np.empty((N_ACTIONS, cells), dtype=np.int64)
-    rew = np.empty((N_ACTIONS, cells), dtype=np.float64)
-    for a, (dr, dc) in enumerate(ACTION_MOVES):
-        for r in range(n):
-            for c in range(n):
-                s = r * n + c
-                nr, nc = r + dr, c + dc
-                if not (0 <= nr < n and 0 <= nc < n) or spec.walls[nr, nc]:
-                    nr, nc = r, c
-                s2 = nr * n + nc
-                nxt[a, s] = s2
-                if s2 == goal_idx:
-                    rew[a, s] = spec.config.goal_reward
-                else:
-                    rew[a, s] = spec.config.step_reward
-                    if (nr, nc) in spec.hazards:
-                        rew[a, s] += spec.config.hazard_reward
-    return nxt, rew, goal_idx
-
-
 def value_iteration(spec: GridSpec, gamma: float = 0.99, tol: float = 1e-8) -> ValueTable:
     """Stationary infinite-horizon value iteration on the deterministic
     grid MDP, swept until the Bellman residual drops below `tol`."""
@@ -63,9 +38,9 @@ def value_iteration(spec: GridSpec, gamma: float = 0.99, tol: float = 1e-8) -> V
         raise ValueError("gamma must be in (0, 1)")
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    nxt, rew, goal_idx = _transition_tables(spec)
-    cells = nxt.shape[1]
-    values = np.zeros(cells, dtype=np.float64)
+    nxt, rew = spec.next_cell, spec.reward
+    goal_idx = spec.goal[0] * spec.config.grid_n + spec.goal[1]
+    values = np.zeros(nxt.shape[1], dtype=np.float64)
     while True:
         q = rew + gamma * values[nxt]  # (A, cells)
         new_values = q.max(axis=0)
@@ -92,14 +67,10 @@ class ExpertPolicy:
             raise ValueError("epsilon must be in [0, 1]")
 
 
-def act(policy: ExpertPolicy, state: GridState, rng: RngStream) -> int:
-    """Sample from the epsilon-greedy distribution."""
-    if state.terminated:
-        raise ValueError("cannot act in a terminated state")
+def act(policy: ExpertPolicy, cell: int, rng: RngStream) -> int:
+    """Sample from the epsilon-greedy distribution on flat cell `cell`."""
     if rng.next_uniform() < policy.epsilon:
         return rng.next_int(N_ACTIONS)
-    n = state.spec.config.grid_n
-    cell = state.agent[0] * n + state.agent[1]
     return int(policy.table.greedy_action[cell])
 
 
@@ -113,11 +84,12 @@ class Episode:
 
 
 def rollout(policy: ExpertPolicy, spec: GridSpec, rng: RngStream) -> Episode:
-    steps = gridenv.run_episode(spec, lambda state: act(policy, state, rng))
+    obs = gridenv.cell_observations(spec)
+    steps = gridenv.run_episode(spec, lambda cell: act(policy, cell, rng))
     return Episode(
         seed=spec.seed,
         epsilon=policy.epsilon,
-        steps=[(gridenv.observe(s), a, gridenv.observe(s2), r, d) for s, a, s2, r, d in steps],
+        steps=[(obs[s], a, obs[s2], r, d) for s, a, s2, r, d in steps],
     )
 
 

@@ -4,12 +4,16 @@ Every seed yields a different map (walls, hazards, start, goal) under the
 same rules, mimicking procedural game benchmarks at desk scale. Transitions
 are deterministic; observations are one-hot grid channels rather than
 pixels, laid out channel-major as [agent | goal | wall | hazard], each
-channel a row-major grid_n x grid_n block. `run_episode` is the one
-episode loop; collection and evaluation both roll through it.
+channel a row-major grid_n x grid_n block.
+
+Each map carries its MDP over flat row-major cells (`GridSpec.next_cell`,
+`GridSpec.reward`). `run_episode` is the one episode loop: it walks those
+tables cell by cell, and collection, evaluation and the planner all read
+them. `GridState`, `initial_state`, `step` and `observe` are the reference
+semantics the tables are tested against.
 """
 
-from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -51,8 +55,11 @@ class EnvConfig:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """One seed's map, frozen. `walls` is a numpy array, so equality and
-    hashing are written out below."""
+    """One seed's map, frozen, with its MDP over flat cells s = r * grid_n + c:
+    `next_cell[a, s]` is the cell action a leads to from s, and `reward[a, s]`
+    what step() pays for that move, both read-only (N_ACTIONS, grid_n^2)
+    arrays. They are derived from the other fields, and `walls` is a numpy
+    array, so equality and hashing are written out below."""
 
     seed: int
     config: EnvConfig
@@ -60,6 +67,27 @@ class GridSpec:
     hazards: frozenset  # of (row, col)
     goal: tuple
     start: tuple
+    next_cell: np.ndarray = field(init=False, repr=False)  # int64
+    reward: np.ndarray = field(init=False, repr=False)  # float64
+
+    def __post_init__(self):
+        cfg = self.config
+        n = cfg.grid_n
+        blocked = np.ones((n + 2, n + 2), dtype=bool)  # walls inside a ring of boundary
+        blocked[1:-1, 1:-1] = self.walls
+        cells = np.arange(n * n).reshape(n, n)
+        next_cell = np.array([
+            np.where(blocked[1 + dr : n + 1 + dr, 1 + dc : n + 1 + dc], cells, cells + dr * n + dc)
+            for dr, dc in ACTION_MOVES
+        ]).reshape(N_ACTIONS, n * n)
+        hazard = np.zeros(n * n, dtype=bool)
+        hazard[[r * n + c for r, c in self.hazards]] = True
+        reward = np.full(next_cell.shape, float(cfg.step_reward))
+        reward[hazard[next_cell]] += cfg.hazard_reward
+        reward[next_cell == self.goal[0] * n + self.goal[1]] = cfg.goal_reward
+        for name, table in (("next_cell", next_cell), ("reward", reward)):
+            table.flags.writeable = False
+            object.__setattr__(self, name, table)
 
     def __eq__(self, other):
         return (
@@ -84,56 +112,42 @@ class GridState:
     terminated: bool
 
 
-def _bfs_reachable(walls: np.ndarray, start: tuple, goal: tuple) -> bool:
-    n = walls.shape[0]
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        r, c = queue.popleft()
-        if (r, c) == goal:
-            return True
-        for dr, dc in ACTION_MOVES[:4]:
-            nr, nc = r + dr, c + dc
-            if 0 <= nr < n and 0 <= nc < n and not walls[nr, nc] and (nr, nc) not in seen:
-                seen.add((nr, nc))
-                queue.append((nr, nc))
-    return False
+def reachable(spec: GridSpec, cell: int) -> np.ndarray:
+    """Bool mask over flat cells of those some action sequence reaches from
+    `cell`: a breadth-first search over `spec.next_cell`."""
+    successors = spec.next_cell.T.tolist()
+    seen = [False] * len(successors)
+    queue = [cell]
+    for s in queue:  # the queue grows while it is read
+        if not seen[s]:
+            seen[s] = True
+            queue.extend(successors[s])
+    return np.array(seen)
 
 
 def generate(config: EnvConfig, seed: int) -> GridSpec:
     """Deterministic map for (config, seed): Bernoulli walls, then start,
     goal and hazards drawn uniformly among free cells without collision.
-    Retries the whole layout until the goal is BFS-reachable (<= 100 tries).
+    Retries the whole layout until the goal is reachable (<= 100 tries).
     """
     stream = derive_stream(seed, "env:gen")
     n = config.grid_n
-    need_free = 2 + config.hazard_count
     for _ in range(100):
-        walls = np.zeros((n, n), dtype=bool)
-        for r in range(n):
-            for c in range(n):
-                walls[r, c] = stream.next_uniform() < config.wall_density
-        free = [(r, c) for r in range(n) for c in range(n) if not walls[r, c]]
-        if len(free) < need_free:
+        walls = (stream.next_uniform_array(n * n) < config.wall_density).reshape(n, n)
+        free = [divmod(int(s), n) for s in np.flatnonzero(~walls)]
+        if len(free) < 2 + config.hazard_count:
             continue
         start = free[stream.next_int(len(free))]
         candidates = [cell for cell in free if cell != start]
         goal = candidates[stream.next_int(len(candidates))]
-        hazards = []
         candidates = [cell for cell in candidates if cell != goal]
-        for _h in range(config.hazard_count):
-            idx = stream.next_int(len(candidates))
-            hazards.append(candidates.pop(idx))
-        if _bfs_reachable(walls, start, goal):
-            walls.flags.writeable = False
-            return GridSpec(
-                seed=seed,
-                config=config,
-                walls=walls,
-                hazards=frozenset(hazards),
-                goal=goal,
-                start=start,
-            )
+        hazards = [
+            candidates.pop(stream.next_int(len(candidates))) for _ in range(config.hazard_count)
+        ]
+        walls.flags.writeable = False
+        spec = GridSpec(seed, config, walls, frozenset(hazards), goal, start)
+        if reachable(spec, start[0] * n + start[1])[goal[0] * n + goal[1]]:
+            return spec
     raise GenerationError(
         f"no reachable layout in 100 attempts for seed {seed} (config too dense?)"
     )
@@ -197,14 +211,20 @@ def cell_observations(spec: GridSpec) -> np.ndarray:
 
 
 def run_episode(spec: GridSpec, choose) -> list:
-    """The episode loop: from the start state, step with `choose(state)`
-    until the episode ends. Returns the (state, action, next_state, reward,
-    done) steps in order."""
-    state = initial_state(spec)
+    """The episode loop over flat cells: from the start, take `choose(cell)`
+    through the map's tables until the goal or the horizon, as step() does
+    (with its ValueError for an action outside [0, N_ACTIONS)). Returns the
+    (cell, action, next_cell, reward, done) steps in order."""
+    n, horizon = spec.config.grid_n, spec.config.horizon
+    goal, cell = spec.goal[0] * n + spec.goal[1], spec.start[0] * n + spec.start[1]
     steps = []
-    while not state.terminated:
-        action = choose(state)
-        next_state, reward, done = step(state, action)
-        steps.append((state, action, next_state, reward, done))
-        state = next_state
+    for t in range(1, horizon + 1):
+        action = choose(cell)
+        if not (0 <= action < N_ACTIONS):
+            raise ValueError(f"action index {action} out of range")
+        next_cell, reward = int(spec.next_cell[action, cell]), float(spec.reward[action, cell])
+        steps.append((cell, action, next_cell, reward, next_cell == goal or t == horizon))
+        if next_cell == goal:
+            break
+        cell = next_cell
     return steps

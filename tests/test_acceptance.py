@@ -179,27 +179,54 @@ def test_ac8_determinism(base_run, tmp_path):
     )
 
 
-def test_run_all_seed42_matches_golden_digests(base_run):
-    # sha256 of every output of `run-all --seed 42` but the config echo
-    # (it names the output directory); OpenBLAS picks its kernels per CPU,
-    # so another machine may differ in low bits and needs its own record
-    golden_path = os.path.join(os.path.dirname(__file__), "data", "run_all_seed42.sha256")
-    with open(golden_path) as fh:
+def _golden_digests(name: str) -> dict:
+    """A tests/data sha256 record as {path: digest}. OpenBLAS picks its
+    kernels per CPU, so another machine may differ in low bits and need its
+    own record."""
+    with open(os.path.join(os.path.dirname(__file__), "data", name)) as fh:
         pairs = [line.split("  ", 1) for line in fh.read().splitlines()]
-    golden = {rel: digest for digest, rel in pairs}
-    out = str(base_run["out"])
+    return {rel: digest for digest, rel in pairs}
+
+
+def _output_digests(out: str, prefix: str = "") -> dict:
+    """sha256 of every file under `out` but the config echo (it names the
+    output directory), keyed by prefix + its relative path."""
     got = {}
     for root, _dirs, files in os.walk(out):
         for name in files:
             rel = os.path.relpath(os.path.join(root, name), out).replace(os.sep, "/")
             if rel != "config.echo.json":
                 with open(os.path.join(root, name), "rb") as fh:
-                    got[rel] = hashlib.sha256(fh.read()).hexdigest()
+                    got[prefix + rel] = hashlib.sha256(fh.read()).hexdigest()
+    return got
+
+
+def _report_digests(name: str, golden: dict, got: dict):
     differ = sorted(rel for rel in golden.keys() | got.keys() if golden.get(rel) != got.get(rel))
-    _report(
+    _report(name, not differ, f"{len(got)} files, differing {differ}")
+
+
+def test_run_all_seed42_matches_golden_digests(base_run):
+    _report_digests(
         "run-all --seed 42 outputs match tests/data/run_all_seed42.sha256",
-        not differ,
-        f"{len(got)} files, differing {differ}",
+        _golden_digests("run_all_seed42.sha256"),
+        _output_digests(str(base_run["out"])),
+    )
+
+
+def test_smoke_runs_match_golden_digests(tmp_path):
+    # run-all on the two smoke configs: the argmax and the stochastic
+    # action rule
+    got = {}
+    for name in ("smoke", "smoke.stochastic"):
+        config = os.path.join(os.path.dirname(__file__), "data", f"{name}.config.json")
+        out = str(tmp_path / name)
+        assert cli.main(["--config", config, "--out", out, "run-all"]) == 0
+        got.update(_output_digests(out, prefix=f"{name}/"))
+    _report_digests(
+        "smoke run-all outputs match tests/data/smoke_seed42.sha256",
+        _golden_digests("smoke_seed42.sha256"),
+        got,
     )
 
 

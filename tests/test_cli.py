@@ -47,6 +47,18 @@ class TestConfig:
         with pytest.raises(ValueError):
             cli.config_from_dict({"env": {"grid_m": 4}})
 
+    @pytest.mark.parametrize(
+        "section, reason",
+        [
+            ({"action_rule": "sampled"}, "unknown action rule 'sampled'"),
+            ({"id_seed_count": 20, "ood_seed_start": 10}, "must be disjoint"),
+            ({"episodes_per_seed": 0}, "episodes_per_seed must be >= 1"),
+        ],
+    )
+    def test_bad_eval_section_rejected_at_load(self, section, reason):
+        with pytest.raises(ValueError, match=reason):
+            cli.config_from_dict({"eval": section})
+
     def test_flag_precedence_over_config(self, tmp_path):
         path = write_small_config(tmp_path)
         parser = cli.build_parser()

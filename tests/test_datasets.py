@@ -277,6 +277,52 @@ class TestSaveLoad:
         with pytest.raises(SchemaError, match=f"^line 2: {re.escape(reason)}"):
             datasets.load(path)
 
+    @pytest.mark.parametrize(
+        "row, key, value, reason",
+        [
+            (2, "done", "false", "done 'false' is not a bool"),
+            (3, "done", 0, "done 0 is not a bool"),
+            (3, "t", 1.9, "t 1.9 is not an integer"),
+            (3, "t", "one", "t 'one' is not an integer"),
+            (0, "episode_id", "0", "episode_id '0' is not an integer"),
+            (2, "episode_id", True, "episode_id True is not an integer"),
+            (2, "seed", 1.0, "seed 1.0 is not an integer"),
+            (2, "reward", "3", "reward '3' is not a finite number"),
+            (2, "g_t", float("inf"), "g_t inf is not a finite number"),
+            (4, "g_0", None, "g_0 None is not a finite number"),
+        ],
+    )
+    def test_scalar_of_wrong_json_type_raises_with_line_number(
+        self, tmp_path, row, key, value, reason
+    ):
+        ds = toy_dataset([[1.0, 2.0], [3.0, 4.0, 5.0]])
+        path = str(tmp_path / "s.jsonl")
+        datasets.save(ds, path)
+        lines = open(path).read().splitlines()
+        bad = json.loads(lines[row])
+        bad[key] = value
+        lines[row] = json.dumps(bad)
+        with open(path, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+        with pytest.raises(SchemaError, match=f"^line {row + 1}: {re.escape(reason)}$"):
+            datasets.load(path)
+
+    def test_nan_returns_of_a_whole_episode_raise(self, tmp_path):
+        # NaN passes every 1e-9 consistency comparison, so it must be
+        # caught as a value
+        ds = toy_dataset([[1.0, 2.0], [3.0, 4.0, 5.0]])
+        path = str(tmp_path / "n.jsonl")
+        datasets.save(ds, path)
+        lines = open(path).read().splitlines()
+        for i in (2, 3, 4):
+            bad = json.loads(lines[i])
+            bad.update(reward=float("nan"), g_t=float("nan"), g_0=float("nan"))
+            lines[i] = json.dumps(bad)
+        with open(path, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+        with pytest.raises(SchemaError, match="^line 3: reward nan is not a finite number$"):
+            datasets.load(path)
+
     def test_first_row_sets_the_observation_length(self, tmp_path):
         ds = toy_dataset([[1.0, 2.0]])
         path = str(tmp_path / "w.jsonl")

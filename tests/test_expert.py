@@ -70,20 +70,20 @@ class TestAct:
         spec = corridor_spec(2)
         table = expert.value_iteration(spec)
         policy = expert.ExpertPolicy(table=table, epsilon=0.0)
-        state = gridenv.initial_state(spec)
+        start = 0  # flat cell of the corridor's start (0, 0)
         rng = derive_stream(1, "act")
-        assert all(expert.act(policy, state, rng) == 3 for _ in range(200))
+        assert all(expert.act(policy, start, rng) == 3 for _ in range(200))
 
     def test_epsilon_one_uniform_within_5_sigma(self):
         spec = corridor_spec(2)
         table = expert.value_iteration(spec)
         policy = expert.ExpertPolicy(table=table, epsilon=1.0)
-        state = gridenv.initial_state(spec)
+        start = 0  # flat cell of the corridor's start (0, 0)
         rng = derive_stream(2, "act-uniform")
         n = 100_000
         counts = np.zeros(5)
         for _ in range(n):
-            counts[expert.act(policy, state, rng)] += 1
+            counts[expert.act(policy, start, rng)] += 1
         sigma = (n * 0.2 * 0.8) ** 0.5
         assert np.all(np.abs(counts - n * 0.2) <= 5 * sigma)
 
@@ -91,11 +91,11 @@ class TestAct:
         spec = corridor_spec(2)
         table = expert.value_iteration(spec)
         policy = expert.ExpertPolicy(table=table, epsilon=0.5)
-        state = gridenv.initial_state(spec)
-        greedy = int(table.greedy_action[0])
+        start = 0  # flat cell of the corridor's start (0, 0)
+        greedy = int(table.greedy_action[start])
         rng = derive_stream(3, "act-mix")
         n = 100_000
-        hits = sum(expert.act(policy, state, rng) == greedy for _ in range(n))
+        hits = sum(expert.act(policy, start, rng) == greedy for _ in range(n))
         sigma = (n * 0.6 * 0.4) ** 0.5
         assert abs(hits - 0.6 * n) <= 5 * sigma
 
@@ -120,6 +120,20 @@ class TestCollect:
             cell = state.agent[0] * n + state.agent[1]
             assert action == table.greedy_action[cell]
             state, _, _ = gridenv.step(state, action)
+
+    def test_noisy_collection_replays_through_step(self):
+        # episodes walk the map's tables; step() and observe() are the
+        # reference they must reproduce
+        cfg = EnvConfig()
+        episodes = expert.collect_rollouts(cfg, list(range(50)), 200, [0.3], root_seed=17)
+        for ep in episodes:
+            state = gridenv.initial_state(gridenv.generate(cfg, ep.seed))
+            for obs, action, next_obs, reward, done in ep.steps:
+                assert np.array_equal(obs, gridenv.observe(state))
+                state, ref_reward, ref_done = gridenv.step(state, action)
+                assert np.array_equal(next_obs, gridenv.observe(state))
+                assert (reward, done) == (ref_reward, ref_done)
+            assert state.terminated
 
     def test_round_robin_and_tagging(self):
         cfg = EnvConfig()

@@ -199,19 +199,82 @@ class TestCellObservations:
                     assert np.array_equal(table[r * n + c], gridenv.observe(state))
 
 
+class TestTables:
+    """The map's tabulated MDP against step(), the reference semantics."""
+
+    @staticmethod
+    def assert_tables_match_step(spec):
+        n = spec.config.grid_n
+        for r in range(n):
+            for c in range(n):
+                if spec.walls[r, c]:
+                    continue
+                state = gridenv.GridState(spec=spec, agent=(r, c), t=0, terminated=False)
+                for a in range(gridenv.N_ACTIONS):
+                    nxt, reward, _ = gridenv.step(state, a)
+                    assert spec.next_cell[a, r * n + c] == nxt.agent[0] * n + nxt.agent[1]
+                    assert spec.reward[a, r * n + c] == reward
+
+    def test_generated_id_and_ood_maps_match_step(self):
+        cfg = EnvConfig()
+        for seed in [*range(200), *range(10000, 10100)]:
+            self.assert_tables_match_step(gridenv.generate(cfg, seed))
+
+    def test_hand_map_boundary_wall_hazard_goal(self):
+        spec = make_spec(
+            [[0, 1, 0], [0, 0, 0], [0, 0, 0]], start=(1, 1), goal=(2, 2), hazards=[(1, 2)]
+        )
+        self.assert_tables_match_step(spec)
+        assert spec.next_cell[0, 0] == 0  # UP from (0, 0) into the boundary
+        assert spec.next_cell[3, 0] == 0  # RIGHT from (0, 0) into the wall
+        assert spec.reward[3, 4] == pytest.approx(-1.1)  # RIGHT onto the hazard
+        assert spec.next_cell[1, 5] == 8 and spec.reward[1, 5] == 10.0  # DOWN onto the goal
+
+    def test_tables_are_read_only(self):
+        spec = gridenv.generate(EnvConfig(), 7)
+        with pytest.raises(ValueError):
+            spec.next_cell[0, 0] = 1
+        with pytest.raises(ValueError):
+            spec.reward[0, 0] = 0.0
+
+
+class TestReachable:
+    def test_matches_independent_search_on_id_and_ood_maps(self):
+        cfg = EnvConfig()
+        n = cfg.grid_n
+        for seed in [*range(200), *range(10000, 10100)]:
+            spec = gridenv.generate(cfg, seed)
+            mask = gridenv.reachable(spec, spec.start[0] * n + spec.start[1])
+            for r in range(n):
+                for c in range(n):
+                    assert mask[r * n + c] == bfs_path_exists(spec.walls, spec.start, (r, c))
+
+    def test_walled_off_corner(self):
+        spec = make_spec([[0, 1, 0], [1, 0, 0], [0, 0, 0]], start=(1, 1), goal=(2, 2))
+        assert gridenv.reachable(spec, 0).tolist() == [True] + [False] * 8
+        assert np.flatnonzero(gridenv.reachable(spec, 4)).tolist() == [2, 4, 5, 6, 7, 8]
+
+
 class TestRunEpisode:
     def test_steps_chain_and_end_on_done(self):
         spec = gridenv.generate(EnvConfig(), 11)
+        n = spec.config.grid_n
         seen = []
 
-        def choose(state):
-            seen.append(state)
+        def choose(cell):
+            seen.append(cell)
             return 3
 
         steps = gridenv.run_episode(spec, choose)
         assert [s[0] for s in steps] == seen
-        assert steps[0][0] == gridenv.initial_state(spec)
-        for (_, _, nxt, _, _), (state, _, _, _, _) in zip(steps, steps[1:]):
-            assert nxt == state
+        assert steps[0][0] == spec.start[0] * n + spec.start[1]
+        for (_, _, nxt, _, _), (cell, _, _, _, _) in zip(steps, steps[1:]):
+            assert nxt == cell
         assert [s[4] for s in steps] == [False] * (len(steps) - 1) + [True]
         assert all(s[1] == 3 for s in steps)
+
+    @pytest.mark.parametrize("action", [-1, gridenv.N_ACTIONS])
+    def test_out_of_range_action_raises(self, action):
+        spec = gridenv.generate(EnvConfig(), 11)
+        with pytest.raises(ValueError, match="out of range"):
+            gridenv.run_episode(spec, lambda cell: action)
