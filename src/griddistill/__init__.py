@@ -4,7 +4,7 @@ policies against percentile behavioral cloning on procedurally generated
 maps."""
 
 from .distill import DistillConfig, SyntheticDataset
-from .evaluate import EvalConfig, EvalReport, evaluate_cohort, evaluate_expert
+from .evaluate import EvalConfig, EvalReport, evaluate_cohorts
 from .gridenv import EnvConfig, GridSpec, GridState, generate, observe, step
 from .rng import RngStream, derive_stream
 from .tinynet import NetShape, PolicyParams, bc_grad, bc_loss, forward, init_params
@@ -15,8 +15,7 @@ __all__ = [
     "SyntheticDataset",
     "EvalConfig",
     "EvalReport",
-    "evaluate_cohort",
-    "evaluate_expert",
+    "evaluate_cohorts",
     "EnvConfig",
     "GridSpec",
     "GridState",

@@ -42,27 +42,6 @@ class StudentConfig:
 
 
 @dataclass
-class EvalSection:
-    id_seed_start: int = 0
-    id_seed_count: int = 200
-    ood_seed_start: int = 10000
-    ood_seed_count: int = 100
-    episodes_per_seed: int = 1
-    action_rule: str = "argmax"
-
-    def __post_init__(self):
-        self.to_eval_config()  # EvalConfig's checks, at config load
-
-    def to_eval_config(self) -> EvalConfig:
-        return EvalConfig(
-            id_seeds=list(range(self.id_seed_start, self.id_seed_start + self.id_seed_count)),
-            ood_seeds=list(range(self.ood_seed_start, self.ood_seed_start + self.ood_seed_count)),
-            episodes_per_seed=self.episodes_per_seed,
-            action_rule=self.action_rule,
-        )
-
-
-@dataclass
 class ExperimentConfig:
     root_seed: int = 42
     env: EnvConfig = field(default_factory=EnvConfig)
@@ -70,8 +49,15 @@ class ExperimentConfig:
     percentiles: list = field(default_factory=lambda: [10, 25, 40, 100])
     distill: DistillConfig = field(default_factory=DistillConfig)
     student: StudentConfig = field(default_factory=StudentConfig)
-    eval: EvalSection = field(default_factory=EvalSection)
+    eval: EvalConfig = field(default_factory=EvalConfig)
     output_dir: str = "out"
+
+    def __post_init__(self):
+        bad = [x for x in self.percentiles if isinstance(x, bool) or x not in range(1, 101)]
+        if bad:
+            raise ValueError(f"percentiles {bad} are not integers in [1, 100]")
+        if len(set(self.percentiles)) != len(self.percentiles):
+            raise ValueError(f"percentiles {self.percentiles} repeat a value")
 
     def methods(self) -> list:
         return [f"bc{int(x)}" for x in self.percentiles] + ["synthetic"]
@@ -85,7 +71,7 @@ _SECTIONS = {
     "collect": CollectConfig,
     "distill": DistillConfig,
     "student": StudentConfig,
-    "eval": EvalSection,
+    "eval": EvalConfig,
 }
 
 
@@ -255,16 +241,10 @@ def _load_cohort(config: ExperimentConfig, method: str):
 
 
 def cmd_eval(config: ExperimentConfig) -> None:
-    eval_cfg = config.eval.to_eval_config()
-    reports = []
-    rep_id, rep_ood = evaluate.evaluate_expert(config.env, eval_cfg, gamma=config.collect.gamma)
-    reports.extend([rep_id, rep_ood])
-    for method in config.methods():
-        cohort, size = _load_cohort(config, method)
-        rep_id, rep_ood = evaluate.evaluate_cohort(
-            cohort, config.env, eval_cfg, method, size, root_seed=config.root_seed
-        )
-        reports.extend([rep_id, rep_ood])
+    cohorts = {method: _load_cohort(config, method) for method in config.methods()}
+    reports = evaluate.evaluate_cohorts(
+        cohorts, config.env, config.eval, config.collect.gamma, config.root_seed
+    )
     evaluate.emit_report(reports, config.output_dir)
     print(f"wrote {len(reports)} report rows -> {config.output_dir}/results.csv")
 

@@ -142,8 +142,10 @@ def sample_batch(ds: OfflineDataset, batch: int, rng: RngStream) -> tuple[np.nda
 
 
 def _fmt(x: float) -> str:
-    """17-significant-digit decimal: round-trips any float64 exactly."""
-    return format(float(x), ".17g")
+    """17-significant-digit decimal: round-trips any float64 exactly. Negative
+    zero is written -0.0, since JSON reads -0 as the integer 0."""
+    text = format(float(x), ".17g")
+    return "-0.0" if text == "-0" else text
 
 
 def _fmt_array(arr) -> str:

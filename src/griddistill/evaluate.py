@@ -3,17 +3,18 @@ in-distribution and out-of-distribution seed sets, plus report emission.
 
 On a fixed map a policy is a table from cell to action distribution: one
 batched forward over the map's cell observations for a student, one-hot
-greedy actions for the planner. Students act by argmax by default, so
-cohort comparisons reflect training rather than action-sampling noise; the
-`stochastic` action rule samples from the table instead, one stream per
-episode. The planner always acts greedily. Reports carry both pooled
-statistics over every episode and the mean of per-student statistics; the
-CSV holds the pooled numbers, the markdown tables the per-student ones.
+greedy actions for the planner. Each eval map is generated, observed and
+solved once, and the planner and every student of every cohort roll their
+episodes on it. Students act by argmax by default, so cohort comparisons
+reflect training rather than action-sampling noise; the `stochastic`
+action rule samples from the table instead, one stream per episode. The
+planner always acts greedily. Reports carry both pooled statistics over
+every episode and the mean of per-student statistics; the CSV holds the
+pooled numbers, the markdown tables the per-student ones.
 """
 
 import os
-from dataclasses import dataclass, field
-from functools import partial
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,18 +27,33 @@ METHOD_ORDER = ("expert", "bc10", "bc25", "bc40", "bc100", "synthetic")
 
 @dataclass
 class EvalConfig:
-    id_seeds: list = field(default_factory=lambda: list(range(200)))
-    ood_seeds: list = field(default_factory=lambda: list(range(10000, 10100)))
+    """Two contiguous seed ranges, ID and OOD, checked when built."""
+
+    id_seed_start: int = 0
+    id_seed_count: int = 200
+    ood_seed_start: int = 10000
+    ood_seed_count: int = 100
     episodes_per_seed: int = 1
     action_rule: str = "argmax"  # or "stochastic"
 
     def __post_init__(self):
-        if set(self.id_seeds) & set(self.ood_seeds):
+        if self.id_seed_count < 1 or self.ood_seed_count < 1:
+            raise ValueError("each eval split needs at least one seed")
+        id_seeds, ood_seeds = self.id_seeds, self.ood_seeds
+        if id_seeds.start < ood_seeds.stop and ood_seeds.start < id_seeds.stop:
             raise ValueError("ID and OOD seed sets must be disjoint")
         if self.episodes_per_seed < 1:
             raise ValueError("episodes_per_seed must be >= 1")
         if self.action_rule not in ("argmax", "stochastic"):
             raise ValueError(f"unknown action rule {self.action_rule!r}")
+
+    @property
+    def id_seeds(self) -> range:
+        return range(self.id_seed_start, self.id_seed_start + self.id_seed_count)
+
+    @property
+    def ood_seeds(self) -> range:
+        return range(self.ood_seed_start, self.ood_seed_start + self.ood_seed_count)
 
 
 @dataclass
@@ -76,78 +92,60 @@ def _episode_return(table: np.ndarray, spec: gridenv.GridSpec, rng: RngStream | 
     return sum(s[3] for s in gridenv.run_episode(spec, choose))
 
 
-def student_table(params: tinynet.PolicyParams, spec: gridenv.GridSpec) -> np.ndarray:
-    """A student's action distribution on every cell of the map."""
-    return tinynet.forward(params, gridenv.cell_observations(spec))
-
-
 def planner_table(spec: gridenv.GridSpec, gamma: float) -> np.ndarray:
     """The planner's greedy action on every cell, as one-hot rows."""
     return np.eye(N_ACTIONS)[expert.value_iteration(spec, gamma=gamma).greedy_action]
 
 
-def _evaluate(policies: list, streams, env_config, eval_cfg, method, dataset_size) -> tuple:
-    """The evaluation body shared by cohorts and the planner. Member i's
-    table on each map is `policies[i](spec)`, rolled episodes_per_seed times
-    and dropped; `streams(split, i, seed, e)` gives each episode's stream, or
-    None for argmax. Returns the (ID, OOD) reports, pooled across members."""
-    reports = []
+def _report(method: str, split: str, by_member: list, dataset_size: int) -> EvalReport:
+    pooled = np.concatenate(by_member)
+    return EvalReport(
+        method=method,
+        split=split,
+        mean_return=float(pooled.mean()),
+        std_return=float(pooled.std()),
+        n_episodes=len(pooled),
+        dataset_size=dataset_size,
+        student_mean=float(np.mean([float(np.mean(r)) for r in by_member])),
+        student_std=float(np.mean([float(np.std(r)) for r in by_member])),
+    )
+
+
+def evaluate_cohorts(
+    cohorts: dict, env_config: EnvConfig, eval_cfg: EvalConfig, gamma: float, root_seed: int
+) -> list:
+    """The planner's (ID, OOD) reports, then each cohort's in `cohorts`
+    order. `cohorts` maps a method to (students, dataset_size), the
+    students a list of PolicyParams; returns pool over a cohort's students
+    and seeds per split. The planner is a cohort of one with dataset size
+    0 (it never trains on the offline data); it acts greedily under either
+    action rule and draws no randomness."""
+    for method, (students, _) in cohorts.items():
+        if not students:
+            raise ValueError(f"cohort {method!r} is empty")
+    sampled = eval_cfg.action_rule == "stochastic"
+    episodes = range(eval_cfg.episodes_per_seed)
+    by_split = []
     for split, seeds in (("ID", eval_cfg.id_seeds), ("OOD", eval_cfg.ood_seeds)):
-        by_member = [[] for _ in policies]
+        planner = []
+        returns = {method: [[] for _ in students] for method, (students, _) in cohorts.items()}
         for seed in seeds:
             spec = gridenv.generate(env_config, seed)
-            for i, policy in enumerate(policies):
-                table = policy(spec)
-                by_member[i].extend(
-                    _episode_return(table, spec, streams(split, i, seed, e))
-                    for e in range(eval_cfg.episodes_per_seed)
-                )
-        pooled = np.concatenate(by_member)
-        reports.append(
-            EvalReport(
-                method=method,
-                split=split,
-                mean_return=float(pooled.mean()),
-                std_return=float(pooled.std()),
-                n_episodes=len(pooled),
-                dataset_size=dataset_size,
-                student_mean=float(np.mean([float(np.mean(r)) for r in by_member])),
-                student_std=float(np.mean([float(np.std(r)) for r in by_member])),
-            )
+            greedy_return = _episode_return(planner_table(spec, gamma), spec, None)
+            planner.extend([greedy_return] * len(episodes))
+            obs = gridenv.cell_observations(spec)
+            for method, (students, _) in cohorts.items():
+                for i, params in enumerate(students):
+                    table = tinynet.forward(params, obs)
+                    for e in episodes:
+                        label = f"eval:{split}:{i}:{seed}:{e}"
+                        rng = derive_stream(root_seed, label) if sampled else None
+                        returns[method][i].append(_episode_return(table, spec, rng))
+        by_split.append(
+            [_report("expert", split, [planner], 0)]
+            + [_report(m, split, returns[m], size) for m, (_, size) in cohorts.items()]
         )
-    return reports[0], reports[1]
-
-
-def evaluate_cohort(
-    cohort: list,
-    env_config: EnvConfig,
-    eval_cfg: EvalConfig,
-    method: str,
-    dataset_size: int,
-    root_seed: int,
-) -> tuple[EvalReport, EvalReport]:
-    """Pool episode returns across all students (a list of PolicyParams in
-    student order) and seeds per split."""
-    if not cohort:
-        raise ValueError("cohort is empty")
-
-    def streams(split, i, seed, e):
-        if eval_cfg.action_rule == "argmax":
-            return None
-        return derive_stream(root_seed, f"eval:{split}:{i}:{seed}:{e}")
-
-    policies = [partial(student_table, params) for params in cohort]
-    return _evaluate(policies, streams, env_config, eval_cfg, method, dataset_size)
-
-
-def evaluate_expert(
-    env_config: EnvConfig, eval_cfg: EvalConfig, gamma: float = 0.99
-) -> tuple[EvalReport, EvalReport]:
-    """The planner evaluated as a cohort of one (dataset_size 0: it never
-    trains on the offline data). It acts greedily under either action rule
-    and draws no randomness."""
-    policies = [partial(planner_table, gamma=gamma)]
-    return _evaluate(policies, lambda *_: None, env_config, eval_cfg, "expert", 0)
+    return [report for pair in zip(*by_split) for report in pair]
 
 
 CSV_HEADER = "method,split,mean_return,std_return,n_episodes,dataset_size"

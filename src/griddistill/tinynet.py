@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datasets import SchemaError
+from .datasets import SchemaError, _fmt_array
 from .rng import RngStream
 
 
@@ -269,10 +269,10 @@ def matching_grad_wrt_examples(
 def save_checkpoint(params: PolicyParams, path: str) -> None:
     """JSON checkpoint {shape: {in, hidden, out}, theta: [...]} with
     round-trip-exact decimal floats."""
-    theta = ",".join(format(v, ".17g") for v in params.theta)
+    theta = _fmt_array(params.theta)
     s = params.shape
     body = (
-        '{"shape":{"in":%d,"hidden":%d,"out":%d},"theta":[%s]}'
+        '{"shape":{"in":%d,"hidden":%d,"out":%d},"theta":%s}'
         % (s.in_dim, s.hidden, s.out_dim, theta)
     )
     with open(path, "w") as fh:

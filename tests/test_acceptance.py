@@ -104,8 +104,8 @@ def test_ac4_synthetic_vs_real_subset_and_bc100(base_run):
         config.student.n_students,
         derive_stream(42, "train:real150").next_u64(),
     )
-    base_id, _ = evaluate.evaluate_cohort(
-        cohort, config.env, config.eval.to_eval_config(), "real150", 150, root_seed=42
+    _expert_id, _expert_ood, base_id, _ = evaluate.evaluate_cohorts(
+        {"real150": (cohort, 150)}, config.env, config.eval, config.collect.gamma, 42
     )
 
     gap = bc100_id.mean_return - syn_id.mean_return

@@ -53,11 +53,35 @@ class TestConfig:
             ({"action_rule": "sampled"}, "unknown action rule 'sampled'"),
             ({"id_seed_count": 20, "ood_seed_start": 10}, "must be disjoint"),
             ({"episodes_per_seed": 0}, "episodes_per_seed must be >= 1"),
+            ({"id_seed_count": 0}, "each eval split needs at least one seed"),
+            ({"ood_seed_count": -3}, "each eval split needs at least one seed"),
         ],
     )
     def test_bad_eval_section_rejected_at_load(self, section, reason):
         with pytest.raises(ValueError, match=reason):
             cli.config_from_dict({"eval": section})
+
+    @pytest.mark.parametrize(
+        "percentiles, reason",
+        [
+            ([10.5], r"percentiles \[10.5\] are not integers in \[1, 100\]"),
+            ([0, 100], r"percentiles \[0\] are not"),
+            ([101], r"percentiles \[101\] are not"),
+            ([-10], r"percentiles \[-10\] are not"),
+            (["10"], r"percentiles \['10'\] are not"),
+            ([True], r"percentiles \[True\] are not"),
+            ([float("nan")], r"percentiles \[nan\] are not"),
+            ([25, 10, 25], r"repeat a value"),
+            ([10, 10.0], r"repeat a value"),
+        ],
+    )
+    def test_bad_percentiles_rejected_at_load(self, percentiles, reason):
+        with pytest.raises(ValueError, match=reason):
+            cli.config_from_dict({"percentiles": percentiles})
+
+    def test_integer_valued_percentiles_accepted(self):
+        config = cli.config_from_dict({"percentiles": [1, 40.0, 100]})
+        assert config.methods() == ["bc1", "bc40", "bc100", "synthetic"]
 
     def test_flag_precedence_over_config(self, tmp_path):
         path = write_small_config(tmp_path)
@@ -233,6 +257,26 @@ class TestEvalCmd:
         tinynet.save_checkpoint(other, str(path))
         with pytest.raises(datasets.SchemaError, match=f"^{re.escape(str(path))}: network shape"):
             run_cli(["--config", config_path, "--out", str(out), "eval"])
+
+    def test_each_map_generated_and_solved_once(self, trained, monkeypatch):
+        config_path, out = trained
+        generated, solved = [], []
+        generate, value_iteration = gridenv.generate, expert.value_iteration
+
+        def counting_generate(config, seed):
+            generated.append(seed)
+            return generate(config, seed)
+
+        def counting_value_iteration(spec, *args, **kwargs):
+            solved.append(spec.seed)
+            return value_iteration(spec, *args, **kwargs)
+
+        monkeypatch.setattr(gridenv, "generate", counting_generate)
+        monkeypatch.setattr(expert, "value_iteration", counting_value_iteration)
+        run_cli(["--config", config_path, "--out", str(out), "eval"])
+        seeds = [0, 1, 2, 10_000, 10_001]  # SMALL_CONFIG's ID and OOD seeds
+        assert sorted(generated) == seeds
+        assert sorted(solved) == seeds
 
     def test_rerun_eval_byte_identical(self, tmp_path):
         config_path = write_small_config(tmp_path)

@@ -219,6 +219,17 @@ class TestSaveLoad:
         assert np.array_equal(loaded.obs[0], obs)
         assert loaded.seed[0] == 2**63 + 7
 
+    def test_negative_zero_round_trips(self, tmp_path):
+        obs = np.array([-0.0, 0.0])
+        step = (obs, 0, -obs, -0.0, True)
+        ds = datasets.from_episodes([Episode(seed=0, epsilon=0.0, steps=[step])], meta={})
+        path = str(tmp_path / "z.jsonl")
+        datasets.save(ds, path)
+        loaded = datasets.load(path)
+        assert np.signbit(loaded.reward[0])
+        for key in ("obs", "next_obs", "reward", "g_t", "g_0"):
+            assert np.array_equal(np.signbit(getattr(loaded, key)), np.signbit(getattr(ds, key)))
+
     def test_truncated_file_raises(self, tmp_path):
         ds = toy_dataset([[1.0, 2.0], [3.0]])
         path = str(tmp_path / "t.jsonl")

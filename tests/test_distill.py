@@ -208,6 +208,19 @@ class TestSyntheticFile:
         loaded = dst.load_synthetic(path)
         assert np.array_equal(loaded.label_logits, syn.label_logits)
 
+    def test_negative_zero_round_trips(self, small_collection, tmp_path):
+        syn = dst.init_synthetic(
+            small_collection, 4, False, derive_stream(18, "f"), learn_labels=True
+        )
+        syn.xs[0, :2] = [-0.0, 0.0]
+        syn.label_logits[1, :2] = [0.0, -0.0]
+        path = str(tmp_path / "syn0.json")
+        dst.save_synthetic(syn, path)
+        loaded = dst.load_synthetic(path)
+        assert np.signbit(loaded.xs[0, 0]) and np.signbit(loaded.label_logits[1, 1])
+        assert np.array_equal(np.signbit(loaded.xs), np.signbit(syn.xs))
+        assert np.array_equal(np.signbit(loaded.label_logits), np.signbit(syn.label_logits))
+
     @pytest.mark.parametrize(
         "edit",
         [

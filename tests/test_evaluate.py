@@ -23,7 +23,8 @@ def policy_always(action, in_dim):
 def student_return(params, spec, rng=None):
     """One episode of a student's policy table: argmax without a stream,
     sampled with one."""
-    return evaluate._episode_return(evaluate.student_table(params, spec), spec, rng)
+    table = tinynet.forward(params, gridenv.cell_observations(spec))
+    return evaluate._episode_return(table, spec, rng)
 
 
 class TestRunPolicy:
@@ -124,49 +125,88 @@ class TestPolicyTableEquivalence:
             assert evaluate._episode_return(table, spec, None) == sum(s[3] for s in episode.steps)
 
 
+def eval_config(id_seeds, ood_seeds, **kwargs):
+    return EvalConfig(
+        id_seed_start=id_seeds.start,
+        id_seed_count=len(id_seeds),
+        ood_seed_start=ood_seeds.start,
+        ood_seed_count=len(ood_seeds),
+        **kwargs,
+    )
+
+
+def cohort_reports(cohort, eval_cfg, root_seed=0):
+    """The (ID, OOD) reports of one cohort, method "m" with dataset size 1."""
+    reports = evaluate.evaluate_cohorts({"m": (cohort, 1)}, EnvConfig(), eval_cfg, 0.99, root_seed)
+    return reports[2], reports[3]
+
+
+def planner_reports(eval_cfg):
+    return evaluate.evaluate_cohorts({}, EnvConfig(), eval_cfg, 0.99, 0)
+
+
 class TestEvaluateCohort:
     def test_single_student_single_seed(self):
         env = EnvConfig()
-        eval_cfg = EvalConfig(id_seeds=[3], ood_seeds=[10_000])
+        eval_cfg = eval_config(range(3, 4), range(10_000, 10_001))
         params = policy_always(4, in_dim=env.obs_dim)  # STAY forever
-        rep_id, rep_ood = evaluate.evaluate_cohort([params], env, eval_cfg, "m", 1, root_seed=0)
+        rep_id, rep_ood = cohort_reports([params], eval_cfg)
         assert rep_id.n_episodes == 1 and rep_ood.n_episodes == 1
         assert rep_id.std_return == 0.0
         assert rep_id.mean_return == pytest.approx(-0.1 * env.horizon)
 
     def test_duplicated_cohort_same_stats(self):
         env = EnvConfig()
-        eval_cfg = EvalConfig(id_seeds=[0, 1, 2], ood_seeds=[10_000, 10_001])
+        eval_cfg = eval_config(range(3), range(10_000, 10_002))
         params = policy_always(0, in_dim=env.obs_dim)
-        once_id, once_ood = evaluate.evaluate_cohort([params], env, eval_cfg, "m", 1, root_seed=0)
-        twice_id, twice_ood = evaluate.evaluate_cohort(
-            [params, params], env, eval_cfg, "m", 1, root_seed=0
-        )
+        once_id, once_ood = cohort_reports([params], eval_cfg)
+        twice_id, twice_ood = cohort_reports([params, params], eval_cfg)
         assert twice_id.mean_return == pytest.approx(once_id.mean_return)
         assert twice_id.std_return == pytest.approx(once_id.std_return)
         assert twice_id.n_episodes == 2 * once_id.n_episodes
 
     def test_pooled_std_invariant_to_student_order(self):
         env = EnvConfig()
-        eval_cfg = EvalConfig(id_seeds=[0, 1], ood_seeds=[10_000])
+        eval_cfg = eval_config(range(2), range(10_000, 10_001))
         pa = policy_always(0, in_dim=env.obs_dim)
         pb = policy_always(3, in_dim=env.obs_dim)
-        fwd_id, _ = evaluate.evaluate_cohort([pa, pb], env, eval_cfg, "m", 1, 0)
-        rev_id, _ = evaluate.evaluate_cohort([pb, pa], env, eval_cfg, "m", 1, 0)
+        fwd_id, _ = cohort_reports([pa, pb], eval_cfg)
+        rev_id, _ = cohort_reports([pb, pa], eval_cfg)
         assert fwd_id.mean_return == pytest.approx(rev_id.mean_return)
         assert fwd_id.std_return == pytest.approx(rev_id.std_return)
 
     def test_empty_cohort_rejected(self):
         with pytest.raises(ValueError):
-            evaluate.evaluate_cohort([], EnvConfig(), EvalConfig(), "m", 1, 0)
+            evaluate.evaluate_cohorts({"m": ([], 1)}, EnvConfig(), EvalConfig(), 0.99, 0)
+
+    @pytest.mark.parametrize("action_rule", ["argmax", "stochastic"])
+    def test_cohorts_together_match_each_alone(self, action_rule):
+        # one pass over the maps gives every cohort the reports (and, when
+        # sampled, the streams) it gets evaluated on its own
+        env = EnvConfig()
+        eval_cfg = eval_config(
+            range(4), range(10_000, 10_003), episodes_per_seed=2, action_rule=action_rule
+        )
+        shape = NetShape(in_dim=env.obs_dim)
+        students = [tinynet.init_params(shape, derive_stream(i, "together")) for i in range(3)]
+        cohorts = {"a": (students[:2], 7), "b": (students[2:], 9)}
+        together = evaluate.evaluate_cohorts(cohorts, env, eval_cfg, 0.99, 11)
+        assert [(r.method, r.split) for r in together] == [
+            (m, s) for m in ("expert", "a", "b") for s in ("ID", "OOD")
+        ]
+        alone = planner_reports(eval_cfg)
+        for method, cohort in cohorts.items():
+            alone += evaluate.evaluate_cohorts({method: cohort}, env, eval_cfg, 0.99, 11)[2:]
+        assert together == alone
+        assert [r.dataset_size for r in together] == [0, 0, 7, 7, 9, 9]
 
 
 class TestEvaluateExpert:
     def test_expert_cohort_of_one_matches_direct_planner_returns(self):
         env = EnvConfig()
-        seeds = [0, 1, 2, 3, 4]
-        eval_cfg = EvalConfig(id_seeds=seeds, ood_seeds=[10_000])
-        rep_id, _ = evaluate.evaluate_expert(env, eval_cfg)
+        seeds = range(5)
+        eval_cfg = eval_config(seeds, range(10_000, 10_001))
+        rep_id, _ = planner_reports(eval_cfg)
         direct = []
         for seed in seeds:
             spec = gridenv.generate(env, seed)
@@ -177,20 +217,29 @@ class TestEvaluateExpert:
                 derive_stream(5, f"eval-expert:ID:{seed}:0"),
             )
             direct.append(sum(s[3] for s in ep.steps))
+        assert rep_id.method == "expert"
         assert rep_id.mean_return == pytest.approx(np.mean(direct))
         assert rep_id.dataset_size == 0
 
     def test_planner_acts_greedily_under_stochastic_rule(self):
-        env = EnvConfig()
-        greedy = EvalConfig(id_seeds=[0, 1, 2], ood_seeds=[10_000])
-        sampled = EvalConfig(id_seeds=[0, 1, 2], ood_seeds=[10_000], action_rule="stochastic")
-        assert evaluate.evaluate_expert(env, greedy) == evaluate.evaluate_expert(env, sampled)
+        greedy = eval_config(range(3), range(10_000, 10_001))
+        sampled = eval_config(range(3), range(10_000, 10_001), action_rule="stochastic")
+        assert planner_reports(greedy) == planner_reports(sampled)
 
 
 class TestEvalConfig:
     def test_overlapping_seed_sets_rejected(self):
         with pytest.raises(ValueError):
-            EvalConfig(id_seeds=[1, 2], ood_seeds=[2, 3])
+            eval_config(range(1, 3), range(2, 4))
+
+    def test_adjacent_seed_sets_accepted(self):
+        cfg = eval_config(range(5, 8), range(0, 5))
+        assert (cfg.id_seeds, cfg.ood_seeds) == (range(5, 8), range(0, 5))
+
+    @pytest.mark.parametrize("counts", [(0, 1), (1, 0), (-2, 1)])
+    def test_split_without_seeds_rejected(self, counts):
+        with pytest.raises(ValueError, match="at least one seed"):
+            EvalConfig(id_seed_count=counts[0], ood_seed_count=counts[1])
 
     def test_bad_action_rule_rejected(self):
         with pytest.raises(ValueError):

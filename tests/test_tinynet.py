@@ -316,6 +316,16 @@ class TestCheckpoint:
         assert loaded.shape == shape
         assert np.array_equal(loaded.theta, params.theta)
 
+    def test_negative_zero_round_trips(self, tmp_path):
+        shape = NetShape(in_dim=2, hidden=2, out_dim=2)
+        theta = np.zeros(shape.param_count)
+        theta[::2] = -0.0
+        path = str(tmp_path / "z.json")
+        tinynet.save_checkpoint(PolicyParams(theta=theta, shape=shape), path)
+        loaded = tinynet.load_checkpoint(path)
+        assert np.array_equal(np.signbit(loaded.theta), np.signbit(theta))
+        assert np.signbit(loaded.theta[0]) and not np.signbit(loaded.theta[1])
+
     def test_format_fields(self, tmp_path):
         params = hand_params()
         path = str(tmp_path / "c.json")
