@@ -30,6 +30,19 @@ class CollectConfig:
     seed_count: int = 200
     gamma: float = 0.99
 
+    def __post_init__(self):
+        if self.episodes < 1:
+            raise ValueError("collect.episodes must be >= 1")
+        if self.seed_count < 1:
+            raise ValueError("collect.seed_count must be >= 1")
+        if not self.epsilons:
+            raise ValueError("collect.epsilons needs at least one epsilon")
+        bad = [e for e in self.epsilons if not (0.0 <= e <= 1.0)]
+        if bad:
+            raise ValueError(f"collect.epsilons {bad} are not in [0, 1]")
+        if not (0.0 < self.gamma < 1.0):
+            raise ValueError(f"collect.gamma {self.gamma} is not in (0, 1)")
+
     def seeds(self) -> list:
         return list(range(self.seed_start, self.seed_start + self.seed_count))
 
@@ -39,6 +52,10 @@ class StudentConfig:
     n_students: int = 10
     bc: TrainConfig = field(default_factory=TrainConfig.for_real)
     synthetic: TrainConfig = field(default_factory=TrainConfig.for_synthetic)
+
+    def __post_init__(self):
+        if self.n_students < 1:
+            raise ValueError("student.n_students must be >= 1")
 
 
 @dataclass
@@ -309,28 +326,38 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parse_epsilons(text: str) -> list:
+    try:
+        return [float(tok) for tok in text.split(",")]
+    except ValueError:
+        raise ValueError(f"--epsilons {text!r} is not a comma-separated list of numbers") from None
+
+
 def resolve_config(args) -> ExperimentConfig:
+    """The config file (or the defaults) with the flags applied; each
+    section touched by a flag is rebuilt, so it passes its load checks."""
     config = load_config(args.config) if args.config else ExperimentConfig()
     if args.seed is not None:
         config.root_seed = args.seed
     if args.out is not None:
         config.output_dir = args.out
+    collect, distill = {}, {}
     if getattr(args, "episodes", None) is not None:
-        config.collect.episodes = args.episodes
+        collect["episodes"] = args.episodes
     if getattr(args, "seeds", None) is not None:
-        start, count = _parse_seed_range(args.seeds)
-        config.collect.seed_start = start
-        config.collect.seed_count = count
+        collect["seed_start"], collect["seed_count"] = _parse_seed_range(args.seeds)
     if getattr(args, "epsilons", None) is not None:
-        config.collect.epsilons = [float(tok) for tok in args.epsilons.split(",")]
+        collect["epsilons"] = _parse_epsilons(args.epsilons)
     if getattr(args, "synthetic_size", None) is not None:
-        config.distill.synthetic_size = args.synthetic_size
+        distill["synthetic_size"] = args.synthetic_size
     if getattr(args, "epochs", None) is not None:
-        config.distill.epochs = args.epochs
+        distill["epochs"] = args.epochs
     if getattr(args, "learn_labels", None):
-        config.distill.learn_labels = True
+        distill["learn_labels"] = True
     if getattr(args, "balanced_init", None):
-        config.distill.balanced_init = True
+        distill["balanced_init"] = True
+    config.collect = dataclasses.replace(config.collect, **collect)
+    config.distill = dataclasses.replace(config.distill, **distill)
     return config
 
 

@@ -14,6 +14,8 @@ from . import gridenv
 from .gridenv import N_ACTIONS, EnvConfig, GridSpec
 from .rng import RngStream, derive_stream
 
+_STAY = gridenv.ACTIONS.index("STAY")
+
 
 @dataclass(frozen=True)
 class ValueTable:
@@ -33,14 +35,26 @@ class ValueTable:
 
 def value_iteration(spec: GridSpec, gamma: float = 0.99, tol: float = 1e-8) -> ValueTable:
     """Stationary infinite-horizon value iteration on the deterministic
-    grid MDP, swept until the Bellman residual drops below `tol`."""
+    grid MDP, swept until the Bellman residual over every cell drops below
+    `tol`.
+
+    Every cell starts at its stay-forever value reward[STAY] / (1 - gamma),
+    the goal at 0. A move's reward depends only on the cell it lands on, so
+    STAY is the best self-loop, and staying forever is a feasible policy:
+    the start is a lower bound (T v0 >= v0) and the sweeps rise
+    monotonically to the optimum. Free cells walled off from the goal start
+    at their exact value, and the rest settle in about as many sweeps as
+    their path to the goal is long. Against a zero start, greedy actions
+    and goal-reachable values are bit-equal (tested on ID and OOD maps);
+    other cells differ by less than tol / (1 - gamma)."""
     if not (0.0 < gamma < 1.0):
         raise ValueError("gamma must be in (0, 1)")
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     nxt, rew = spec.next_cell, spec.reward
     goal_idx = spec.goal[0] * spec.config.grid_n + spec.goal[1]
-    values = np.zeros(nxt.shape[1], dtype=np.float64)
+    values = rew[_STAY] / (1.0 - gamma)
+    values[goal_idx] = 0.0
     while True:
         q = rew + gamma * values[nxt]  # (A, cells)
         new_values = q.max(axis=0)

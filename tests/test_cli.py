@@ -79,6 +79,38 @@ class TestConfig:
         with pytest.raises(ValueError, match=reason):
             cli.config_from_dict({"percentiles": percentiles})
 
+    @pytest.mark.parametrize(
+        "data, reason",
+        [
+            ({"student": {"n_students": 0}}, "student.n_students must be >= 1"),
+            ({"collect": {"gamma": 1.0}}, r"collect.gamma 1.0 is not in \(0, 1\)"),
+            ({"collect": {"gamma": 0}}, r"collect.gamma 0 is not in \(0, 1\)"),
+            ({"collect": {"seed_count": 0}}, "collect.seed_count must be >= 1"),
+            ({"collect": {"epsilons": []}}, "collect.epsilons needs at least one epsilon"),
+            ({"collect": {"epsilons": [0.0, 1.5]}}, r"collect.epsilons \[1.5\] are not in \[0, 1\]"),
+            ({"collect": {"epsilons": [-0.1]}}, r"collect.epsilons \[-0.1\] are not in \[0, 1\]"),
+            ({"collect": {"episodes": 0}}, "collect.episodes must be >= 1"),
+        ],
+    )
+    def test_bad_collect_and_student_values_rejected_at_load(self, data, reason):
+        with pytest.raises(ValueError, match=reason):
+            cli.config_from_dict(data)
+
+    @pytest.mark.parametrize(
+        "flags, reason",
+        [
+            (["collect", "--episodes", "-1"], "collect.episodes must be >= 1"),
+            (["collect", "--epsilons", ","], r"--epsilons ',' is not a comma-separated list of numbers"),
+            (["collect", "--epsilons", "0,2"], r"collect.epsilons \[2.0\] are not in \[0, 1\]"),
+            (["distill", "--synthetic-size", "0"], "synthetic_size must be >= 1"),
+        ],
+    )
+    def test_bad_flags_rejected_before_any_output(self, tmp_path, flags, reason):
+        out = tmp_path / "out"
+        with pytest.raises(ValueError, match=reason):
+            run_cli(["--out", str(out), *flags])
+        assert not out.exists()
+
     def test_integer_valued_percentiles_accepted(self):
         config = cli.config_from_dict({"percentiles": [1, 40.0, 100]})
         assert config.methods() == ["bc1", "bc40", "bc100", "synthetic"]

@@ -65,6 +65,69 @@ class TestValueIteration:
             checked += 1
 
 
+def zero_start_value_iteration(spec, gamma=0.99, tol=1e-8):
+    """The reference loop: every cell starts at 0, swept until the residual
+    over every cell is <= tol. Returns (values, greedy_action)."""
+    nxt, rew = spec.next_cell, spec.reward
+    goal_idx = spec.goal[0] * spec.config.grid_n + spec.goal[1]
+    values = np.zeros(nxt.shape[1])
+    while True:
+        new_values = (rew + gamma * values[nxt]).max(axis=0)
+        new_values[goal_idx] = 0.0
+        residual = np.abs(new_values - values).max()
+        values = new_values
+        if residual <= tol:
+            return values, (rew + gamma * values[nxt]).argmax(axis=0)
+
+
+def assert_matches_zero_start(spec, gamma=0.99, tol=1e-8):
+    table = expert.value_iteration(spec, gamma=gamma, tol=tol)
+    ref_values, ref_greedy = zero_start_value_iteration(spec, gamma, tol)
+    n = spec.config.grid_n
+    reach = gridenv.reachable(spec, spec.goal[0] * n + spec.goal[1])
+    assert table.residual <= tol
+    assert np.array_equal(table.greedy_action, ref_greedy)
+    assert table.values[reach].tobytes() == ref_values[reach].tobytes()
+    assert np.all(np.abs(table.values[~reach] - ref_values[~reach]) <= tol / (1 - gamma))
+    return table
+
+
+class TestStayForeverStart:
+    """value_iteration starts each cell at its stay-forever value; the zero
+    start it replaced is the reference."""
+
+    @pytest.mark.parametrize(
+        "config, seeds",
+        [
+            (EnvConfig(), [*range(200), *range(10000, 10100)]),
+            (EnvConfig(grid_n=4, horizon=8), range(100)),
+            (EnvConfig(grid_n=8, wall_density=0.3, hazard_count=4), range(100)),
+        ],
+        ids=["default-id-ood", "4x4", "8x8-dense"],
+    )
+    def test_matches_zero_start(self, config, seeds):
+        solved = 0
+        for seed in seeds:
+            try:
+                spec = gridenv.generate(config, seed)
+            except gridenv.GenerationError:
+                continue
+            assert_matches_zero_start(spec)
+            solved += 1
+        assert solved >= 0.9 * len(seeds)
+
+    def test_walled_in_hazard_and_free_pocket(self):
+        # (0, 0) is a hazard and (3, 3) a free cell, each walled off from
+        # the goal at (1, 3): staying is all either can do
+        walls = np.zeros((4, 4), dtype=bool)
+        walls[0, 1] = walls[1, 0] = walls[2, 3] = walls[3, 2] = True
+        spec = make_spec(walls, start=(1, 1), goal=(1, 3), hazards=[(0, 0)])
+        table = assert_matches_zero_start(spec)
+        assert table.values[0] == pytest.approx((-0.1 - 1.0) / (1 - 0.99))  # -110
+        assert table.values[15] == pytest.approx(-0.1 / (1 - 0.99))  # -10
+        assert table.greedy_action[0] == table.greedy_action[15] == 0  # all moves tie
+
+
 class TestAct:
     def test_epsilon_zero_always_greedy(self):
         spec = corridor_spec(2)
