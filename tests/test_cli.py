@@ -90,6 +90,17 @@ class TestConfig:
             ({"collect": {"epsilons": [0.0, 1.5]}}, r"collect.epsilons \[1.5\] are not in \[0, 1\]"),
             ({"collect": {"epsilons": [-0.1]}}, r"collect.epsilons \[-0.1\] are not in \[0, 1\]"),
             ({"collect": {"episodes": 0}}, "collect.episodes must be >= 1"),
+            ({"student": {"bc": {"lr": float("nan")}}}, r"student.bc.lr nan is not a finite number > 0"),
+            ({"student": {"bc": {"lr": float("inf")}}}, r"student.bc.lr inf is not a finite number > 0"),
+            ({"student": {"synthetic": {"lr": 0}}}, r"student.synthetic.lr 0 is not a finite number > 0"),
+            ({"student": {"bc": {"lr": -5e-3}}}, r"student.bc.lr -0.005 is not a finite number > 0"),
+            ({"student": {"bc": {"lr": "5e-3"}}}, r"student.bc.lr '5e-3' is not a finite number > 0"),
+            ({"student": {"bc": {"lr": True}}}, r"student.bc.lr True is not a finite number > 0"),
+            ({"student": {"bc": {"steps": True}}}, r"student.bc.steps True is not an integer"),
+            ({"student": {"bc": {"steps": 10.0}}}, r"student.bc.steps 10.0 is not an integer"),
+            ({"student": {"synthetic": {"batch": False}}}, r"student.synthetic.batch False is not an integer"),
+            ({"student": {"synthetic": {"batch": "15"}}}, r"student.synthetic.batch '15' is not an integer"),
+            ({"student": {"bc": {"batch": 0}}}, r"student.bc.batch must be >= 1"),
         ],
     )
     def test_bad_collect_and_student_values_rejected_at_load(self, data, reason):
@@ -127,8 +138,15 @@ class TestConfig:
         assert cli._parse_seed_range("0..0") == (0, 1)
         assert cli._parse_seed_range("5..9") == (5, 5)
         assert cli._parse_seed_range("7") == (7, 1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"--seeds '9..5' ends before it starts"):
             cli._parse_seed_range("9..5")
+
+    @pytest.mark.parametrize("text", ["5..", "..5", "a..b", "1..2..3", "x", ""])
+    def test_malformed_seed_range_names_the_flag(self, tmp_path, text):
+        out = tmp_path / "out"
+        with pytest.raises(ValueError, match=rf"--seeds '{re.escape(text)}' is not a seed"):
+            run_cli(["--out", str(out), "collect", "--seeds", text])
+        assert not out.exists()
 
 
 def _as_dict(config):

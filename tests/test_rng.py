@@ -91,6 +91,25 @@ def test_next_int_array_matches_scalar(n, k):
 
 
 @pytest.mark.parametrize(
+    "n, batch",
+    [
+        (540, 256),
+        (3 << 61, 256),  # 2**64 mod n is a quarter of all words: rejection 1/4
+        (540, 15),  # every per-step call is a scalar tail, below one block
+    ],
+)
+def test_one_schedule_draw_matches_per_step_draws(n, batch):
+    # a student's whole index schedule is one draw of steps * batch
+    steps = 40
+    a = derive_stream(7, "student:0")
+    b = derive_stream(7, "student:0")
+    schedule = a.next_int_array(n, steps * batch)
+    per_step = np.concatenate([b.next_int_array(n, batch) for _ in range(steps)])
+    assert np.array_equal(schedule, per_step)
+    assert a.next_u64() == b.next_u64()
+
+
+@pytest.mark.parametrize(
     "call",
     [
         lambda s: s.next_int_array(0, 10),

@@ -5,7 +5,7 @@ from griddistill import datasets, expert, tinynet, trainer
 from griddistill import distill as dst
 from griddistill.gridenv import EnvConfig
 from griddistill.optim import Adam
-from griddistill.rng import derive_stream
+from griddistill.rng import RngStream, derive_stream
 from griddistill.tinynet import NetShape
 
 from test_distill import constant_dataset
@@ -22,6 +22,24 @@ def columns(ds):
     return ds.obs, ds.action
 
 
+def reference_student(rows, targets, cfg, shape, rng):
+    """The public-API loop the trainer must match: a per-step index draw,
+    then bc_grad on the gathered batch (n >= batch) or on every row with
+    its count in the drawn batch as its weight (n < batch)."""
+    n = len(rows)
+    theta = tinynet.init_params(shape, rng).theta
+    opt = Adam(dim=shape.param_count, lr=cfg.lr)
+    for _ in range(cfg.steps):
+        idx = rng.next_int_array(n, cfg.batch)
+        current = tinynet.PolicyParams(theta=theta, shape=shape)
+        if n < cfg.batch:
+            grad = tinynet.bc_grad(current, rows, targets, np.bincount(idx, minlength=n))
+        else:
+            grad = tinynet.bc_grad(current, rows[idx], targets[idx], np.ones(cfg.batch))
+        theta = opt.step(theta, grad)
+    return theta
+
+
 class TestTrainStudent:
     def test_zero_steps_returns_init(self, tiny_collection):
         shape = NetShape(in_dim=144)
@@ -31,22 +49,113 @@ class TestTrainStudent:
         assert np.array_equal(params.theta, ref.theta)
 
     def test_params_match_reference_loop(self, tiny_collection):
-        # the reference samples through the dataset, not through the arrays
+        # one reference on each side of the size rule (88 rows)
         shape = NetShape(in_dim=144)
+        rows, targets = columns(tiny_collection)
+        # n >= batch: the gathered batch, sampled through the dataset
+        cfg = trainer.TrainConfig(steps=3, batch=8)
+        params = trainer.train_student(rows, targets, cfg, shape, derive_stream(6, "s"))
+        rng = derive_stream(6, "s")
+        theta = tinynet.init_params(shape, rng).theta
+        opt = Adam(dim=shape.param_count, lr=cfg.lr)
+        ones = np.ones(cfg.batch)
+        for _ in range(cfg.steps):
+            xs, labels = datasets.sample_batch(tiny_collection, cfg.batch, rng)
+            current = tinynet.PolicyParams(theta=theta, shape=shape)
+            theta = opt.step(theta, tinynet.bc_grad(current, xs, labels, ones))
+        assert params.theta.tobytes() == theta.tobytes()
+        # n < batch: every row, weighted by its count in the drawn batch.
+        # Until the size rule, this case gathered the batch as above; the
+        # two differ only by rounding (test_count_weights_match_gathered_batch).
+        cfg = trainer.TrainConfig(steps=3, batch=256)
+        params = trainer.train_student(rows, targets, cfg, shape, derive_stream(6, "s"))
+        rng = derive_stream(6, "s")
+        theta = tinynet.init_params(shape, rng).theta
+        opt = Adam(dim=shape.param_count, lr=cfg.lr)
+        for _ in range(cfg.steps):
+            counts = np.bincount(rng.next_int_array(len(rows), cfg.batch), minlength=len(rows))
+            current = tinynet.PolicyParams(theta=theta, shape=shape)
+            theta = opt.step(theta, tinynet.bc_grad(current, rows, targets, counts))
+        assert params.theta.tobytes() == theta.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 11, 103, 255])
+    def test_count_weights_match_gathered_batch(self, n):
+        shape = NetShape(in_dim=144)
+        rng = derive_stream(n, "grad")
+        params = tinynet.init_params(shape, rng)
+        rows = rng.next_uniform_array(n * 144).reshape(n, 144)
+        targets = rng.next_int_array(5, n)
+        idx = rng.next_int_array(n, 256)
+        gathered = tinynet.bc_grad(params, rows[idx], targets[idx], np.ones(256))
+        counted = tinynet.bc_grad(params, rows, targets, np.bincount(idx, minlength=n))
+        assert np.max(np.abs(counted - gathered)) <= 1e-12 * np.max(np.abs(gathered))
+
+    @pytest.mark.parametrize("n", [15, 16, 17])
+    def test_cohorts_around_the_batch_size_match_reference(self, tiny_collection, n):
+        shape = NetShape(in_dim=144)
+        rows, targets = tiny_collection.obs[:n], tiny_collection.action[:n]
+        cfg = trainer.TrainConfig(steps=20, batch=16)
+        cohort = trainer.train_cohort(rows, targets, cfg, shape, 3, root_seed=31)
+        for i, params in enumerate(cohort):
+            ref = reference_student(rows, targets, cfg, shape, derive_stream(31, f"student:{i}"))
+            assert params.theta.tobytes() == ref.tobytes(), i
+
+    @pytest.mark.parametrize("batch", [3, 16])
+    def test_soft_labels_match_reference(self, tiny_collection, batch):
+        # 10 soft-labelled rows: gathered at batch 3, count-weighted at 16
+        syn = dst.init_synthetic(
+            tiny_collection, 10, False, derive_stream(4, "s"), learn_labels=True
+        )
+        shape = NetShape(in_dim=144)
+        cfg = trainer.TrainConfig(steps=20, batch=batch)
+        labels = syn.training_labels()
+        params = trainer.train_student(syn.xs, labels, cfg, shape, derive_stream(5, "s"))
+        ref = reference_student(syn.xs, labels, cfg, shape, derive_stream(5, "s"))
+        assert params.theta.tobytes() == ref.tobytes()
+
+    def test_no_per_step_checks_or_draws(self, tiny_collection, monkeypatch):
+        built, draws = [], []
+        post_init = tinynet.PolicyParams.__post_init__
+        next_int_array = RngStream.next_int_array
+
+        def counting_post_init(params):
+            built.append(1)
+            post_init(params)
+
+        def counting_draw(stream, n, k):
+            draws.append(k)
+            return next_int_array(stream, n, k)
+
+        def no_prepare(*args):
+            raise AssertionError("_prepare_batch called in the training loop")
+
+        monkeypatch.setattr(tinynet.PolicyParams, "__post_init__", counting_post_init)
+        monkeypatch.setattr(RngStream, "next_int_array", counting_draw)
+        monkeypatch.setattr(tinynet, "_prepare_batch", no_prepare)
         for batch in (8, 256):
-            cfg = trainer.TrainConfig(steps=3, batch=batch)
-            params = trainer.train_student(
-                *columns(tiny_collection), cfg, shape, derive_stream(6, "s")
+            built.clear()
+            draws.clear()
+            cfg = trainer.TrainConfig(steps=30, batch=batch)
+            trainer.train_student(
+                *columns(tiny_collection), cfg, NetShape(in_dim=144), derive_stream(8, "s")
             )
-            rng = derive_stream(6, "s")
-            theta = tinynet.init_params(shape, rng).theta
-            opt = Adam(dim=shape.param_count, lr=cfg.lr)
-            ones = np.ones(cfg.batch)
-            for _ in range(cfg.steps):
-                xs, labels = datasets.sample_batch(tiny_collection, cfg.batch, rng)
-                current = tinynet.PolicyParams(theta=theta, shape=shape)
-                theta = opt.step(theta, tinynet.bc_grad(current, xs, labels, ones))
-            assert params.theta.tobytes() == theta.tobytes(), batch
+            assert len(built) == 2, batch  # the init and the result
+            assert draws == [30 * batch]
+
+    def test_diverged_student_raises_at_the_end(self, tiny_collection):
+        cfg = trainer.TrainConfig(steps=5, batch=8, lr=1e308)
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match="non-finite"):
+            trainer.train_student(
+                *columns(tiny_collection), cfg, NetShape(in_dim=144), derive_stream(8, "s")
+            )
+
+    def test_rows_of_another_width_rejected(self, tiny_collection):
+        rows, targets = columns(tiny_collection)
+        with pytest.raises(ValueError, match=r"expected \(n, 144\)"):
+            trainer.train_student(
+                rows[:, :100], targets, trainer.TrainConfig(), NetShape(in_dim=144),
+                derive_stream(0, "s"),
+            )
 
     def test_one_repeated_example_reaches_low_loss(self):
         ds = constant_dataset(n_rows=1)
