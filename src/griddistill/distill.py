@@ -10,6 +10,8 @@ one-hot manifold.
 """
 
 import json
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,7 +19,7 @@ import numpy as np
 from . import datasets, tinynet
 from .gridenv import N_ACTIONS
 from .optim import SgdMomentum
-from .rng import RngStream
+from .rng import LaneCursor, RngStream
 
 LABEL_LOGIT_SCALE = 3.0  # initial logits: one-hot * scale, softmax ~0.83 on the action
 
@@ -34,10 +36,30 @@ class DistillConfig:
     balanced_init: bool = False
 
     def __post_init__(self):
-        if self.epochs < 0:
-            raise ValueError("epochs must be >= 0")
-        if self.inits_per_epoch < 1 or self.real_batch < 1 or self.synthetic_size < 1:
-            raise ValueError("inits_per_epoch, real_batch and synthetic_size must be >= 1")
+        for name, least in (
+            ("epochs", 0),
+            ("inits_per_epoch", 1),
+            ("real_batch", 1),
+            ("synthetic_size", 1),
+        ):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"distill.{name} {value!r} is not an integer")
+            if value < least:
+                raise ValueError(f"distill.{name} must be >= {least}")
+        for name in ("learn_labels", "balanced_init"):
+            value = getattr(self, name)
+            if not isinstance(value, bool):
+                raise ValueError(f"distill.{name} {value!r} is not a boolean")
+        lr, momentum = self.lr, self.momentum
+        if not _is_real(lr) or not (math.isfinite(lr) and lr > 0):
+            raise ValueError(f"distill.lr {lr!r} is not a finite number > 0")
+        if not _is_real(momentum) or not 0 <= momentum < 1:
+            raise ValueError(f"distill.momentum {momentum!r} is not a finite number in [0, 1)")
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 @dataclass
@@ -116,8 +138,14 @@ def distill(
     rng: RngStream,
 ) -> tuple[SyntheticDataset, list]:
     """Full distillation run; returns the trained set and the per-epoch
-    mean matching loss (measured before each update)."""
+    mean matching loss (measured before each update).
+
+    The loop's draws (init weights, real minibatch indices) go through a
+    read-ahead `LaneCursor` on `rng`: the same words in the same order, but
+    `rng` ends up to one refill past the last word used, so nothing may
+    read it after this call."""
     syn = init_synthetic(ds, cfg.synthetic_size, cfg.balanced_init, rng, cfg.learn_labels)
+    draws = LaneCursor(rng)
     m = len(syn)
     in_dim = shape.in_dim
     n_x = m * in_dim
@@ -133,8 +161,8 @@ def distill(
         xs_view = flat[:n_x].reshape(m, in_dim)
         labels = flat[n_x:].reshape(m, N_ACTIONS) if cfg.learn_labels else syn.labels
         for _k in range(cfg.inits_per_epoch):
-            theta = tinynet.init_params(shape, rng)
-            real_xs, real_actions = datasets.sample_batch(ds, cfg.real_batch, rng)
+            theta = tinynet.init_params(shape, draws)
+            real_xs, real_actions = datasets.sample_batch(ds, cfg.real_batch, draws)
             g_real = tinynet.bc_grad(theta, real_xs, real_actions, ones)
             res = tinynet.matching_grad_wrt_examples(
                 theta, g_real, xs_view, labels, learn_labels=cfg.learn_labels

@@ -24,7 +24,10 @@ class SgdMomentum:
 
 
 class Adam:
-    """Bias-corrected Adam with the published default constants."""
+    """Bias-corrected Adam with the published default constants. The moments
+    are updated in place, in the operation order of the textbook formula
+    (m <- beta1*m + (1-beta1)*g, v <- beta2*v + ((1-beta2)*g)*g), so the
+    iterates are bit-identical to it."""
 
     def __init__(
         self,
@@ -41,13 +44,25 @@ class Adam:
         self.m = np.zeros(dim, dtype=np.float64)
         self.v = np.zeros(dim, dtype=np.float64)
         self.t = 0
+        self._num = np.empty(dim, dtype=np.float64)  # scratch: the update's numerator
+        self._den = np.empty(dim, dtype=np.float64)  # scratch: its denominator
 
     def step(self, x: np.ndarray, grad: np.ndarray) -> np.ndarray:
         if x.shape != self.m.shape or grad.shape != self.m.shape:
             raise ValueError("optimizer state, parameters and gradient lengths disagree")
         self.t += 1
-        self.m = self.beta1 * self.m + (1.0 - self.beta1) * grad
-        self.v = self.beta2 * self.v + (1.0 - self.beta2) * grad * grad
-        m_hat = self.m / (1.0 - self.beta1 ** self.t)
-        v_hat = self.v / (1.0 - self.beta2 ** self.t)
-        return x - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        m, v, num, den = self.m, self.v, self._num, self._den
+        m *= self.beta1
+        np.multiply(grad, 1.0 - self.beta1, out=num)
+        m += num
+        v *= self.beta2
+        np.multiply(grad, 1.0 - self.beta2, out=num)
+        num *= grad
+        v += num
+        np.divide(m, 1.0 - self.beta1 ** self.t, out=num)  # m_hat
+        num *= self.lr
+        np.divide(v, 1.0 - self.beta2 ** self.t, out=den)  # v_hat
+        np.sqrt(den, out=den)
+        den += self.eps
+        num /= den
+        return x - num

@@ -11,11 +11,20 @@ The scalar methods (`next_u64`, `next_int`, ...) are the reference. The
 bulk methods return exactly the sequence that the same number of scalar
 calls would, and leave the stream in the same state. They are exact
 because the xoshiro256** state update is linear over GF(2): the s1 words
-of the next 256 steps, and the state 256 steps on, are the XOR of the
-contributions of the state's set bits taken one at a time. Those
-per-bit contributions are tabulated once, at import, and a whole block of
-256 outputs becomes a vectorized XOR plus the (nonlinear) output scrambler
-applied in uint64.
+of the next 256 steps, and the state 256 or 512 steps on, are the XOR of
+the contributions of the state's set bits taken one at a time. Those
+per-bit contributions are tabulated once, at import.
+
+Draws below 16,384 words take whole blocks of 256 outputs from the tables,
+one vectorized XOR per block, and the last k mod 256 words from the scalar
+generator. Larger draws split the stream into lanes 512 words apart (each
+lane starts one 512-step jump after the last: the jump functions of
+Blackman & Vigna used for block splitting) and step all lanes at once as
+uint64 vectors; their k mod 512 tail takes the table path. Either way the
+(nonlinear) output scrambler runs in uint64 over the whole draw.
+
+`LaneCursor` reads a stream ahead, 256 lanes at a time, for a consumer
+that makes many mid-sized draws and never reads the stream afterwards.
 """
 
 import math
@@ -27,6 +36,10 @@ _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 _INV_2_53 = 2.0 ** -53
 _BLOCK = 256  # outputs per table block; also the number of state bits
+_LANE_BLOCK = 512  # words per lane: lanes start one 512-step jump apart
+_LANE_MIN = 16_384  # smallest draw that takes lanes; smaller ones take the tables
+_CURSOR_REFILL = 256 * _LANE_BLOCK  # words per LaneCursor refill
+_SCRAMBLE_CHUNK = 8192  # words scrambled per in-place pass, cache-sized
 
 
 def fnv1a64(text: str) -> int:
@@ -51,38 +64,97 @@ def _rotl(x: int, k: int) -> int:
     return ((x << k) | (x >> (64 - k))) & _MASK64
 
 
-def _rotl_u64(x: np.ndarray, k: int) -> np.ndarray:
-    return (x << np.uint64(k)) | (x >> np.uint64(64 - k))
+_U5, _U7, _U9, _U17, _U19, _U45, _U57 = (np.uint64(c) for c in (5, 7, 9, 17, 19, 45, 57))
 
 
-def _block_tables() -> tuple[np.ndarray, np.ndarray]:
+def _step_u64(s0, s1, s2, s3, t, u) -> None:
+    """One xoshiro256** state update on uint64 vectors, in place; t and u
+    are scratch vectors of the same length. Explicit ufunc calls on prebuilt
+    uint64 constants: on short lane vectors the per-call cost dominates."""
+    np.left_shift(s1, _U17, out=t)
+    np.bitwise_xor(s2, s0, out=s2)
+    np.bitwise_xor(s3, s1, out=s3)
+    np.bitwise_xor(s1, s2, out=s1)
+    np.bitwise_xor(s0, s3, out=s0)
+    np.bitwise_xor(s2, t, out=s2)
+    np.left_shift(s3, _U45, out=u)
+    np.right_shift(s3, _U19, out=s3)
+    np.bitwise_or(s3, u, out=s3)
+
+
+def _block_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Run the xoshiro256** state update from the 256 unit states (state
     bit i = bit i % 64 of word i // 64) at once. Row i of `outs` holds the
     s1 word at steps 0..255 from unit state i; row i of `jump` holds that
-    state after 256 steps."""
+    state after 256 steps, and row i of `jump512` after 512."""
     words = np.zeros((4, _BLOCK), dtype=np.uint64)
     bit = np.arange(_BLOCK)
     words[bit // 64, bit] = np.uint64(1) << (bit % 64).astype(np.uint64)
-    s0, s1, s2, s3 = words
+    scratch = np.empty((2, _BLOCK), dtype=np.uint64)
     outs = np.empty((_BLOCK, _BLOCK), dtype=np.uint64)
     for step in range(_BLOCK):
-        outs[:, step] = s1
-        t = s1 << np.uint64(17)
-        s2 ^= s0
-        s3 ^= s1
-        s1 ^= s2
-        s0 ^= s3
-        s2 ^= t
-        s3 = _rotl_u64(s3, 45)
-    jump = np.stack([s0, s1, s2, s3], axis=1)
-    outs.flags.writeable = False
-    jump.flags.writeable = False
-    return outs, jump
+        outs[:, step] = words[1]
+        _step_u64(*words, *scratch)
+    jump = words.T.copy()
+    for _ in range(_LANE_BLOCK - _BLOCK):
+        _step_u64(*words, *scratch)
+    jump512 = words.T.copy()
+    for table in (outs, jump, jump512):
+        table.flags.writeable = False
+    return outs, jump, jump512
 
 
-# Built once at import (3-4 ms, 520 KiB), so the draw path needs no
+# Built once at import (~10 ms, 528 KiB), so the draw path needs no
 # first-use check.
-_OUTS, _JUMP = _block_tables()
+_OUTS, _JUMP, _JUMP512 = _block_tables()
+
+
+def _set_bits(state: np.ndarray) -> np.ndarray:
+    """Indices of the set bits of a state of four little-endian uint64
+    words: the table rows whose XOR is the state's image."""
+    return np.flatnonzero(np.unpackbits(state.view(np.uint8), bitorder="little"))
+
+
+def _scramble(words: np.ndarray) -> None:
+    """xoshiro256** output scrambler rotl(s1 * 5, 7) * 9, in place on a 1-D
+    uint64 array, a cache-sized chunk at a time."""
+    tmp = np.empty(min(len(words), _SCRAMBLE_CHUNK), dtype=np.uint64)
+    for lo in range(0, len(words), _SCRAMBLE_CHUNK):
+        chunk = words[lo : lo + _SCRAMBLE_CHUNK]
+        t = tmp[: len(chunk)]
+        np.multiply(chunk, _U5, out=chunk)
+        np.right_shift(chunk, _U57, out=t)
+        np.left_shift(chunk, _U7, out=chunk)
+        np.bitwise_or(chunk, t, out=chunk)
+        np.multiply(chunk, _U9, out=chunk)
+
+
+def _table_words(state: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Fill the (blocks, 256) array `out` with the s1 words of the stream
+    from `state`, block by block from the tables; return the state after."""
+    for b in range(out.shape[0]):
+        set_bits = _set_bits(state)
+        out[b] = np.bitwise_xor.reduce(_OUTS[set_bits], axis=0)
+        state = np.bitwise_xor.reduce(_JUMP[set_bits], axis=0)
+    return state
+
+
+def _lane_words(state: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Fill the (lanes, 512) array `out` with the s1 words of the stream
+    from `state`: lane l starts l 512-step jumps on, all lanes step
+    together, and step j writes column j, so out.ravel() is stream order.
+    Returns the state after the last lane."""
+    lanes = out.shape[0]
+    starts = np.empty((4, lanes), dtype=np.uint64)
+    for lane in range(lanes):
+        starts[:, lane] = state
+        state = np.bitwise_xor.reduce(_JUMP512[_set_bits(state)], axis=0)
+    s0, s1, s2, s3 = starts
+    t, u = np.empty((2, lanes), dtype=np.uint64)
+    for step in range(_LANE_BLOCK):
+        out[:, step] = s1
+        _step_u64(s0, s1, s2, s3, t, u)
+    return state
 
 
 class RngStream:
@@ -117,34 +189,35 @@ class RngStream:
 
     def next_u64_array(self, k: int) -> np.ndarray:
         """k raw words as a uint64 array, the same sequence as k calls to
-        next_u64: whole blocks of 256 from the GF(2) tables, the k % 256
-        tail from next_u64."""
+        next_u64. From 16,384 words on, lanes of 512 give all whole lanes;
+        whole blocks of 256 come from the tables, the last k % 256 words
+        from next_u64."""
         if k < 0:
             raise ValueError(f"draw count must be >= 0, got {k}")
-        blocks, tail = divmod(k, _BLOCK)
+        lanes = k // _LANE_BLOCK if k >= _LANE_MIN else 0
+        blocks = (k - lanes * _LANE_BLOCK) // _BLOCK
+        head = lanes * _LANE_BLOCK + blocks * _BLOCK
         out = np.empty(k, dtype=np.uint64)
-        if blocks:
+        if head:
             state = np.array(self.state, dtype="<u8")
-            head = out[: blocks * _BLOCK].reshape(blocks, _BLOCK)  # view: s1 words, then outputs
-            for b in range(blocks):
-                set_bits = np.flatnonzero(np.unpackbits(state.view(np.uint8), bitorder="little"))
-                head[b] = np.bitwise_xor.reduce(_OUTS[set_bits], axis=0)
-                state = np.bitwise_xor.reduce(_JUMP[set_bits], axis=0)
-            head[...] = _rotl_u64(head * np.uint64(5), 7) * np.uint64(9)
+            if lanes:
+                state = _lane_words(state, out[: lanes * _LANE_BLOCK].reshape(lanes, _LANE_BLOCK))
+            state = _table_words(state, out[lanes * _LANE_BLOCK : head].reshape(blocks, _BLOCK))
+            _scramble(out[:head])
             self.state = tuple(int(w) for w in state)
-        out[blocks * _BLOCK :] = [self.next_u64() for _ in range(tail)]
+        out[head:] = [self.next_u64() for _ in range(k - head)]
         return out
 
     def next_uniform_array(self, k: int) -> np.ndarray:
         """k uniforms in [0, 1) as a float64 array, the same sequence as k
         calls to next_uniform."""
-        return (self.next_u64_array(k) >> np.uint64(11)).astype(np.float64) * _INV_2_53
+        return _uniforms(self.next_u64_array(k))
 
     def next_int(self, n: int) -> int:
         """Uniform integer in [0, n) by rejection sampling (no modulo bias)."""
         if n < 1:
             raise ValueError(f"next_int needs n >= 1, got {n}")
-        limit = (1 << 64) - ((1 << 64) % n)
+        limit = _accept_limit(n)
         while True:
             x = self.next_u64()
             if x < limit:
@@ -152,25 +225,8 @@ class RngStream:
 
     def next_int_array(self, n: int, k: int) -> np.ndarray:
         """k draws from [0, n) as an int64 array, the same sequence as k
-        calls to next_int(n): accepted words are kept in stream order and
-        only the shortfall is redrawn, so no word past the k-th acceptance
-        is consumed."""
-        if not 1 <= n <= 1 << 63:
-            raise ValueError(f"next_int_array needs 1 <= n <= 2**63, got {n}")
-        if k < 0:
-            raise ValueError(f"draw count must be >= 0, got {k}")
-        if k < _BLOCK:
-            return np.array([self.next_int(n) for _ in range(k)], dtype=np.int64)
-        rem = (1 << 64) % n
-        parts = []
-        need = k
-        while need:
-            x = self.next_u64_array(need)
-            if rem:
-                x = x[x < np.uint64((1 << 64) - rem)]
-            parts.append(x)
-            need -= len(x)
-        return (np.concatenate(parts) % np.uint64(n)).astype(np.int64)
+        calls to next_int(n)."""
+        return _int_array(self.next_u64_array, n, k)
 
     def next_gauss(self) -> float:
         """Standard normal via Box-Muller; consumes two uniforms per call."""
@@ -185,6 +241,81 @@ class RngStream:
             j = self.next_int(i + 1)
             perm[i], perm[j] = perm[j], perm[i]
         return perm
+
+
+def _uniforms(words: np.ndarray) -> np.ndarray:
+    """Uniform doubles in [0, 1) from the top 53 bits of each word."""
+    return (words >> np.uint64(11)).astype(np.float64) * _INV_2_53
+
+
+def _accept_limit(n: int) -> int:
+    """Words below this are accepted for a draw from [0, n), and reduced mod
+    n; the rest are rejected, so every residue is equally likely."""
+    return (1 << 64) - ((1 << 64) % n)
+
+
+def _int_array(draw, n: int, k: int) -> np.ndarray:
+    """k draws from [0, n), rejecting words as next_int does, from
+    `draw(count)`, which returns the next `count` words of a stream. Accepted
+    words are kept in stream order and only the shortfall is redrawn, so no
+    word past the k-th acceptance is consumed."""
+    if not 1 <= n <= 1 << 63:
+        raise ValueError(f"next_int_array needs 1 <= n <= 2**63, got {n}")
+    if k < 0:
+        raise ValueError(f"draw count must be >= 0, got {k}")
+    limit = np.uint64(_accept_limit(n) & _MASK64)  # 2**64 (n a power of 2) wraps to 0
+    parts = []
+    need = k
+    while need:
+        x = draw(need)
+        if limit:
+            x = x[x < limit]
+        parts.append(x)
+        need -= len(x)
+    if not parts:
+        return np.empty(0, dtype=np.int64)
+    return (np.concatenate(parts) % np.uint64(n)).astype(np.int64)
+
+
+class LaneCursor:
+    """Reads a stream ahead, 131,072 words at a time, and serves the bulk
+    draws from that buffer: the same words in the same order as the
+    stream's own bulk methods, at the lanes' per-word cost even when each
+    draw is small. The stream is left up to one refill past the last word
+    served, so only a consumer that never reads the stream afterwards may
+    use it. A refill of 256 lanes keeps the buffer at 1 MiB, a small share
+    of the pipeline's ~43 MB peak RSS."""
+
+    __slots__ = ("stream", "buf", "pos")
+
+    def __init__(self, stream: RngStream):
+        self.stream = stream
+        self.buf = np.empty(0, dtype=np.uint64)
+        self.pos = 0
+
+    def next_u64_array(self, k: int) -> np.ndarray:
+        """The next k words of the stream as a uint64 array."""
+        if k < 0:
+            raise ValueError(f"draw count must be >= 0, got {k}")
+        parts = []
+        while k:
+            if self.pos == len(self.buf):
+                self.buf = None  # drop the spent buffer before the next one exists
+                self.buf = self.stream.next_u64_array(_CURSOR_REFILL)
+                self.pos = 0
+            take = min(k, len(self.buf) - self.pos)
+            parts.append(self.buf[self.pos : self.pos + take])
+            self.pos += take
+            k -= take
+        return np.concatenate(parts) if parts else np.empty(0, dtype=np.uint64)
+
+    def next_uniform_array(self, k: int) -> np.ndarray:
+        """k uniforms in [0, 1), as RngStream.next_uniform_array."""
+        return _uniforms(self.next_u64_array(k))
+
+    def next_int_array(self, n: int, k: int) -> np.ndarray:
+        """k draws from [0, n), as RngStream.next_int_array."""
+        return _int_array(self.next_u64_array, n, k)
 
 
 def derive_stream(root_seed: int, label: str) -> RngStream:

@@ -215,10 +215,10 @@ def test_run_all_seed42_matches_golden_digests(base_run):
 
 
 def test_smoke_runs_match_golden_digests(tmp_path):
-    # run-all on the two smoke configs: the argmax and the stochastic
-    # action rule
+    # run-all on the three smoke configs: the argmax and the stochastic
+    # action rule, and soft labels learned from a balanced init
     got = {}
-    for name in ("smoke", "smoke.stochastic"):
+    for name in ("smoke", "smoke.stochastic", "smoke.soft"):
         config = os.path.join(os.path.dirname(__file__), "data", f"{name}.config.json")
         out = str(tmp_path / name)
         assert cli.main(["--config", config, "--out", out, "run-all"]) == 0

@@ -101,6 +101,15 @@ class TestConfig:
             ({"student": {"synthetic": {"batch": False}}}, r"student.synthetic.batch False is not an integer"),
             ({"student": {"synthetic": {"batch": "15"}}}, r"student.synthetic.batch '15' is not an integer"),
             ({"student": {"bc": {"batch": 0}}}, r"student.bc.batch must be >= 1"),
+            ({"distill": {"lr": float("nan")}}, r"distill.lr nan is not a finite number > 0"),
+            ({"distill": {"lr": -1}}, r"distill.lr -1 is not a finite number > 0"),
+            ({"distill": {"lr": "0.1"}}, r"distill.lr '0.1' is not a finite number > 0"),
+            ({"distill": {"momentum": float("inf")}}, r"distill.momentum inf is not a finite number in \[0, 1\)"),
+            ({"distill": {"momentum": 1.0}}, r"distill.momentum 1.0 is not a finite number in \[0, 1\)"),
+            ({"distill": {"epochs": 2.5}}, r"distill.epochs 2.5 is not an integer"),
+            ({"distill": {"epochs": True}}, r"distill.epochs True is not an integer"),
+            ({"distill": {"real_batch": 0}}, r"distill.real_batch must be >= 1"),
+            ({"distill": {"learn_labels": 1}}, r"distill.learn_labels 1 is not a boolean"),
         ],
     )
     def test_bad_collect_and_student_values_rejected_at_load(self, data, reason):
@@ -114,6 +123,7 @@ class TestConfig:
             (["collect", "--epsilons", ","], r"--epsilons ',' is not a comma-separated list of numbers"),
             (["collect", "--epsilons", "0,2"], r"collect.epsilons \[2.0\] are not in \[0, 1\]"),
             (["distill", "--synthetic-size", "0"], "synthetic_size must be >= 1"),
+            (["distill", "--epochs", "-1"], "distill.epochs must be >= 0"),
         ],
     )
     def test_bad_flags_rejected_before_any_output(self, tmp_path, flags, reason):

@@ -133,7 +133,10 @@ class TestDistill:
         assert np.array_equal(syn.xs, init.xs)
 
     def test_zero_lr_keeps_init_bit_for_bit(self, small_collection):
-        cfg = dst.DistillConfig(epochs=3, synthetic_size=10, lr=0.0)
+        # a config rejects lr 0 when it loads; the loop itself must still
+        # leave the init untouched under a zero step
+        cfg = dst.DistillConfig(epochs=3, synthetic_size=10)
+        cfg.lr = 0.0
         shape = NetShape(in_dim=144)
         syn, history = dst.distill(small_collection, cfg, shape, derive_stream(11, "d"))
         ref = dst.init_synthetic(small_collection, 10, False, derive_stream(11, "d"))

@@ -73,6 +73,29 @@ class TestAdam:
 
         assert np.array_equal(run(), run())
 
+    def test_in_place_step_matches_out_of_place_formula(self):
+        # the textbook formula, one temporary per operation: the in-place
+        # step must reproduce it bit for bit
+        lr, b1, b2, eps = 5e-3, 0.9, 0.999, 1e-8
+        gen = np.random.default_rng(0)
+        dim = 4805
+        x_ref = gen.standard_normal(dim)
+        m = np.zeros(dim)
+        v = np.zeros(dim)
+        opt = Adam(dim=dim, lr=lr, beta1=b1, beta2=b2, eps=eps)
+        x = x_ref.copy()
+        for t in range(1, 501):
+            g = gen.standard_normal(dim) * 10.0 ** gen.integers(-6, 3)
+            m = b1 * m + (1.0 - b1) * g
+            v = b2 * v + (1.0 - b2) * g * g
+            m_hat = m / (1.0 - b1**t)
+            v_hat = v / (1.0 - b2**t)
+            x_ref = x_ref - lr * m_hat / (np.sqrt(v_hat) + eps)
+            x = opt.step(x, g)
+        assert x.tobytes() == x_ref.tobytes()
+        assert opt.m.tobytes() == m.tobytes()
+        assert opt.v.tobytes() == v.tobytes()
+
     def test_no_nan_from_finite_inputs(self):
         opt = Adam(dim=2, lr=1.0)
         x = np.zeros(2)

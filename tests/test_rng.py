@@ -1,7 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from griddistill.rng import RngStream, derive_stream, fnv1a64, splitmix64
+from griddistill.rng import LaneCursor, RngStream, derive_stream, fnv1a64, splitmix64
 
 
 def test_splitmix64_reference_output():
@@ -50,8 +52,11 @@ def test_next_uniform_range():
 
 
 # draw counts around the 256-output block: none, tail only, whole blocks,
-# blocks plus tail, and the two init_params sizes of the default network
-BULK_COUNTS = (0, 1, 255, 256, 257, 512, 4608, 4768)
+# blocks plus tail, and the two init_params sizes of the default network;
+# then around the 16,384-word lane threshold and the 512-word lane:
+# tables only, whole lanes, lanes plus a scalar tail, lanes plus a table
+# block, and two lane refills of distillation's read-ahead
+BULK_COUNTS = (0, 1, 255, 256, 257, 512, 4608, 4768, 16383, 16384, 16385, 16896, 262144)
 BULK_STREAMS = ((77, "bulk"), (0, "student:3"), (42, "distill"))
 
 
@@ -109,6 +114,53 @@ def test_one_schedule_draw_matches_per_step_draws(n, batch):
     assert a.next_u64() == b.next_u64()
 
 
+def test_lane_cursor_matches_stream_over_distill_reads():
+    # one distillation draw is init_params' uniforms, then a real minibatch
+    # of indices; 80 of them span four 131,072-word refills of the cursor
+    draws = 80
+    assert draws * (4768 + 256) > 3 * 131_072
+    cursor = LaneCursor(derive_stream(42, "distill"))
+    ref = derive_stream(42, "distill")
+    for i in range(draws):
+        u = cursor.next_uniform_array(4768)
+        assert u.dtype == np.float64
+        assert np.array_equal(u, ref.next_uniform_array(4768)), i
+        idx = cursor.next_int_array(551, 256)
+        assert idx.dtype == np.int64
+        assert np.array_equal(idx, ref.next_int_array(551, 256)), i
+    assert np.array_equal(cursor.next_u64_array(0), ref.next_u64_array(0))
+    assert np.array_equal(cursor.next_u64_array(1000), ref.next_u64_array(1000))
+
+
+def test_lane_cursor_rejection_across_refills():
+    # 2**64 mod 3 * 2**61 is a quarter of all words; the second int draw
+    # and its shortfall redraws cross the first refill boundary
+    n = 3 << 61
+    cursor = LaneCursor(derive_stream(5, "ints"))
+    ref = derive_stream(5, "ints")
+    lead = 131_072 - 900
+    assert np.array_equal(cursor.next_u64_array(lead), ref.next_u64_array(lead))
+    for _ in range(3):
+        assert np.array_equal(cursor.next_int_array(n, 600), ref.next_int_array(n, 600))
+    # one draw longer than two refills
+    assert np.array_equal(cursor.next_u64_array(300_000), ref.next_u64_array(300_000))
+
+
+def test_distill_stream_draw_pinned():
+    # recorded before the lanes existed; integer words only, so it holds on
+    # any CPU and BLAS
+    s = derive_stream(42, "distill")
+    words = s.next_u64_array(262_144)
+    digest = hashlib.sha256(words.astype("<u8").tobytes()).hexdigest()
+    assert digest == "6063d26441a39c17f4b488cb69ae4e8e1c98158fc38a5874b77132a462f0bf2c"
+    assert s.state == (
+        0x75E09D839E725E33,
+        0xEDA6C2DEB8FC1AFF,
+        0xCB7B33D91246AB39,
+        0x864FDECE8311BEB3,
+    )
+
+
 @pytest.mark.parametrize(
     "call",
     [
@@ -117,6 +169,9 @@ def test_one_schedule_draw_matches_per_step_draws(n, batch):
         lambda s: s.next_int_array(5, -1),
         lambda s: s.next_u64_array(-1),
         lambda s: s.next_uniform_array(-1),
+        lambda s: LaneCursor(s).next_int_array(0, 10),
+        lambda s: LaneCursor(s).next_int_array(5, -1),
+        lambda s: LaneCursor(s).next_u64_array(-1),
     ],
 )
 def test_bulk_draw_bad_arguments_rejected(call):
