@@ -128,7 +128,7 @@ def load_config(path: str) -> ExperimentConfig:
 def write_echo(config: ExperimentConfig) -> None:
     os.makedirs(config.output_dir, exist_ok=True)
     echo = dataclasses.asdict(config)
-    with open(os.path.join(config.output_dir, "config.echo.json"), "w") as fh:
+    with datasets.write_atomic(os.path.join(config.output_dir, "config.echo.json")) as fh:
         json.dump(echo, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -175,7 +175,7 @@ def cmd_distill(config: ExperimentConfig) -> None:
     syn.provenance["root_seed"] = config.root_seed
     save_synthetic(syn, _synthetic_path(config))
     loss_path = os.path.join(config.output_dir, "distill_loss.csv")
-    with open(loss_path, "w") as fh:
+    with datasets.write_atomic(loss_path) as fh:
         fh.write("epoch,loss\n")
         for i, loss in enumerate(history):
             fh.write(f"{i},{loss!r}\n")
@@ -207,7 +207,7 @@ def cmd_train(config: ExperimentConfig, method: str) -> None:
     os.makedirs(method_dir, exist_ok=True)
     for i, params in enumerate(cohort):
         tinynet.save_checkpoint(params, os.path.join(method_dir, f"student_{i}.json"))
-    with open(os.path.join(method_dir, "meta.json"), "w") as fh:
+    with datasets.write_atomic(os.path.join(method_dir, "meta.json")) as fh:
         json.dump(
             {
                 "method": method,

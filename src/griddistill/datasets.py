@@ -1,5 +1,6 @@
 """Offline transition dataset: return computation, percentile filtering,
-batch sampling, and the JSONL + meta.json on-disk format.
+batch sampling, and the JSONL + meta.json on-disk format. Every output
+file of the package is written through `write_atomic`.
 
 In memory a dataset is a set of numpy columns, one entry per transition,
 each episode one contiguous run of rows in t order:
@@ -16,6 +17,7 @@ by their start return g_0, because the filter weight is constant across an
 episode.
 """
 
+import contextlib
 import json
 import math
 import os
@@ -157,11 +159,28 @@ def _meta_path(path: str) -> str:
     return base + ".meta.json"
 
 
+@contextlib.contextmanager
+def write_atomic(path: str):
+    """Open `path` for writing text, atomically: the body writes
+    `path + ".tmp"`, which replaces `path` only once it is complete and
+    closed, so a reader never sees a partial file. If the body raises, the
+    temp file is removed and `path` is left as it was."""
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "w") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
 def save(ds: OfflineDataset, path: str) -> None:
     """JSON Lines body (one transition per line) plus a <name>.meta.json
     sidecar holding the meta record and the row count."""
     columns = [getattr(ds, name) for name in COLUMNS]
-    with open(path, "w") as fh:
+    with write_atomic(path) as fh:
         for episode_id, t, seed, obs, action, next_obs, reward, done, g_t, g_0 in zip(*columns):
             parts = [
                 f'"episode_id":{episode_id}',
@@ -178,7 +197,7 @@ def save(ds: OfflineDataset, path: str) -> None:
             fh.write("{" + ",".join(parts) + "}\n")
     meta = dict(ds.meta)
     meta["rows"] = len(ds)
-    with open(_meta_path(path), "w") as fh:
+    with write_atomic(_meta_path(path)) as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
         fh.write("\n")
 

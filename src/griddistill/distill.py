@@ -196,7 +196,7 @@ def save_synthetic(syn: SyntheticDataset, path: str) -> None:
         parts.append(f'"label_logits":[{lrows}]')
     prov = json.dumps(syn.provenance, sort_keys=True, separators=(",", ":"))
     parts.append(f'"provenance":{prov}')
-    with open(path, "w") as fh:
+    with datasets.write_atomic(path) as fh:
         fh.write("{" + ",".join(parts) + "}\n")
 
 

@@ -2,25 +2,31 @@
 in-distribution and out-of-distribution seed sets, plus report emission.
 
 On a fixed map a policy is a table from cell to action distribution: one
-batched forward over the map's cell observations for a student, one-hot
-greedy actions for the planner. Each eval map is generated, observed and
-solved once, and the planner and every student of every cohort roll their
-episodes on it. Students act by argmax by default, so cohort comparisons
-reflect training rather than action-sampling noise; the `stochastic`
-action rule samples from the table instead, one stream per episode. The
-planner always acts greedily. Reports carry both pooled statistics over
-every episode and the mean of per-student statistics; the CSV holds the
-pooled numbers, the markdown tables the per-student ones.
+batched forward over the map's cell observations for a student, the
+greedy actions for the planner. Each split runs in two phases. Each eval
+map is generated, solved and observed once, keeping what the walk reads
+of every student's table: its argmax action per cell, or its cumulative
+action probabilities under the `stochastic` rule. Then every (student,
+map, episode) lane of the split walks in lockstep over the maps' stacked
+transition tables, and the planner walks one lane per map. Students act
+by argmax by default, so cohort comparisons reflect training rather than
+action-sampling noise; the `stochastic` rule samples instead, each lane
+from its episode's own stream. The planner always acts greedily. Reports
+carry both pooled statistics over every episode and the mean of
+per-student statistics; the CSV holds the pooled numbers, the markdown
+tables the per-student ones.
 """
 
+import numbers
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import expert, gridenv, tinynet
+from .datasets import write_atomic
 from .gridenv import N_ACTIONS, EnvConfig
-from .rng import RngStream, derive_stream
+from .rng import derive_stream, next_uniform_lanes
 
 METHOD_ORDER = ("expert", "bc10", "bc25", "bc40", "bc100", "synthetic")
 
@@ -37,6 +43,16 @@ class EvalConfig:
     action_rule: str = "argmax"  # or "stochastic"
 
     def __post_init__(self):
+        for name in (
+            "id_seed_start",
+            "id_seed_count",
+            "ood_seed_start",
+            "ood_seed_count",
+            "episodes_per_seed",
+        ):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} {value!r} is not an integer")
         if self.id_seed_count < 1 or self.ood_seed_count < 1:
             raise ValueError("each eval split needs at least one seed")
         id_seeds, ood_seeds = self.id_seeds, self.ood_seeds
@@ -70,34 +86,121 @@ class EvalReport:
     student_std: float | None = None
 
 
-def _sample_from(probs: np.ndarray, rng: RngStream) -> int:
-    u = rng.next_uniform()
-    acc = 0.0
-    for i, p in enumerate(probs):
-        acc += p
-        if u < acc:
-            return i
-    return len(probs) - 1
+class _Maps:
+    """A split's map MDPs over global cells g = m * cells + c (cell c of map
+    m), filled one map at a time: `next[g, a]` is the global cell action a
+    leads to from g, `reward[g, a]` what that move pays, `goal[g]` whether g
+    is its map's goal, and `start[m]` map m's start cell."""
+
+    def __init__(self, count: int, config: EnvConfig):
+        self.cells = config.grid_n ** 2
+        self.horizon = config.horizon
+        self.next = np.empty((count * self.cells, N_ACTIONS), dtype=np.int64)
+        self.reward = np.empty((count * self.cells, N_ACTIONS))
+        self.goal = np.zeros(count * self.cells, dtype=bool)
+        self.start = np.empty(count, dtype=np.int64)
+
+    def add(self, m: int, spec: gridenv.GridSpec) -> None:
+        n, base = spec.config.grid_n, m * self.cells
+        self.next[base : base + self.cells] = spec.next_cell.T + base
+        self.reward[base : base + self.cells] = spec.reward.T
+        self.goal[base + spec.goal[0] * n + spec.goal[1]] = True
+        self.start[m] = base + spec.start[0] * n + spec.start[1]
+
+    def walk(
+        self, cell: np.ndarray, offset: np.ndarray, policy: np.ndarray, states=None
+    ) -> np.ndarray:
+        """Every lane's undiscounted return, all lanes stepped together. Lane
+        l starts on global cell `cell[l]` and reads policy row `offset[l] +
+        g` on cell g. Without `states`, `policy` holds one action per row
+        (the argmax rule). With them, its rows are cumulative action
+        probabilities and lane l samples from stream `states[:, l]`: the
+        first action a with u < row[a], else the last, as a running sum of
+        the probabilities would pick. Returns add each reward in step order
+        from 0.0, so they equal sum() over the episode's rewards. A lane ends
+        on its goal or at the horizon."""
+        returns = np.zeros(len(cell))
+        lane = np.arange(len(cell))
+        next_cell, reward = self.next.ravel(), self.reward.ravel()
+        for _ in range(self.horizon):
+            if not len(lane):
+                break
+            row = offset + cell
+            if states is None:
+                action = policy[row]
+            else:
+                u = next_uniform_lanes(states)
+                action = np.minimum((policy[row] <= u[:, None]).sum(axis=1), N_ACTIONS - 1)
+            move = cell * N_ACTIONS + action
+            cell = next_cell[move]
+            returns[lane] += reward[move]
+            live = ~self.goal[cell]
+            if not live.all():
+                lane, cell, offset = lane[live], cell[live], offset[live]
+                if states is not None:
+                    states = states[:, live]
+        return returns
 
 
-def _episode_return(table: np.ndarray, spec: gridenv.GridSpec, rng: RngStream | None) -> float:
-    """One episode walking a (cells, N_ACTIONS) policy table; undiscounted
-    return. Each visited cell's row gives the action: its argmax (ties break
-    to the lowest index) when `rng` is None, else a draw from it."""
-    greedy = table.argmax(axis=1).tolist()
+def _split_returns(
+    cohorts: dict,
+    env_config: EnvConfig,
+    eval_cfg: EvalConfig,
+    gamma: float,
+    root_seed: int,
+    split: str,
+    seeds: range,
+) -> tuple:
+    """(planner returns, student returns) on one split. Each is ordered by
+    map, then episode; the students' are one row per student, cohorts in
+    order. Each map is generated, solved and observed once, and every
+    student's policy on it is one forward; then every episode of the split
+    walks in lockstep, the planner's greedy walk (one lane per map) apart."""
+    sampled = eval_cfg.action_rule == "stochastic"
+    episodes = eval_cfg.episodes_per_seed
+    students = [params for members, _ in cohorts.values() for params in members]
+    maps = _Maps(len(seeds), env_config)
+    planner = np.empty((len(seeds), maps.cells), dtype=np.int8)
+    if sampled:
+        policies = np.empty((len(students), len(seeds), maps.cells, N_ACTIONS))
+    else:
+        policies = np.empty((len(students), len(seeds), maps.cells), dtype=np.int8)
+    for m, seed in enumerate(seeds):
+        spec = gridenv.generate(env_config, seed)
+        maps.add(m, spec)
+        planner[m] = expert.value_iteration(spec, gamma=gamma).greedy_action
+        obs = gridenv.cell_observations(spec)
+        for s, params in enumerate(students):
+            table = tinynet.forward(params, obs)
+            if sampled:
+                np.cumsum(table, axis=1, out=policies[s, m])
+            else:
+                policies[s, m] = table.argmax(axis=1)
+    planner_returns = maps.walk(maps.start, np.zeros(len(seeds), dtype=np.int64), planner.ravel())
+    per_student = len(seeds) * episodes  # one student's lanes: by map, then episode
+    cell = np.tile(np.repeat(maps.start, episodes), len(students))
+    offset = np.repeat(np.arange(len(students)) * (len(seeds) * maps.cells), per_student)
+    states = None
+    if sampled:
+        # one stream per (index within the cohort, seed, episode): the i-th
+        # students of all cohorts share one label, so they share its stream
+        width = max((len(members) for members, _ in cohorts.values()), default=0)
+        labels = [
+            f"eval:{split}:{i}:{seed}:{e}"
+            for i in range(width)
+            for seed in seeds
+            for e in range(episodes)
+        ]
+        by_index = np.array(
+            [derive_stream(root_seed, label).state for label in labels], dtype=np.uint64
+        ).reshape(width, per_student, 4)
+        member = [i for members, _ in cohorts.values() for i in range(len(members))]
+        states = np.ascontiguousarray(by_index[member].reshape(-1, 4).T)
+    returns = maps.walk(cell, offset, policies.reshape(-1, *policies.shape[3:]), states)
+    return np.repeat(planner_returns, episodes), returns.reshape(len(students), per_student)
 
-    def choose(cell):
-        return greedy[cell] if rng is None else _sample_from(table[cell], rng)
 
-    return sum(s[3] for s in gridenv.run_episode(spec, choose))
-
-
-def planner_table(spec: gridenv.GridSpec, gamma: float) -> np.ndarray:
-    """The planner's greedy action on every cell, as one-hot rows."""
-    return np.eye(N_ACTIONS)[expert.value_iteration(spec, gamma=gamma).greedy_action]
-
-
-def _report(method: str, split: str, by_member: list, dataset_size: int) -> EvalReport:
+def _report(method: str, split: str, by_member, dataset_size: int) -> EvalReport:
     pooled = np.concatenate(by_member)
     return EvalReport(
         method=method,
@@ -123,28 +226,17 @@ def evaluate_cohorts(
     for method, (students, _) in cohorts.items():
         if not students:
             raise ValueError(f"cohort {method!r} is empty")
-    sampled = eval_cfg.action_rule == "stochastic"
-    episodes = range(eval_cfg.episodes_per_seed)
     by_split = []
     for split, seeds in (("ID", eval_cfg.id_seeds), ("OOD", eval_cfg.ood_seeds)):
-        planner = []
-        returns = {method: [[] for _ in students] for method, (students, _) in cohorts.items()}
-        for seed in seeds:
-            spec = gridenv.generate(env_config, seed)
-            greedy_return = _episode_return(planner_table(spec, gamma), spec, None)
-            planner.extend([greedy_return] * len(episodes))
-            obs = gridenv.cell_observations(spec)
-            for method, (students, _) in cohorts.items():
-                for i, params in enumerate(students):
-                    table = tinynet.forward(params, obs)
-                    for e in episodes:
-                        label = f"eval:{split}:{i}:{seed}:{e}"
-                        rng = derive_stream(root_seed, label) if sampled else None
-                        returns[method][i].append(_episode_return(table, spec, rng))
-        by_split.append(
-            [_report("expert", split, [planner], 0)]
-            + [_report(m, split, returns[m], size) for m, (_, size) in cohorts.items()]
+        planner, returns = _split_returns(
+            cohorts, env_config, eval_cfg, gamma, root_seed, split, seeds
         )
+        reports = [_report("expert", split, [planner], 0)]
+        first = 0
+        for method, (students, size) in cohorts.items():
+            reports.append(_report(method, split, returns[first : first + len(students)], size))
+            first += len(students)
+        by_split.append(reports)
     return [report for pair in zip(*by_split) for report in pair]
 
 
@@ -153,7 +245,7 @@ CSV_HEADER = "method,split,mean_return,std_return,n_episodes,dataset_size"
 
 def write_csv(reports: list, path: str) -> None:
     rows = sorted(reports, key=lambda r: (r.split, r.method))
-    with open(path, "w") as fh:
+    with write_atomic(path) as fh:
         fh.write(CSV_HEADER + "\n")
         for r in rows:
             fh.write(
@@ -230,5 +322,5 @@ def emit_report(reports: list, out_dir: str) -> None:
             "| grid | " + " | ".join(str(by_method[m].dataset_size) for m in methods) + " |"
         )
         lines.append("")
-    with open(os.path.join(out_dir, "results.md"), "w") as fh:
+    with write_atomic(os.path.join(out_dir, "results.md")) as fh:
         fh.write("\n".join(lines))

@@ -7,10 +7,11 @@ pixels, laid out channel-major as [agent | goal | wall | hazard], each
 channel a row-major grid_n x grid_n block.
 
 Each map carries its MDP over flat row-major cells (`GridSpec.next_cell`,
-`GridSpec.reward`). `run_episode` is the one episode loop: it walks those
-tables cell by cell, and collection, evaluation and the planner all read
-them. `GridState`, `initial_state`, `step` and `observe` are the reference
-semantics the tables are tested against.
+`GridSpec.reward`), and collection, evaluation and the planner all read
+those tables. `run_episode` walks them one episode at a time, cell by
+cell, for collection; evaluation walks all of a split's episodes at once
+over the same tables. `GridState`, `initial_state`, `step` and `observe`
+are the reference semantics the tables are tested against.
 """
 
 from dataclasses import dataclass, field

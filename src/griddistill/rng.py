@@ -15,13 +15,17 @@ of the next 256 steps, and the state 256 or 512 steps on, are the XOR of
 the contributions of the state's set bits taken one at a time. Those
 per-bit contributions are tabulated once, at import.
 
-Draws below 16,384 words take whole blocks of 256 outputs from the tables,
+Draws below 32,768 words take whole blocks of 256 outputs from the tables,
 one vectorized XOR per block, and the last k mod 256 words from the scalar
 generator. Larger draws split the stream into lanes 512 words apart (each
 lane starts one 512-step jump after the last: the jump functions of
 Blackman & Vigna used for block splitting) and step all lanes at once as
 uint64 vectors; their k mod 512 tail takes the table path. Either way the
 (nonlinear) output scrambler runs in uint64 over the whole draw.
+
+`next_uniform_lanes` takes one uniform from each of many streams whose
+states sit side by side as uint64 columns, for a consumer that walks many
+streams in lockstep.
 
 `LaneCursor` reads a stream ahead, 256 lanes at a time, for a consumer
 that makes many mid-sized draws and never reads the stream afterwards.
@@ -37,7 +41,11 @@ _FNV_PRIME = 0x100000001B3
 _INV_2_53 = 2.0 ** -53
 _BLOCK = 256  # outputs per table block; also the number of state bits
 _LANE_BLOCK = 512  # words per lane: lanes start one 512-step jump apart
-_LANE_MIN = 16_384  # smallest draw that takes lanes; smaller ones take the tables
+# Smallest draw that takes lanes; smaller ones take the tables. The lanes'
+# fixed cost is 512 vector steps, so on 2 cores (best of 15) they cross the
+# tables here: 28,672 words took 3.6-5.8 ms by lanes and 4.1-5.3 ms by
+# tables, 32,768 words 3.7-6.2 ms by lanes and 4.9-6.7 ms by tables.
+_LANE_MIN = 32_768
 _CURSOR_REFILL = 256 * _LANE_BLOCK  # words per LaneCursor refill
 _SCRAMBLE_CHUNK = 8192  # words scrambled per in-place pass, cache-sized
 
@@ -189,7 +197,7 @@ class RngStream:
 
     def next_u64_array(self, k: int) -> np.ndarray:
         """k raw words as a uint64 array, the same sequence as k calls to
-        next_u64. From 16,384 words on, lanes of 512 give all whole lanes;
+        next_u64. From 32,768 words on, lanes of 512 give all whole lanes;
         whole blocks of 256 come from the tables, the last k % 256 words
         from next_u64."""
         if k < 0:
@@ -246,6 +254,16 @@ class RngStream:
 def _uniforms(words: np.ndarray) -> np.ndarray:
     """Uniform doubles in [0, 1) from the top 53 bits of each word."""
     return (words >> np.uint64(11)).astype(np.float64) * _INV_2_53
+
+
+def next_uniform_lanes(states: np.ndarray) -> np.ndarray:
+    """One next_uniform() on each of many streams at once: column l of the
+    (4, L) uint64 array `states` is the state of stream l. Returns the L
+    uniforms and steps every column once, in place."""
+    words = states[1].copy()
+    _scramble(words)
+    _step_u64(*states, *np.empty((2, states.shape[1]), dtype=np.uint64))
+    return _uniforms(words)
 
 
 def _accept_limit(n: int) -> int:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datasets import SchemaError, _fmt_array
+from .datasets import SchemaError, _fmt_array, write_atomic
 from .rng import RngStream
 
 
@@ -274,7 +274,7 @@ def save_checkpoint(params: PolicyParams, path: str) -> None:
         '{"shape":{"in":%d,"hidden":%d,"out":%d},"theta":%s}'
         % (s.in_dim, s.hidden, s.out_dim, theta)
     )
-    with open(path, "w") as fh:
+    with write_atomic(path) as fh:
         fh.write(body + "\n")
 
 

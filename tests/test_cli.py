@@ -55,6 +55,12 @@ class TestConfig:
             ({"episodes_per_seed": 0}, "episodes_per_seed must be >= 1"),
             ({"id_seed_count": 0}, "each eval split needs at least one seed"),
             ({"ood_seed_count": -3}, "each eval split needs at least one seed"),
+            ({"episodes_per_seed": 2.0}, r"episodes_per_seed 2.0 is not an integer"),
+            ({"episodes_per_seed": True}, r"episodes_per_seed True is not an integer"),
+            ({"id_seed_start": 0.5}, r"id_seed_start 0.5 is not an integer"),
+            ({"id_seed_count": 3.0}, r"id_seed_count 3.0 is not an integer"),
+            ({"ood_seed_start": "10000"}, r"ood_seed_start '10000' is not an integer"),
+            ({"ood_seed_count": False}, r"ood_seed_count False is not an integer"),
         ],
     )
     def test_bad_eval_section_rejected_at_load(self, section, reason):
@@ -282,6 +288,7 @@ class TestEvalCmd:
         # expert + bc50 + bc100 + synthetic, two splits each, plus header
         assert len(rows) == 1 + 4 * 2
         assert (out / "results.md").exists()
+        assert not list(out.rglob("*.tmp"))  # every atomic write was moved into place
 
     @pytest.fixture()
     def trained(self, tmp_path):

@@ -481,3 +481,27 @@ def reference_validate(rows):
             g_next = r["g_t"]
         if any(abs(r["g_0"] - ep[0]["g_t"]) > 1e-9 for r in ep):
             raise SchemaError(f"episode {eid}: g_0 mismatch")
+
+
+class TestWriteAtomic:
+    def test_replaces_the_file_and_leaves_no_temp(self, tmp_path):
+        path = tmp_path / "out.txt"
+        path.write_text("old\n")
+        with datasets.write_atomic(str(path)) as fh:
+            fh.write("new\n")
+            assert path.read_text() == "old\n"  # readers see the old file until the swap
+        assert path.read_text() == "new\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt"]
+
+    @pytest.mark.parametrize("existed", [True, False])
+    def test_a_failed_write_leaves_the_target_as_it_was(self, tmp_path, existed):
+        path = tmp_path / "out.txt"
+        if existed:
+            path.write_text("old\n")
+        with pytest.raises(RuntimeError, match="boom"):
+            with datasets.write_atomic(str(path)) as fh:
+                fh.write("half")
+                raise RuntimeError("boom")
+        assert sorted(p.name for p in tmp_path.iterdir()) == (["out.txt"] if existed else [])
+        if existed:
+            assert path.read_text() == "old\n"

@@ -4,7 +4,7 @@ import pytest
 from griddistill import evaluate, expert, gridenv, tinynet
 from griddistill.evaluate import EvalConfig, EvalReport
 from griddistill.gridenv import EnvConfig
-from griddistill.rng import derive_stream
+from griddistill.rng import RngStream, derive_stream
 from griddistill.tinynet import NetShape, PolicyParams
 
 from test_gridenv import make_spec
@@ -20,11 +20,40 @@ def policy_always(action, in_dim):
     return params
 
 
+def _sample_from(probs, rng):
+    """Reference action sampling: the first action whose running sum of
+    probabilities exceeds one uniform, else the last."""
+    u = rng.next_uniform()
+    acc = 0.0
+    for i, p in enumerate(probs):
+        acc += p
+        if u < acc:
+            return i
+    return len(probs) - 1
+
+
+def walk_one_map(tables, spec, streams=None):
+    """Lockstep returns on one map, one lane per (cells, N_ACTIONS) policy
+    table in `tables`: argmax lanes without `streams`, else lane l samples
+    its table from streams[l]."""
+    maps = evaluate._Maps(1, spec.config)
+    maps.add(0, spec)
+    lanes = len(tables)
+    offset = np.arange(lanes) * maps.cells
+    if streams is None:
+        policy, states = np.concatenate([t.argmax(axis=1) for t in tables]), None
+    else:
+        policy = np.concatenate([np.cumsum(t, axis=1) for t in tables])
+        states = np.array([rng.state for rng in streams], dtype=np.uint64).T.copy()
+    return maps.walk(np.repeat(maps.start, lanes), offset, policy, states)
+
+
 def student_return(params, spec, rng=None):
-    """One episode of a student's policy table: argmax without a stream,
-    sampled with one."""
+    """One episode of a student's policy table, walked as a single lane:
+    argmax without a stream, sampled with one."""
     table = tinynet.forward(params, gridenv.cell_observations(spec))
-    return evaluate._episode_return(table, spec, rng)
+    (ret,) = walk_one_map([table], spec, None if rng is None else [rng])
+    return ret
 
 
 class TestRunPolicy:
@@ -67,13 +96,59 @@ class TestRunPolicy:
 
         exact = expected_return(spec.start, 0)
         n = 10_000
-        returns = [
-            student_return(params, spec, derive_stream(i, "mc"))
-            for i in range(n)
-        ]
-        returns = np.array(returns)
+        table = tinynet.forward(params, gridenv.cell_observations(spec))
+        # every episode one lane of a single lockstep walk
+        returns = walk_one_map([table] * n, spec, [derive_stream(i, "mc") for i in range(n)])
         sem = returns.std() / np.sqrt(n)
         assert abs(returns.mean() - exact) <= 5 * sem
+
+    @pytest.mark.parametrize("action_rule", ["argmax", "stochastic"])
+    def test_goal_at_step_one_beside_a_timeout(self, action_rule):
+        # the RIGHT lanes reach the goal on their first step and leave the
+        # walk; the lanes between them run on, on their own streams
+        cfg = EnvConfig(grid_n=3, wall_density=0.0, hazard_count=0, horizon=7)
+        spec = make_spec(np.zeros((3, 3)), start=(0, 0), goal=(0, 1), config=cfg)
+        right, stay = (np.tile(np.eye(5)[a], (9, 1)) for a in (3, 4))
+        if action_rule == "argmax":
+            timeout = sum([cfg.step_reward] * cfg.horizon)
+            assert list(walk_one_map([right, stay, right, stay], spec)) == [10.0, timeout] * 2
+            return
+        uniform = np.full((9, 5), 0.2)
+        tables = [right, uniform, right, uniform]
+        labels = ("a", "b", "c", "d")
+        got = walk_one_map(tables, spec, [derive_stream(5, label) for label in labels])
+        want = [step_loop_table_return(t, spec, derive_stream(5, l)) for t, l in zip(tables, labels)]
+        assert list(got) == want
+        assert got[0] == got[2] == 10.0
+        assert got[1] != got[3]  # the two sampled lanes differ, so neither took the other's stream
+
+
+    def test_uniform_on_a_cumulative_boundary_takes_the_next_action(self):
+        # a stream whose first uniform is exactly 0.5, on rows whose running
+        # sum reaches 0.5 at UP: `u < acc` fails there, so DOWN is taken
+        mask = (1 << 64) - 1
+        word = 1 << 63  # its top 53 bits make the uniform 0.5
+        x = word * pow(9, -1, 1 << 64) & mask  # undo the scrambler
+        x = (x >> 7 | x << 57) & mask
+        state = (1, x * pow(5, -1, 1 << 64) & mask, 2, 3)
+        assert RngStream(state, "edge").next_uniform() == 0.5
+        spec = make_spec(np.zeros((2, 2)), start=(0, 0), goal=(1, 0))
+        table = np.tile([0.5, 0.5, 0.0, 0.0, 0.0], (4, 1))
+        got = walk_one_map([table], spec, [RngStream(state, "edge")])
+        assert list(got) == [step_loop_table_return(table, spec, RngStream(state, "edge"))] == [10.0]
+
+
+def step_loop_table_return(table, spec, rng):
+    """Reference: gridenv.step from the start, sampling each visited cell's
+    row of `table` by the running sum."""
+    n = spec.config.grid_n
+    state = gridenv.initial_state(spec)
+    total = 0.0
+    while not state.terminated:
+        action = _sample_from(table[state.agent[0] * n + state.agent[1]], rng)
+        state, reward, _done = gridenv.step(state, action)
+        total += reward
+    return total
 
 
 def step_loop_return(params, spec, action_rule, rng):
@@ -85,16 +160,23 @@ def step_loop_return(params, spec, action_rule, rng):
         if action_rule == "argmax":
             action = int(np.argmax(probs))
         else:
-            action = evaluate._sample_from(probs, rng)
+            action = _sample_from(probs, rng)
         state, reward, _done = gridenv.step(state, action)
         total += reward
     return total
 
 
+def split_returns(cohorts, eval_cfg, root_seed, seeds, split="ID", env=None):
+    return evaluate._split_returns(
+        cohorts, env or EnvConfig(), eval_cfg, 0.99, root_seed, split, seeds
+    )
+
+
 class TestPolicyTableEquivalence:
-    """Table-driven episodes against the per-step references they replace,
-    return for return. Batched and one-row forwards may differ in the last
-    bits, so the comparison is on returns, not on probabilities."""
+    """The lockstep walk of a whole split against the per-step references
+    it replaces, return for return. Batched and one-row forwards may differ
+    in the last bits, so the comparison is on returns, not on
+    probabilities."""
 
     SEEDS = range(200)
 
@@ -103,26 +185,26 @@ class TestPolicyTableEquivalence:
         env = EnvConfig()
         shape = NetShape(in_dim=env.obs_dim)
         students = [tinynet.init_params(shape, derive_stream(i, "eq:init")) for i in range(2)]
-        returns = []
-        for seed in self.SEEDS:
+        eval_cfg = eval_config(self.SEEDS, range(10_000, 10_001), action_rule=action_rule)
+        _, walked = split_returns({"m": (students, 1)}, eval_cfg, 3, self.SEEDS)
+        assert walked.shape == (2, len(self.SEEDS))
+        for m, seed in enumerate(self.SEEDS):
             spec = gridenv.generate(env, seed)
             for i, params in enumerate(students):
-                label = f"eq:{i}:{seed}"
-                rng = derive_stream(3, label) if action_rule == "stochastic" else None
-                got = student_return(params, spec, rng)
-                want = step_loop_return(params, spec, action_rule, derive_stream(3, label))
-                assert got == want, (seed, i)
-                returns.append(got)
-        assert len(set(returns)) > 5  # the maps exercise more than one outcome
+                rng = derive_stream(3, f"eval:ID:{i}:{seed}:0")
+                assert walked[i, m] == step_loop_return(params, spec, action_rule, rng), (seed, i)
+        assert len(set(walked.ravel())) > 5  # the maps exercise more than one outcome
 
     def test_planner_table_matches_greedy_rollout(self):
         env = EnvConfig()
-        for seed in self.SEEDS:
+        eval_cfg = eval_config(self.SEEDS, range(10_000, 10_001))
+        planner, students = split_returns({}, eval_cfg, 0, self.SEEDS)
+        assert students.shape == (0, len(self.SEEDS))
+        for m, seed in enumerate(self.SEEDS):
             spec = gridenv.generate(env, seed)
-            table = evaluate.planner_table(spec, gamma=0.99)
             policy = expert.ExpertPolicy(table=expert.value_iteration(spec), epsilon=0.0)
             episode = expert.rollout(policy, spec, derive_stream(seed, "eq:planner"))
-            assert evaluate._episode_return(table, spec, None) == sum(s[3] for s in episode.steps)
+            assert planner[m] == sum(s[3] for s in episode.steps)
 
 
 def eval_config(id_seeds, ood_seeds, **kwargs):
@@ -199,6 +281,58 @@ class TestEvaluateCohort:
             alone += evaluate.evaluate_cohorts({method: cohort}, env, eval_cfg, 0.99, 11)[2:]
         assert together == alone
         assert [r.dataset_size for r in together] == [0, 0, 7, 7, 9, 9]
+
+
+    @pytest.mark.parametrize("action_rule", ["argmax", "stochastic"])
+    def test_three_episodes_per_seed_match_step_loop(self, action_rule):
+        env = EnvConfig()
+        seeds = range(20, 30)
+        eval_cfg = eval_config(
+            seeds, range(10_000, 10_001), episodes_per_seed=3, action_rule=action_rule
+        )
+        shape = NetShape(in_dim=env.obs_dim)
+        students = [tinynet.init_params(shape, derive_stream(i, "three")) for i in range(2)]
+        planner, walked = split_returns({"m": (students, 1)}, eval_cfg, 8, seeds, split="OOD")
+        assert walked.shape == (2, 3 * len(seeds))
+        greedy, _ = split_returns({}, eval_config(seeds, range(10_000, 10_001)), 8, seeds)
+        assert list(planner) == list(np.repeat(greedy, 3))
+        for m, seed in enumerate(seeds):
+            spec = gridenv.generate(env, seed)
+            for i, params in enumerate(students):
+                for e in range(3):
+                    rng = derive_stream(8, f"eval:OOD:{i}:{seed}:{e}")
+                    want = step_loop_return(params, spec, action_rule, rng)
+                    assert walked[i, 3 * m + e] == want, (seed, i, e)
+        if action_rule == "stochastic":  # the episodes draw from distinct streams
+            assert any(len(set(row)) > 1 for row in walked.reshape(-1, 3))
+
+    def test_planner_only_split_under_stochastic_rule(self):
+        # no student lanes: the sampled walk has nothing to step
+        seeds = range(4)
+        sampled = eval_config(
+            seeds, range(10_000, 10_001), episodes_per_seed=2, action_rule="stochastic"
+        )
+        planner, students = split_returns({}, sampled, 0, seeds)
+        assert students.shape == (0, 8)
+        greedy, _ = split_returns({}, eval_config(seeds, range(10_000, 10_001)), 0, seeds)
+        assert list(planner) == list(np.repeat(greedy, 2))
+
+    @pytest.mark.parametrize("action_rule", ["argmax", "stochastic"])
+    def test_student_returns_do_not_depend_on_walk_mates(self, action_rule):
+        env = EnvConfig()
+        seeds = range(6)
+        eval_cfg = eval_config(
+            seeds, range(10_000, 10_001), episodes_per_seed=2, action_rule=action_rule
+        )
+        shape = NetShape(in_dim=env.obs_dim)
+        students = [tinynet.init_params(shape, derive_stream(i, "mates")) for i in range(4)]
+        a, b, c = (students[:1], 1), (students[1:3], 1), (students[3:], 1)
+        _, together = split_returns({"a": a, "b": b, "c": c}, eval_cfg, 2, seeds)
+        _, b_alone = split_returns({"b": b}, eval_cfg, 2, seeds)
+        _, c_first = split_returns({"c": c, "a": a}, eval_cfg, 2, seeds)
+        assert np.array_equal(together[1:3], b_alone)
+        assert np.array_equal(together[3], c_first[0])
+        assert np.array_equal(together[0], c_first[1])
 
 
 class TestEvaluateExpert:

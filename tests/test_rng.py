@@ -3,7 +3,14 @@ import hashlib
 import numpy as np
 import pytest
 
-from griddistill.rng import LaneCursor, RngStream, derive_stream, fnv1a64, splitmix64
+from griddistill.rng import (
+    LaneCursor,
+    RngStream,
+    derive_stream,
+    fnv1a64,
+    next_uniform_lanes,
+    splitmix64,
+)
 
 
 def test_splitmix64_reference_output():
@@ -53,10 +60,13 @@ def test_next_uniform_range():
 
 # draw counts around the 256-output block: none, tail only, whole blocks,
 # blocks plus tail, and the two init_params sizes of the default network;
-# then around the 16,384-word lane threshold and the 512-word lane:
-# tables only, whole lanes, lanes plus a scalar tail, lanes plus a table
-# block, and two lane refills of distillation's read-ahead
-BULK_COUNTS = (0, 1, 255, 256, 257, 512, 4608, 4768, 16383, 16384, 16385, 16896, 262144)
+# mid-sized draws that take the tables (16,383-16,896); then around
+# the 32,768-word lane threshold: tables only, whole lanes, lanes plus a
+# scalar tail; and two lane refills of distillation's read-ahead
+BULK_COUNTS = (
+    0, 1, 255, 256, 257, 512, 4608, 4768, 16383, 16384, 16385, 16896,
+    32767, 32768, 32769, 262144,
+)
 BULK_STREAMS = ((77, "bulk"), (0, "student:3"), (42, "distill"))
 
 
@@ -112,6 +122,23 @@ def test_one_schedule_draw_matches_per_step_draws(n, batch):
     per_step = np.concatenate([b.next_int_array(n, batch) for _ in range(steps)])
     assert np.array_equal(schedule, per_step)
     assert a.next_u64() == b.next_u64()
+
+
+def test_uniform_lanes_match_each_stream():
+    # each column a stream of its own; columns are dropped between steps,
+    # as a lockstep walk drops lanes that finished
+    streams = [derive_stream(seed, f"eval:ID:{seed % 3}:{seed}:0") for seed in range(7)]
+    refs = [derive_stream(seed, f"eval:ID:{seed % 3}:{seed}:0") for seed in range(7)]
+    states = np.array([s.state for s in streams], dtype=np.uint64).T.copy()
+    live = np.arange(7)
+    for step in range(6):
+        u = next_uniform_lanes(states)
+        assert u.dtype == np.float64
+        assert list(u) == [refs[l].next_uniform() for l in live], step
+        assert [tuple(int(w) for w in col) for col in states.T] == [refs[l].state for l in live]
+        keep = np.arange(len(live)) != step % len(live)
+        live, states = live[keep], states[:, keep]
+    assert next_uniform_lanes(np.empty((4, 0), dtype=np.uint64)).shape == (0,)
 
 
 def test_lane_cursor_matches_stream_over_distill_reads():
