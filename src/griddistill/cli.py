@@ -227,8 +227,10 @@ def cmd_train(config: ExperimentConfig, method: str) -> None:
 
 def _load_cohort(config: ExperimentConfig, method: str):
     """The method's students and dataset size; raises SchemaError naming
-    the file for a malformed meta.json or checkpoint, or a checkpoint that
-    does not fit config.net_shape()."""
+    the file for a malformed meta.json or checkpoint, an n_students that
+    is not an integer >= 1 or a dataset_size that is not an integer >= 0
+    (a bool is not one), or a checkpoint that does not fit
+    config.net_shape()."""
     method_dir = _method_dir(config, method)
     meta_path = os.path.join(method_dir, "meta.json")
     if not os.path.exists(meta_path):
@@ -245,6 +247,11 @@ def _load_cohort(config: ExperimentConfig, method: str):
         raise datasets.SchemaError(
             f"{meta_path}: expected an object with n_students and dataset_size"
         )
+    for key, least in (("n_students", 1), ("dataset_size", 0)):
+        if type(meta[key]) is not int or meta[key] < least:
+            raise datasets.SchemaError(
+                f"{meta_path}: {key} {meta[key]!r} is not an integer >= {least}"
+            )
     shape = config.net_shape()
     cohort = []
     for i in range(meta["n_students"]):

@@ -144,14 +144,25 @@ def sample_batch(ds: OfflineDataset, batch: int, rng: RngStream) -> tuple[np.nda
 
 
 def _fmt(x: float) -> str:
-    """17-significant-digit decimal: round-trips any float64 exactly. Negative
-    zero is written -0.0, since JSON reads -0 as the integer 0."""
+    """The text of one float in every artifact: `%.17g`, 17 significant
+    digits, which round-trip any float64 exactly. An integral float is
+    written without a decimal point (1.0 as 1, 1e16 as 10000000000000000).
+    Negative zero is written -0.0, since JSON reads -0 as the integer 0."""
     text = format(float(x), ".17g")
     return "-0.0" if text == "-0" else text
 
 
-def _fmt_array(arr) -> str:
-    return "[" + ",".join(_fmt(v) for v in arr) + "]"
+def _fmt_array(values) -> str:
+    """A 1-D array as a JSON list of `_fmt` tokens, formatted by one
+    C-level `%` over the whole array. Negative zero is mended afterwards:
+    `%.17g` writes it -0, and no other token can be -0 followed by a comma
+    or the closing bracket, since exponents have at least two digits
+    (1e-05). Raises ValueError for an array that is not 1-D."""
+    values = np.asarray(values, dtype=np.float64)
+    if values.ndim != 1:
+        raise ValueError(f"expected a 1-D array, got shape {values.shape}")
+    text = ("[" + ",".join(("%.17g",) * len(values)) + "]") % tuple(values.tolist())
+    return text.replace("-0,", "-0.0,").replace("-0]", "-0.0]")
 
 
 def _meta_path(path: str) -> str:

@@ -280,18 +280,22 @@ def save_checkpoint(params: PolicyParams, path: str) -> None:
 
 def load_checkpoint(path: str) -> PolicyParams:
     """Raises SchemaError naming the path for malformed JSON, a missing
-    shape/theta key, or a theta that is not param_count finite floats."""
+    shape/theta key, a shape dimension that is not a JSON integer >= 1 (a
+    bool is not one), or a theta that is not param_count finite floats."""
     with open(path) as fh:
         try:
             obj = json.load(fh)
         except json.JSONDecodeError as exc:
             raise SchemaError(f"{path}: malformed JSON ({exc.msg})") from exc
     try:
-        dims = obj["shape"]
-        shape = NetShape(int(dims["in"]), int(dims["hidden"]), int(dims["out"]))
+        dims = {key: obj["shape"][key] for key in ("in", "hidden", "out")}
         theta = obj["theta"]
     except (KeyError, TypeError) as exc:
         raise SchemaError(f"{path}: expected shape {{in, hidden, out}} and theta") from exc
+    for key, dim in dims.items():
+        if type(dim) is not int or dim < 1:
+            raise SchemaError(f"{path}: shape {key} {dim!r} is not an integer >= 1")
+    shape = NetShape(*dims.values())
     try:
         return PolicyParams(theta=np.asarray(theta, dtype=np.float64), shape=shape)
     except (TypeError, ValueError) as exc:

@@ -308,6 +308,30 @@ class TestEvalCmd:
         with pytest.raises(datasets.SchemaError, match=f"^{re.escape(str(meta_path))}: {reason}"):
             run_cli(["--config", config_path, "--out", str(out), "eval"])
 
+    @pytest.mark.parametrize(
+        "key, value, least",
+        [
+            ("n_students", True, 1),
+            ("n_students", -1, 1),
+            ("n_students", 0, 1),
+            ("n_students", 2.0, 1),
+            ("n_students", "2", 1),
+            ("dataset_size", -1, 0),
+            ("dataset_size", True, 0),
+            ("dataset_size", 8.0, 0),
+            ("dataset_size", "8", 0),
+        ],
+    )
+    def test_bad_cohort_count_raises_naming_meta(self, trained, key, value, least):
+        config_path, out = trained
+        meta_path = out / "checkpoints" / "bc50" / "meta.json"
+        meta = json.loads(meta_path.read_text())
+        meta[key] = value
+        meta_path.write_text(json.dumps(meta))
+        message = f"{key} {re.escape(repr(value))} is not an integer >= {least}"
+        with pytest.raises(datasets.SchemaError, match=f"^{re.escape(str(meta_path))}: {message}"):
+            run_cli(["--config", config_path, "--out", str(out), "eval"])
+
     def test_checkpoint_missing_a_weight_raises_naming_it(self, trained):
         config_path, out = trained
         path = out / "checkpoints" / "bc100" / "student_1.json"

@@ -199,6 +199,79 @@ class TestSampleBatch:
             datasets.sample_batch(empty_dataset(), 1, derive_stream(0, "s"))
 
 
+def reference_fmt_array(values):
+    """The reference for `_fmt_array`: one `format` call per float, with
+    -0 written -0.0."""
+    tokens = [format(float(x), ".17g") for x in values]
+    return "[" + ",".join("-0.0" if text == "-0" else text for text in tokens) + "]"
+
+
+def random_finite_floats(n, label):
+    """Finite float64s from uniformly random bit patterns (about 1 in 2048
+    patterns is inf or nan and is dropped)."""
+    values = derive_stream(13, label).next_u64_array(n + n // 100).view(np.float64)
+    return values[np.isfinite(values)][:n]
+
+
+def assert_exact_text(values):
+    values = np.asarray(values, dtype=np.float64)
+    text = datasets._fmt_array(values)
+    assert text == reference_fmt_array(values)
+    tokens = text[1:-1].split(",") if len(values) else []
+    back = np.array([float(token) for token in tokens], dtype=np.float64)
+    assert back.view(np.uint64).tolist() == values.view(np.uint64).tolist()
+    return text
+
+
+class TestFmtArray:
+    def test_random_bit_patterns_match_per_element_reference(self):
+        values = random_finite_floats(10_000, "fmt")
+        assert len(values) == 10_000
+        assert_exact_text(values)
+
+    def test_random_lengths_with_signed_zeros_match_reference(self):
+        values = random_finite_floats(4_000, "fmt-zeros")
+        rng = derive_stream(14, "fmt-zeros")
+        # about one value in four becomes +0.0 or -0.0
+        zeros = rng.next_int_array(8, len(values))
+        values[zeros == 0] = 0.0
+        values[zeros == 1] = -0.0
+        start = 0
+        while start < len(values):
+            stop = start + rng.next_int(40)  # lengths 0..39
+            assert_exact_text(values[start:stop])
+            start = stop
+
+    @pytest.mark.parametrize(
+        "values, text",
+        [
+            ([-0.0, 1.0, 0.0], "[-0.0,1,0]"),
+            ([0.0, -0.0, 0.0], "[0,-0.0,0]"),
+            ([0.0, 2.5, -0.0], "[0,2.5,-0.0]"),
+            ([-0.0], "[-0.0]"),
+            ([-0.0, -0.0], "[-0.0,-0.0]"),
+            ([0.0], "[0]"),
+            ([5e-324, -5e-324], "[4.9406564584124654e-324,-4.9406564584124654e-324]"),
+            ([2.2250738585072009e-308], "[2.2250738585072009e-308]"),
+            ([1e-5, -1e-5], "[1.0000000000000001e-05,-1.0000000000000001e-05]"),
+            ([1e16, -1e16], "[10000000000000000,-10000000000000000]"),
+            ([1e17, -1e17], "[1e+17,-1e+17]"),
+            ([1.0, -3.0, 10.0, -10.0, 100.0], "[1,-3,10,-10,100]"),
+            ([-0.0, -1e-100, -0.0, 1e300], "[-0.0,-1e-100,-0.0,1.0000000000000001e+300]"),
+            ([0.1], "[0.10000000000000001]"),
+            ([], "[]"),
+        ],
+    )
+    def test_edge_cases(self, values, text):
+        assert assert_exact_text(values) == text
+
+    def test_not_one_dimensional_raises(self):
+        with pytest.raises(ValueError, match="1-D"):
+            datasets._fmt_array(np.zeros((2, 3)))
+        with pytest.raises(ValueError, match="1-D"):
+            datasets._fmt_array(np.float64(1.0))
+
+
 class TestSaveLoad:
     def test_round_trip(self, tmp_path):
         ds = toy_dataset([[1.0, -0.1], [0.3]], meta={"root_seed": 5, "note": "x"})

@@ -355,3 +355,26 @@ class TestCheckpoint:
             json.dump(obj, fh)
         with pytest.raises(SchemaError, match=f"^{re.escape(path)}: expected shape"):
             tinynet.load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("in", 2.9),
+            ("in", 2.0),
+            ("hidden", 2.0),
+            ("out", "2"),
+            ("out", True),
+            ("in", 0),
+            ("hidden", -1),
+        ],
+    )
+    def test_bad_shape_dimension_raises_naming_it(self, tmp_path, key, value):
+        path = str(tmp_path / "student_0.json")
+        tinynet.save_checkpoint(hand_params(), path)
+        obj = json.load(open(path))
+        obj["shape"][key] = value
+        with open(path, "w") as fh:
+            json.dump(obj, fh)
+        reason = f"shape {key} {re.escape(repr(value))} is not an integer >= 1"
+        with pytest.raises(SchemaError, match=f"^{re.escape(path)}: {reason}"):
+            tinynet.load_checkpoint(path)
