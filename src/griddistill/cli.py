@@ -10,6 +10,7 @@ directory.
 import argparse
 import dataclasses
 import json
+import numbers
 import os
 import sys
 from dataclasses import dataclass, field
@@ -54,7 +55,10 @@ class StudentConfig:
     synthetic: TrainConfig = field(default_factory=TrainConfig.for_synthetic)
 
     def __post_init__(self):
-        if self.n_students < 1:
+        n = self.n_students
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+            raise ValueError(f"student.n_students {n!r} is not an integer")
+        if n < 1:
             raise ValueError("student.n_students must be >= 1")
 
 

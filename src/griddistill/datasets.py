@@ -271,7 +271,8 @@ def _vector(row: dict, key: str, dim: int | None, lineno: int) -> np.ndarray:
 
 def load(path: str) -> OfflineDataset:
     """Load and validate a saved dataset; raises SchemaError on a sidecar
-    or line that is not a JSON object, missing fields, a scalar of the
+    or line that is not a JSON object, a sidecar row count that is not a
+    JSON integer >= 0 (a bool is not one), missing fields, a scalar of the
     wrong JSON type (episode_id, t, seed: integer; action: integer in
     [0, N_ACTIONS); done: bool; reward, g_t, g_0: finite number), an
     obs/next_obs that is not a finite vector of the first row's length,
@@ -290,6 +291,8 @@ def load(path: str) -> OfflineDataset:
     if "rows" not in meta:
         raise SchemaError(f"{meta_path}: missing row count")
     expected_rows = meta.pop("rows")
+    if type(expected_rows) is not int or expected_rows < 0:
+        raise SchemaError(f"{meta_path}: rows {expected_rows!r} is not an integer >= 0")
     rows = []
     dim = None
     with open(path) as fh:

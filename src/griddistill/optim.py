@@ -24,14 +24,16 @@ class SgdMomentum:
 
 
 class Adam:
-    """Bias-corrected Adam with the published default constants. The moments
-    are updated in place, in the operation order of the textbook formula
-    (m <- beta1*m + (1-beta1)*g, v <- beta2*v + ((1-beta2)*g)*g), so the
-    iterates are bit-identical to it."""
+    """Bias-corrected Adam with the published default constants, over
+    parameters of any shape: a flat vector, or an (S, P) block of S
+    independent parameter vectors, each row updated exactly as it would be
+    alone. The moments are updated in place, in the operation order of the
+    textbook formula (m <- beta1*m + (1-beta1)*g, v <- beta2*v +
+    ((1-beta2)*g)*g), so the iterates are bit-identical to it."""
 
     def __init__(
         self,
-        dim: int,
+        shape,
         lr: float = 5e-3,
         beta1: float = 0.9,
         beta2: float = 0.999,
@@ -41,15 +43,15 @@ class Adam:
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
-        self.m = np.zeros(dim, dtype=np.float64)
-        self.v = np.zeros(dim, dtype=np.float64)
+        self.m = np.zeros(shape, dtype=np.float64)
+        self.v = np.zeros(shape, dtype=np.float64)
         self.t = 0
-        self._num = np.empty(dim, dtype=np.float64)  # scratch: the update's numerator
-        self._den = np.empty(dim, dtype=np.float64)  # scratch: its denominator
+        self._num = np.empty(shape, dtype=np.float64)  # scratch: the update's numerator
+        self._den = np.empty(shape, dtype=np.float64)  # scratch: its denominator
 
     def step(self, x: np.ndarray, grad: np.ndarray) -> np.ndarray:
         if x.shape != self.m.shape or grad.shape != self.m.shape:
-            raise ValueError("optimizer state, parameters and gradient lengths disagree")
+            raise ValueError("optimizer state, parameters and gradient shapes disagree")
         self.t += 1
         m, v, num, den = self.m, self.v, self._num, self._den
         m *= self.beta1

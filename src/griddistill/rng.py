@@ -15,13 +15,19 @@ of the next 256 steps, and the state 256 or 512 steps on, are the XOR of
 the contributions of the state's set bits taken one at a time. Those
 per-bit contributions are tabulated once, at import.
 
-Draws below 32,768 words take whole blocks of 256 outputs from the tables,
-one vectorized XOR per block, and the last k mod 256 words from the scalar
-generator. Larger draws split the stream into lanes 512 words apart (each
-lane starts one 512-step jump after the last: the jump functions of
-Blackman & Vigna used for block splitting) and step all lanes at once as
-uint64 vectors; their k mod 512 tail takes the table path. Either way the
-(nonlinear) output scrambler runs in uint64 over the whole draw.
+Draws below 32,768 words (in all, over the streams drawn together) take
+whole blocks of 256 outputs from the tables, one vectorized XOR per block,
+and the last k mod 256 words from the scalar generator. Larger draws
+split the stream into lanes 512 words apart (each lane starts one
+512-step jump after the last: the jump functions of Blackman & Vigna used
+for block splitting) and step all lanes at once as uint64 vectors; their
+k mod 512 tail takes the table path. Either way the (nonlinear) output
+scrambler runs in uint64 over the whole draw.
+
+`next_u64_arrays` and `next_int_arrays` make the same draw from each of
+several streams at once, for a consumer that reads many streams alike:
+the lanes of all the streams step together, so the lanes' fixed cost is
+paid once per draw. A stream's own bulk draw is their one-stream case.
 
 `next_uniform_lanes` takes one uniform from each of many streams whose
 states sit side by side as uint64 columns, for a consumer that walks many
@@ -147,22 +153,27 @@ def _table_words(state: np.ndarray, out: np.ndarray) -> np.ndarray:
     return state
 
 
-def _lane_words(state: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Fill the (lanes, 512) array `out` with the s1 words of the stream
-    from `state`: lane l starts l 512-step jumps on, all lanes step
-    together, and step j writes column j, so out.ravel() is stream order.
-    Returns the state after the last lane."""
-    lanes = out.shape[0]
-    starts = np.empty((4, lanes), dtype=np.uint64)
-    for lane in range(lanes):
-        starts[:, lane] = state
-        state = np.bitwise_xor.reduce(_JUMP512[_set_bits(state)], axis=0)
-    s0, s1, s2, s3 = starts
-    t, u = np.empty((2, lanes), dtype=np.uint64)
+def _lane_words(states: list, out: np.ndarray) -> list:
+    """Fill the (S, lanes, 512) array `out` with the s1 words of S streams,
+    stream i from states[i]: lane l of a stream starts l 512-step jumps on,
+    all S * lanes lanes step together, and step j writes column j, so
+    out[i].ravel() is stream i's order. Returns each stream's state after
+    its last lane."""
+    streams, lanes = out.shape[:2]
+    starts = np.empty((4, streams, lanes), dtype=np.uint64)
+    after = []
+    for i, state in enumerate(states):
+        for lane in range(lanes):
+            starts[:, i, lane] = state
+            state = np.bitwise_xor.reduce(_JUMP512[_set_bits(state)], axis=0)
+        after.append(state)
+    s0, s1, s2, s3 = starts.reshape(4, streams * lanes)
+    words = s1.reshape(streams, lanes)  # a view: it follows s1's in-place steps
+    t, u = np.empty((2, streams * lanes), dtype=np.uint64)
     for step in range(_LANE_BLOCK):
-        out[:, step] = s1
+        out[:, :, step] = words
         _step_u64(s0, s1, s2, s3, t, u)
-    return state
+    return after
 
 
 class RngStream:
@@ -197,24 +208,8 @@ class RngStream:
 
     def next_u64_array(self, k: int) -> np.ndarray:
         """k raw words as a uint64 array, the same sequence as k calls to
-        next_u64. From 32,768 words on, lanes of 512 give all whole lanes;
-        whole blocks of 256 come from the tables, the last k % 256 words
-        from next_u64."""
-        if k < 0:
-            raise ValueError(f"draw count must be >= 0, got {k}")
-        lanes = k // _LANE_BLOCK if k >= _LANE_MIN else 0
-        blocks = (k - lanes * _LANE_BLOCK) // _BLOCK
-        head = lanes * _LANE_BLOCK + blocks * _BLOCK
-        out = np.empty(k, dtype=np.uint64)
-        if head:
-            state = np.array(self.state, dtype="<u8")
-            if lanes:
-                state = _lane_words(state, out[: lanes * _LANE_BLOCK].reshape(lanes, _LANE_BLOCK))
-            state = _table_words(state, out[lanes * _LANE_BLOCK : head].reshape(blocks, _BLOCK))
-            _scramble(out[:head])
-            self.state = tuple(int(w) for w in state)
-        out[head:] = [self.next_u64() for _ in range(k - head)]
-        return out
+        next_u64: the one-stream case of `next_u64_arrays`."""
+        return next_u64_arrays([self], k)[0]
 
     def next_uniform_array(self, k: int) -> np.ndarray:
         """k uniforms in [0, 1) as a float64 array, the same sequence as k
@@ -272,27 +267,77 @@ def _accept_limit(n: int) -> int:
     return (1 << 64) - ((1 << 64) % n)
 
 
-def _int_array(draw, n: int, k: int) -> np.ndarray:
-    """k draws from [0, n), rejecting words as next_int does, from
-    `draw(count)`, which returns the next `count` words of a stream. Accepted
-    words are kept in stream order and only the shortfall is redrawn, so no
-    word past the k-th acceptance is consumed."""
+def _int_limit(n: int, k: int) -> np.uint64:
+    """Checks a draw of k integers from [0, n) and returns its acceptance
+    limit as a uint64: 2**64 (n a power of 2) wraps to 0, which `_accepted`
+    reads as accepting every word."""
     if not 1 <= n <= 1 << 63:
         raise ValueError(f"next_int_array needs 1 <= n <= 2**63, got {n}")
     if k < 0:
         raise ValueError(f"draw count must be >= 0, got {k}")
-    limit = np.uint64(_accept_limit(n) & _MASK64)  # 2**64 (n a power of 2) wraps to 0
-    parts = []
-    need = k
+    return np.uint64(_accept_limit(n) & _MASK64)
+
+
+def _accepted(words: np.ndarray, draw, limit: np.uint64) -> np.ndarray:
+    """`words` with every word at or above `limit` rejected, as next_int
+    does, and the shortfall redrawn from `draw(count)`, which returns the
+    stream's next `count` words. Accepted words are kept in stream order and
+    no word past the last acceptance is consumed."""
+    if not limit or (words < limit).all():
+        return words
+    parts = [words[words < limit]]
+    need = len(words) - len(parts[0])
     while need:
         x = draw(need)
-        if limit:
-            x = x[x < limit]
+        x = x[x < limit]
         parts.append(x)
         need -= len(x)
-    if not parts:
-        return np.empty(0, dtype=np.int64)
-    return (np.concatenate(parts) % np.uint64(n)).astype(np.int64)
+    return np.concatenate(parts)
+
+
+def _int_array(draw, n: int, k: int) -> np.ndarray:
+    """k draws from [0, n), the same sequence as k calls to next_int(n), from
+    `draw(count)`, which returns the next `count` words of a stream."""
+    limit = _int_limit(n, k)
+    return (_accepted(draw(k), draw, limit) % np.uint64(n)).astype(np.int64)
+
+
+def next_u64_arrays(streams: list, k: int) -> np.ndarray:
+    """k raw words from each of the streams, as an (S, k) uint64 array whose
+    row i is the same sequence as k calls to streams[i].next_u64(); each
+    stream is left where those calls would leave it. From 32,768 words in
+    all on, one lane pass gives every stream's whole lanes of 512; whole
+    blocks of 256 come from the tables, the last k % 256 words from
+    next_u64."""
+    if k < 0:
+        raise ValueError(f"draw count must be >= 0, got {k}")
+    lanes = k // _LANE_BLOCK if len(streams) * k >= _LANE_MIN else 0
+    body = lanes * _LANE_BLOCK
+    blocks = (k - body) // _BLOCK
+    head = body + blocks * _BLOCK
+    out = np.empty((len(streams), k), dtype=np.uint64)
+    if head:
+        states = [np.array(stream.state, dtype="<u8") for stream in streams]
+        if lanes:
+            states = _lane_words(states, out[:, :body].reshape(len(streams), lanes, _LANE_BLOCK))
+        for stream, state, row in zip(streams, states, out):
+            state = _table_words(state, row[body:head].reshape(blocks, _BLOCK))
+            _scramble(row[:head])
+            stream.state = tuple(int(w) for w in state)
+    for stream, row in zip(streams, out):
+        row[head:] = [stream.next_u64() for _ in range(k - head)]
+    return out
+
+
+def next_int_arrays(streams: list, n: int, k: int) -> np.ndarray:
+    """k draws from [0, n) from each of the streams, as an (S, k) int64
+    array whose row i is streams[i].next_int_array(n, k)."""
+    limit = _int_limit(n, k)
+    words = next_u64_arrays(streams, k)
+    for stream, row in zip(streams, words):
+        row[:] = _accepted(row, stream.next_u64_array, limit)
+    np.remainder(words, np.uint64(n), out=words)
+    return words.view(np.int64)  # every value is below n <= 2**63
 
 
 class LaneCursor:

@@ -53,19 +53,27 @@ def unpack(params: PolicyParams):
 
 
 def _split(t: np.ndarray, s: NetShape):
+    """Views (W1, b1, W2, b2) into a flat vector (P,), or into each row of
+    an (S, P) block with S as the leading axis of every view; no copies."""
+    lead = t.shape[:-1]
     i = 0
-    w1 = t[i : i + s.hidden * s.in_dim].reshape(s.hidden, s.in_dim)
+    w1 = t[..., i : i + s.hidden * s.in_dim].reshape(*lead, s.hidden, s.in_dim)
     i += s.hidden * s.in_dim
-    b1 = t[i : i + s.hidden]
+    b1 = t[..., i : i + s.hidden]
     i += s.hidden
-    w2 = t[i : i + s.out_dim * s.hidden].reshape(s.out_dim, s.hidden)
+    w2 = t[..., i : i + s.out_dim * s.hidden].reshape(*lead, s.out_dim, s.hidden)
     i += s.out_dim * s.hidden
-    b2 = t[i : i + s.out_dim]
+    b2 = t[..., i : i + s.out_dim]
     return w1, b1, w2, b2
 
 
 def pack(w1, b1, w2, b2) -> np.ndarray:
-    return np.concatenate([w1.ravel(), b1.ravel(), w2.ravel(), b2.ravel()])
+    """Inverse of _split: the flat vector, or the (S, P) block when the
+    pieces carry a leading S axis."""
+    lead = b1.shape[:-1]
+    return np.concatenate(
+        [w1.reshape(*lead, -1), b1, w2.reshape(*lead, -1), b2], axis=-1
+    )
 
 
 def init_params(shape: NetShape, rng: RngStream) -> PolicyParams:
@@ -159,22 +167,33 @@ def bc_grad(params: PolicyParams, xs, labels, weights) -> np.ndarray:
     backprop through the relu layer.
     """
     xs, y, w, wsum = _prepare_batch(params, xs, labels, weights)
-    return _grad_kernel(params.theta, params.shape, xs, y, w / wsum)
+    return _grad_kernel(params.theta[None], params.shape, xs, y, w / wsum)[0]
 
 
 def _grad_kernel(theta, shape, xs, y, coef) -> np.ndarray:
-    """bc_grad on checked arrays: float64 xs (m, in_dim), label matrix y
-    (m, out_dim) and normalized weights coef (m,); no checks here."""
+    """bc_grad of every row of the (S, P) parameter block theta, on checked
+    arrays; no checks here. Each of the float64 rows xs (m, in_dim), label
+    matrix y (m, out_dim) and normalized weights coef (m,) is either shared
+    by all S rows or given per row, with a leading S axis. Returns the
+    (S, P) gradient block.
+
+    Each stacked matmul makes, for every slice, the same BLAS call as the
+    2-D product on that row alone, and each sum runs over the m axis in
+    order, so row i is byte-equal to the kernel on theta[i:i + 1] alone."""
     w1, b1, w2, b2 = _split(theta, shape)
-    u = xs @ w1.T + b1
-    h = np.maximum(u, 0.0)
-    p = np.exp(_log_softmax(h @ w2.T + b2))
-    delta = (p - y) * coef[:, None]  # (m, out)
-    g_w2 = delta.T @ h
-    g_b2 = delta.sum(axis=0)
-    e = (delta @ w2) * (u > 0.0)  # (m, hidden)
-    g_w1 = e.T @ xs
-    g_b1 = e.sum(axis=0)
+    # In place where a temporary would be (S, m, hidden): the relu turns the
+    # pre-activation into h, and h > 0 exactly where it was > 0.
+    h = xs @ w1.transpose(0, 2, 1)
+    h += b1[:, None, :]
+    np.maximum(h, 0.0, out=h)
+    p = np.exp(_log_softmax(h @ w2.transpose(0, 2, 1) + b2[:, None, :]))
+    delta = (p - y) * coef[..., None]  # (S, m, out)
+    g_w2 = delta.transpose(0, 2, 1) @ h
+    g_b2 = delta.sum(axis=1)
+    e = delta @ w2  # (S, m, hidden)
+    e *= h > 0.0
+    g_w1 = e.transpose(0, 2, 1) @ xs
+    g_b1 = e.sum(axis=1)
     return pack(g_w1, g_b1, g_w2, g_b2)
 
 

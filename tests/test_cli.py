@@ -116,6 +116,9 @@ class TestConfig:
             ({"distill": {"epochs": True}}, r"distill.epochs True is not an integer"),
             ({"distill": {"real_batch": 0}}, r"distill.real_batch must be >= 1"),
             ({"distill": {"learn_labels": 1}}, r"distill.learn_labels 1 is not a boolean"),
+            ({"student": {"n_students": 2.5}}, r"student.n_students 2.5 is not an integer"),
+            ({"student": {"n_students": True}}, r"student.n_students True is not an integer"),
+            ({"student": {"n_students": "3"}}, r"student.n_students '3' is not an integer"),
         ],
     )
     def test_bad_collect_and_student_values_rejected_at_load(self, data, reason):

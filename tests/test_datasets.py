@@ -452,6 +452,27 @@ class TestSaveLoad:
         with pytest.raises(SchemaError, match=f"^{re.escape(meta_path)}: {reason}"):
             datasets.load(path)
 
+    @pytest.mark.parametrize(
+        "bad_rows",
+        [float, str, lambda n: True, lambda n: -1],
+        ids=["float", "str", "bool", "negative"],
+    )
+    def test_row_count_not_an_integer_raises_naming_the_sidecar(self, tmp_path, bad_rows):
+        # the float and str forms carry the true row count, which the
+        # row-count comparison alone let through or misreported
+        ds = toy_dataset([[1.0, 2.0], [3.0]])
+        path = str(tmp_path / "x.jsonl")
+        datasets.save(ds, path)
+        meta_path = str(tmp_path / "x.meta.json")
+        with open(meta_path) as fh:
+            meta = json.load(fh)
+        meta["rows"] = bad_rows(len(ds))
+        with open(meta_path, "w") as fh:
+            json.dump(meta, fh)
+        reason = re.escape(f"rows {meta['rows']!r} is not an integer >= 0")
+        with pytest.raises(SchemaError, match=f"^{re.escape(meta_path)}: {reason}$"):
+            datasets.load(path)
+
     def test_meta_row_count_matches_lines(self, tmp_path):
         cfg = EnvConfig()
         episodes = expert.collect_rollouts(cfg, list(range(5)), 20, [0.0, 0.3], root_seed=8)

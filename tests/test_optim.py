@@ -33,12 +33,12 @@ class TestSgdMomentum:
 
 class TestAdam:
     def test_zero_grad_fresh_state_noop(self):
-        opt = Adam(dim=2)
+        opt = Adam(shape=2)
         x = np.array([1.0, 2.0])
         assert np.array_equal(opt.step(x, np.zeros(2)), x)
 
     def test_first_step_signlike(self):
-        opt = Adam(dim=3, lr=5e-3)
+        opt = Adam(shape=3, lr=5e-3)
         x = np.zeros(3)
         g = np.array([0.7, -1.3, 4.0])
         out = opt.step(x, g)
@@ -55,7 +55,7 @@ class TestAdam:
             m_hat = m / (1 - b1 ** t)
             v_hat = v / (1 - b2 ** t)
             x = x - lr * m_hat / (v_hat ** 0.5 + eps)
-        opt = Adam(dim=1, lr=lr)
+        opt = Adam(shape=1, lr=lr)
         xa = np.array([1.0])
         for _ in range(3):
             xa = opt.step(xa, np.array([g]))
@@ -65,7 +65,7 @@ class TestAdam:
         grads = [np.array([0.1, -0.2]), np.array([0.0, 0.5]), np.array([1.0, 1.0])]
 
         def run():
-            opt = Adam(dim=2)
+            opt = Adam(shape=2)
             x = np.zeros(2)
             for g in grads:
                 x = opt.step(x, g)
@@ -82,7 +82,7 @@ class TestAdam:
         x_ref = gen.standard_normal(dim)
         m = np.zeros(dim)
         v = np.zeros(dim)
-        opt = Adam(dim=dim, lr=lr, beta1=b1, beta2=b2, eps=eps)
+        opt = Adam(shape=dim, lr=lr, beta1=b1, beta2=b2, eps=eps)
         x = x_ref.copy()
         for t in range(1, 501):
             g = gen.standard_normal(dim) * 10.0 ** gen.integers(-6, 3)
@@ -97,13 +97,32 @@ class TestAdam:
         assert opt.v.tobytes() == v.tobytes()
 
     def test_no_nan_from_finite_inputs(self):
-        opt = Adam(dim=2, lr=1.0)
+        opt = Adam(shape=2, lr=1.0)
         x = np.zeros(2)
         for g in (np.array([1e30, -1e30]), np.zeros(2), np.array([1e-300, 0.0])):
             x = opt.step(x, g)
             assert np.all(np.isfinite(x))
 
     def test_length_mismatch(self):
-        opt = Adam(dim=4)
+        opt = Adam(shape=4)
         with pytest.raises(ValueError):
             opt.step(np.zeros(2), np.zeros(2))
+        with pytest.raises(ValueError, match="shapes disagree"):
+            Adam(shape=(2, 4)).step(np.zeros(8), np.zeros(8))
+
+    def test_block_rows_equal_separate_optimizers(self):
+        # an (S, P) Adam steps each row exactly as S separate Adams would
+        gen = np.random.default_rng(1)
+        students, dim = 3, 97
+        block = Adam(shape=(students, dim))
+        alone = [Adam(shape=dim) for _ in range(students)]
+        x = gen.standard_normal((students, dim))
+        xs = list(x.copy())
+        for _ in range(500):
+            g = gen.standard_normal((students, dim)) * 10.0 ** gen.integers(-6, 3, (students, 1))
+            x = block.step(x, g)
+            xs = [opt.step(xi, gi) for opt, xi, gi in zip(alone, xs, g)]
+        for i, opt in enumerate(alone):
+            assert x[i].tobytes() == xs[i].tobytes(), i
+            assert block.m[i].tobytes() == opt.m.tobytes(), i
+            assert block.v[i].tobytes() == opt.v.tobytes(), i

@@ -8,6 +8,8 @@ from griddistill.rng import (
     RngStream,
     derive_stream,
     fnv1a64,
+    next_int_arrays,
+    next_u64_arrays,
     next_uniform_lanes,
     splitmix64,
 )
@@ -124,6 +126,42 @@ def test_one_schedule_draw_matches_per_step_draws(n, batch):
     assert a.next_u64() == b.next_u64()
 
 
+@pytest.mark.parametrize(
+    "streams, k",
+    [
+        (3, 0),
+        (3, 300),  # tables and scalar tails only
+        (3, 10_880),  # 32,640 words in all: just below the lanes
+        (3, 11_018),  # lanes: 21 per stream, then one table block and 10 scalars
+        (1, 32_768),
+        (10, 5_120),  # lanes only: 10 per stream
+    ],
+)
+def test_u64_arrays_match_each_stream_alone(streams, k):
+    labels = [f"student:{i}" for i in range(streams)]
+    block = [derive_stream(11, label) for label in labels]
+    alone = [derive_stream(11, label) for label in labels]
+    words = next_u64_arrays(block, k)
+    assert words.dtype == np.uint64 and words.shape == (streams, k)
+    for row, stream, ref in zip(words, block, alone):
+        assert np.array_equal(row, ref.next_u64_array(k)), stream.label
+        assert stream.state == ref.state, stream.label
+
+
+@pytest.mark.parametrize("n", (540, 1 << 32, 3 << 61))
+def test_int_arrays_match_each_stream_alone(n):
+    # 3 * 2**61 rejects a quarter of all words, so every stream redraws
+    labels = [f"student:{i}" for i in range(4)]
+    block = [derive_stream(12, label) for label in labels]
+    alone = [derive_stream(12, label) for label in labels]
+    for k in (12_800, 300):  # lanes, then tables and scalar tails
+        ints = next_int_arrays(block, n, k)
+        assert ints.dtype == np.int64 and ints.shape == (4, k)
+        for row, stream, ref in zip(ints, block, alone):
+            assert np.array_equal(row, ref.next_int_array(n, k)), (k, stream.label)
+            assert stream.state == ref.state, (k, stream.label)
+
+
 def test_uniform_lanes_match_each_stream():
     # each column a stream of its own; columns are dropped between steps,
     # as a lockstep walk drops lanes that finished
@@ -199,6 +237,9 @@ def test_distill_stream_draw_pinned():
         lambda s: LaneCursor(s).next_int_array(0, 10),
         lambda s: LaneCursor(s).next_int_array(5, -1),
         lambda s: LaneCursor(s).next_u64_array(-1),
+        lambda s: next_int_arrays([s], 0, 10),
+        lambda s: next_int_arrays([s], 5, -1),
+        lambda s: next_u64_arrays([s], -1),
     ],
 )
 def test_bulk_draw_bad_arguments_rejected(call):

@@ -213,6 +213,72 @@ class TestBcGrad:
         assert np.allclose(g_batch, 0.5 * (g0 + g1), atol=1e-15)
 
 
+def plain_grad_kernel(theta, shape, xs, y, coef):
+    """The cloning gradient of one flat parameter vector, written with 2-D
+    products only: the formula the block kernel stacks."""
+    w1, b1, w2, b2 = tinynet._split(theta, shape)
+    u = xs @ w1.T + b1
+    h = np.maximum(u, 0.0)
+    p = np.exp(tinynet._log_softmax(h @ w2.T + b2))
+    delta = (p - y) * coef[:, None]
+    e = (delta @ w2) * (u > 0.0)
+    return np.concatenate(
+        [(e.T @ xs).ravel(), e.sum(axis=0), (delta.T @ h).ravel(), delta.sum(axis=0)]
+    )
+
+
+class TestGradKernelBlock:
+    SHAPE = NetShape(in_dim=144)
+
+    def block_and_batch(self, students, m, soft):
+        rng = derive_stream(m, "block")
+        theta = np.stack(
+            [tinynet.init_params(self.SHAPE, rng).theta for _ in range(students)]
+        )
+        xs = (rng.next_uniform_array(m * 144).reshape(m, 144) < 0.1).astype(np.float64)
+        if soft:
+            w = rng.next_uniform_array(m * 5).reshape(m, 5) + 0.01
+            labels = w / w.sum(axis=1, keepdims=True)
+        else:
+            labels = rng.next_int_array(5, m)
+        weights = rng.next_int_array(4, students * m).reshape(students, m) + 1.0
+        return theta, xs, labels, weights
+
+    def test_pack_and_split_round_trip_a_block(self):
+        theta, *_ = self.block_and_batch(3, 1, False)
+        parts = tinynet._split(theta, self.SHAPE)
+        assert [p.shape[0] for p in parts] == [3] * 4
+        assert tinynet.pack(*parts).tobytes() == theta.tobytes()
+        for i in range(3):
+            row = tinynet._split(theta[i], self.SHAPE)
+            assert all(np.array_equal(a[i], b) for a, b in zip(parts, row))
+
+    @pytest.mark.parametrize("soft", [False, True], ids=["hard", "soft"])
+    @pytest.mark.parametrize("m", [1, 9, 256])
+    def test_block_rows_equal_bc_grad(self, m, soft):
+        theta, xs, labels, weights = self.block_and_batch(4, m, soft)
+        y = tinynet._as_label_matrix(labels, 5)
+        coef = weights / weights.sum(axis=1, keepdims=True)
+        shared = tinynet._grad_kernel(theta, self.SHAPE, xs, y, coef)
+        # per-row rows: each student reads the batch in another order
+        order = np.stack([np.roll(np.arange(m), i) for i in range(4)])
+        per_row = tinynet._grad_kernel(theta, self.SHAPE, xs[order], y[order], coef)
+        for i in range(4):
+            params = PolicyParams(theta=theta[i], shape=self.SHAPE)
+            want = tinynet.bc_grad(params, xs, labels, weights[i])
+            assert shared[i].tobytes() == want.tobytes(), i
+            want = tinynet.bc_grad(params, xs[order[i]], labels[order[i]], weights[i])
+            assert per_row[i].tobytes() == want.tobytes(), i
+
+    @pytest.mark.parametrize("m", [1, 9, 256])
+    def test_bc_grad_equals_the_plain_kernel(self, m):
+        theta, xs, labels, weights = self.block_and_batch(1, m, False)
+        params = PolicyParams(theta=theta[0], shape=self.SHAPE)
+        y = tinynet._as_label_matrix(labels, 5)
+        want = plain_grad_kernel(theta[0], self.SHAPE, xs, y, weights[0] / weights[0].sum())
+        assert tinynet.bc_grad(params, xs, labels, weights[0]).tobytes() == want.tobytes()
+
+
 class TestMatchingGrad:
     def test_stationary_at_identical_batches(self):
         shape = NetShape(in_dim=5, hidden=4, out_dim=3)

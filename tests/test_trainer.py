@@ -5,7 +5,7 @@ from griddistill import datasets, expert, tinynet, trainer
 from griddistill import distill as dst
 from griddistill.gridenv import EnvConfig
 from griddistill.optim import Adam
-from griddistill.rng import RngStream, derive_stream
+from griddistill.rng import derive_stream
 from griddistill.tinynet import NetShape
 
 from test_distill import constant_dataset
@@ -23,14 +23,15 @@ def columns(ds):
 
 
 def reference_student(rows, targets, cfg, shape, rng):
-    """The public-API loop the trainer must match: a per-step index draw,
-    then bc_grad on the gathered batch (n >= batch) or on every row with
-    its count in the drawn batch as its weight (n < batch)."""
+    """One student trained alone, by the per-student loop the block
+    replaced: init, one draw of the whole index schedule, then per step
+    bc_grad on every row weighted by its count in the drawn batch (n <
+    batch) or on the gathered batch, and an Adam step."""
     n = len(rows)
     theta = tinynet.init_params(shape, rng).theta
-    opt = Adam(dim=shape.param_count, lr=cfg.lr)
-    for _ in range(cfg.steps):
-        idx = rng.next_int_array(n, cfg.batch)
+    schedule = rng.next_int_array(n, cfg.steps * cfg.batch).reshape(cfg.steps, cfg.batch)
+    opt = Adam(shape=shape.param_count, lr=cfg.lr)
+    for idx in schedule:
         current = tinynet.PolicyParams(theta=theta, shape=shape)
         if n < cfg.batch:
             grad = tinynet.bc_grad(current, rows, targets, np.bincount(idx, minlength=n))
@@ -38,6 +39,66 @@ def reference_student(rows, targets, cfg, shape, rng):
             grad = tinynet.bc_grad(current, rows[idx], targets[idx], np.ones(cfg.batch))
         theta = opt.step(theta, grad)
     return theta
+
+
+def random_source(n, soft):
+    """n sparse 0/1 rows of width 144 with hard or soft labels."""
+    rng = derive_stream(n, "source")
+    rows = (rng.next_uniform_array(n * 144).reshape(n, 144) < 0.1).astype(np.float64)
+    if not soft:
+        return rows, rng.next_int_array(5, n)
+    w = rng.next_uniform_array(n * 5).reshape(n, 5) + 0.01
+    return rows, w / w.sum(axis=1, keepdims=True)
+
+
+def assert_cohort_matches_reference(rows, targets, cfg, n_students, root_seed):
+    shape = NetShape(in_dim=144)
+    cohort = trainer.train_cohort(rows, targets, cfg, shape, n_students, root_seed)
+    assert len(cohort) == n_students
+    for i, params in enumerate(cohort):
+        rng = derive_stream(root_seed, f"student:{i}")
+        ref = reference_student(rows, targets, cfg, shape, rng)
+        assert params.theta.tobytes() == ref.tobytes(), i
+
+
+class TestBlockMatchesStudentsAlone:
+    @pytest.mark.parametrize("n_students", [1, 3, 10])
+    @pytest.mark.parametrize("soft", [False, True], ids=["hard", "soft"])
+    @pytest.mark.parametrize("batch", [64, 16], ids=["counted", "gathered"])
+    def test_each_student_equals_the_per_student_loop(self, batch, soft, n_students):
+        # 40 rows: count-weighted below batch 64, gathered at batch 16
+        rows, targets = random_source(40, soft)
+        cfg = trainer.TrainConfig(steps=12, batch=batch)
+        assert_cohort_matches_reference(rows, targets, cfg, n_students, root_seed=n_students)
+
+    @pytest.mark.parametrize("batch", [64, 16], ids=["counted", "gathered"])
+    def test_zero_steps_is_each_students_init(self, batch):
+        rows, targets = random_source(40, False)
+        cfg = trainer.TrainConfig(steps=0, batch=batch)
+        assert_cohort_matches_reference(rows, targets, cfg, 3, root_seed=5)
+
+    def test_schedule_spanning_two_draw_blocks(self, monkeypatch):
+        # 4 students at batch 256 draw 128 steps at a time: 130 steps take
+        # two draws, and each student must still read its stream as alone
+        rows, targets = random_source(300, False)
+        draws = []
+        next_int_arrays = trainer.next_int_arrays
+
+        def counting_draw(streams, n, k):
+            draws.append(([stream.label for stream in streams], k))
+            return next_int_arrays(streams, n, k)
+
+        monkeypatch.setattr(trainer, "next_int_arrays", counting_draw)
+        cfg = trainer.TrainConfig(steps=130, batch=256)
+        shape = NetShape(in_dim=144)
+        cohort = trainer.train_cohort(rows, targets, cfg, shape, 4, root_seed=13)
+        labels = [f"student:{i}" for i in range(4)]
+        assert draws == [(labels, 128 * 256), (labels, 2 * 256)]
+        monkeypatch.undo()
+        for i, params in enumerate(cohort):
+            rng = derive_stream(13, f"student:{i}")
+            ref = reference_student(rows, targets, cfg, shape, rng)
+            assert params.theta.tobytes() == ref.tobytes(), i
 
 
 class TestTrainStudent:
@@ -57,7 +118,7 @@ class TestTrainStudent:
         params = trainer.train_student(rows, targets, cfg, shape, derive_stream(6, "s"))
         rng = derive_stream(6, "s")
         theta = tinynet.init_params(shape, rng).theta
-        opt = Adam(dim=shape.param_count, lr=cfg.lr)
+        opt = Adam(shape=shape.param_count, lr=cfg.lr)
         ones = np.ones(cfg.batch)
         for _ in range(cfg.steps):
             xs, labels = datasets.sample_batch(tiny_collection, cfg.batch, rng)
@@ -71,7 +132,7 @@ class TestTrainStudent:
         params = trainer.train_student(rows, targets, cfg, shape, derive_stream(6, "s"))
         rng = derive_stream(6, "s")
         theta = tinynet.init_params(shape, rng).theta
-        opt = Adam(dim=shape.param_count, lr=cfg.lr)
+        opt = Adam(shape=shape.param_count, lr=cfg.lr)
         for _ in range(cfg.steps):
             counts = np.bincount(rng.next_int_array(len(rows), cfg.batch), minlength=len(rows))
             current = tinynet.PolicyParams(theta=theta, shape=shape)
@@ -116,21 +177,21 @@ class TestTrainStudent:
     def test_no_per_step_checks_or_draws(self, tiny_collection, monkeypatch):
         built, draws = [], []
         post_init = tinynet.PolicyParams.__post_init__
-        next_int_array = RngStream.next_int_array
+        next_int_arrays = trainer.next_int_arrays
 
         def counting_post_init(params):
             built.append(1)
             post_init(params)
 
-        def counting_draw(stream, n, k):
+        def counting_draw(streams, n, k):
             draws.append(k)
-            return next_int_array(stream, n, k)
+            return next_int_arrays(streams, n, k)
 
         def no_prepare(*args):
             raise AssertionError("_prepare_batch called in the training loop")
 
         monkeypatch.setattr(tinynet.PolicyParams, "__post_init__", counting_post_init)
-        monkeypatch.setattr(RngStream, "next_int_array", counting_draw)
+        monkeypatch.setattr(trainer, "next_int_arrays", counting_draw)
         monkeypatch.setattr(tinynet, "_prepare_batch", no_prepare)
         for batch in (8, 256):
             built.clear()
