@@ -187,17 +187,25 @@ def cmd_distill(config: ExperimentConfig) -> None:
     print(f"distilled {len(syn)} rows over {config.distill.epochs} epochs, final loss {final:.6g}")
 
 
+# the BC method names `methods()` makes, so the only ones eval reads
+_BC_METHODS = frozenset(f"bc{k}" for k in range(1, 101))
+
+
 def _train_source(config: ExperimentConfig, method: str):
-    """(rows, targets, train config) for one method name."""
+    """(rows, targets, train config) for one method name: `synthetic`, or
+    `bc<k>` for an integer percentile k in [1, 100] written without
+    leading zeros; any other name raises ValueError before a file is read."""
     if method == "synthetic":
         syn = load_synthetic(_synthetic_path(config))
         return syn.xs, syn.training_labels(), config.student.synthetic
-    if method.startswith("bc"):
-        x = float(method[2:])
+    if method in _BC_METHODS:
         ds = datasets.load(_offline_path(config))
-        _, filtered = datasets.percentile_filter(ds, x)
+        _, filtered = datasets.percentile_filter(ds, float(method[2:]))
         return filtered.obs, filtered.action, config.student.bc
-    raise ValueError(f"unknown training method {method!r}")
+    raise ValueError(
+        f"unknown training method {method!r}: expected 'synthetic' or 'bc<k>' with k an "
+        "integer in [1, 100] written without leading zeros (e.g. bc10, bc100)"
+    )
 
 
 def cmd_train(config: ExperimentConfig, method: str) -> None:
@@ -332,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument(
         "--method",
         required=True,
-        help="bc<percentile> (e.g. bc10, bc100) or synthetic",
+        help="bc<k> for an integer percentile k in [1, 100] (e.g. bc10, bc100), or synthetic",
     )
 
     sub.add_parser("eval", help="evaluate expert and all trained cohorts on ID/OOD seeds")

@@ -15,13 +15,19 @@ Returns are undiscounted within-episode sums; the planner's discount never
 leaks into the data. Percentile filtering operates on whole episodes ranked
 by their start return g_0, because the filter weight is constant across an
 episode.
+
+`load` keeps the last dataset it parsed, keyed by the exact bytes of the
+file and its sidecar, so a process that loads one `offline.jsonl` content
+again (every BC cohort of a run-all) parses it once. Loaded columns are
+read-only.
 """
 
 import contextlib
+import io
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -62,14 +68,6 @@ class OfflineDataset:
 
     def __len__(self):
         return len(self.episode_id)
-
-    def episode_ids(self) -> list:
-        """Distinct episode ids in first-appearance order."""
-        return self.episode_id[_run_starts(self.episode_id)].tolist()
-
-    def episode_g0(self) -> dict:
-        starts = _run_starts(self.episode_id)
-        return dict(zip(self.episode_id[starts].tolist(), self.g_0[starts].tolist()))
 
 
 def _run_starts(episode_id: np.ndarray) -> np.ndarray:
@@ -269,6 +267,48 @@ def _vector(row: dict, key: str, dim: int | None, lineno: int) -> np.ndarray:
     return v
 
 
+def _text(data: bytes) -> io.TextIOWrapper:
+    """`data` read as `open(path)` reads a file: the locale's encoding and
+    universal newlines."""
+    return io.TextIOWrapper(io.BytesIO(data))
+
+
+def _parse_rows(body: bytes, expected_rows: int) -> OfflineDataset:
+    """The dataset in a JSON Lines body, validated, with an empty meta;
+    SchemaError as in `load`."""
+    rows = []
+    dim = None
+    for lineno, line in enumerate(_text(body)):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            row = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise SchemaError(f"line {lineno + 1}: malformed JSON ({exc.msg})") from exc
+        if not isinstance(row, dict):
+            raise SchemaError(f"line {lineno + 1}: not a JSON object")
+        missing = [f for f in COLUMNS if f not in row]
+        if missing:
+            raise SchemaError(f"line {lineno + 1}: missing fields {missing}")
+        for key, (kind, ok) in _SCALAR_TYPES.items():
+            if not ok(row[key]):
+                raise SchemaError(f"line {lineno + 1}: {key} {row[key]!r} is not {kind}")
+        row["obs"] = _vector(row, "obs", dim, lineno + 1)
+        dim = len(row["obs"])
+        row["next_obs"] = _vector(row, "next_obs", dim, lineno + 1)
+        rows.append(tuple(row[name] for name in COLUMNS))
+    if len(rows) != expected_rows:
+        raise SchemaError(f"row count mismatch: meta says {expected_rows}, file has {len(rows)}")
+    ds = _from_rows(rows, {})
+    _validate_episodes(ds)
+    return ds
+
+
+# the last dataset `load` parsed: (sidecar bytes, body bytes, dataset)
+_last = None
+
+
 def load(path: str) -> OfflineDataset:
     """Load and validate a saved dataset; raises SchemaError on a sidecar
     or line that is not a JSON object, a sidecar row count that is not a
@@ -277,15 +317,25 @@ def load(path: str) -> OfflineDataset:
     [0, N_ACTIONS); done: bool; reward, g_t, g_0: finite number), an
     obs/next_obs that is not a finite vector of the first row's length,
     row-count mismatch, an episode split over several runs of rows, or
-    broken return consistency."""
+    broken return consistency.
+
+    Each file is read once, as bytes. The last dataset parsed is kept
+    with the bytes it came from, and a load of files holding exactly
+    those bytes returns it without parsing, so repeated loads of one
+    content (distill and every BC cohort of a run-all) parse it once per
+    process. The columns are read-only on every return, hit or miss, and
+    each call returns its own OfflineDataset with its own `meta`. A
+    failed load keeps nothing."""
+    global _last
     meta_path = _meta_path(path)
     if not os.path.exists(meta_path):
         raise SchemaError(f"missing meta sidecar {meta_path}")
-    with open(meta_path) as fh:
-        try:
-            meta = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"{meta_path}: malformed JSON ({exc.msg})") from exc
+    with open(meta_path, "rb") as fh:
+        sidecar = fh.read()
+    try:
+        meta = json.load(_text(sidecar))
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"{meta_path}: malformed JSON ({exc.msg})") from exc
     if not isinstance(meta, dict):
         raise SchemaError(f"{meta_path}: not a JSON object")
     if "rows" not in meta:
@@ -293,31 +343,11 @@ def load(path: str) -> OfflineDataset:
     expected_rows = meta.pop("rows")
     if type(expected_rows) is not int or expected_rows < 0:
         raise SchemaError(f"{meta_path}: rows {expected_rows!r} is not an integer >= 0")
-    rows = []
-    dim = None
-    with open(path) as fh:
-        for lineno, line in enumerate(fh):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                row = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise SchemaError(f"line {lineno + 1}: malformed JSON ({exc.msg})") from exc
-            if not isinstance(row, dict):
-                raise SchemaError(f"line {lineno + 1}: not a JSON object")
-            missing = [f for f in COLUMNS if f not in row]
-            if missing:
-                raise SchemaError(f"line {lineno + 1}: missing fields {missing}")
-            for key, (kind, ok) in _SCALAR_TYPES.items():
-                if not ok(row[key]):
-                    raise SchemaError(f"line {lineno + 1}: {key} {row[key]!r} is not {kind}")
-            row["obs"] = _vector(row, "obs", dim, lineno + 1)
-            dim = len(row["obs"])
-            row["next_obs"] = _vector(row, "next_obs", dim, lineno + 1)
-            rows.append(tuple(row[name] for name in COLUMNS))
-    if len(rows) != expected_rows:
-        raise SchemaError(f"row count mismatch: meta says {expected_rows}, file has {len(rows)}")
-    ds = _from_rows(rows, meta)
-    _validate_episodes(ds)
-    return ds
+    with open(path, "rb") as fh:
+        body = fh.read()
+    if _last is None or _last[:2] != (sidecar, body):
+        ds = _parse_rows(body, expected_rows)
+        for name in COLUMNS:
+            getattr(ds, name).flags.writeable = False
+        _last = (sidecar, body, ds)
+    return replace(_last[2], meta=meta)

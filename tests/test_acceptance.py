@@ -20,6 +20,7 @@ import numpy as np
 from griddistill import checks, cli, datasets, evaluate, trainer
 from griddistill import distill as dst
 from griddistill.rng import derive_stream
+from helpers import episode_g0, episode_ids
 
 
 def _report(name: str, ok: bool, detail: str = ""):
@@ -132,13 +133,13 @@ def test_ac5_ood_generalization(base_run):
 
 def test_ac6_percentile_filter_exactness(base_run):
     ds = datasets.load(os.path.join(str(base_run["out"]), "offline.jsonl"))
-    n_episodes = len(ds.episode_ids())
+    n_episodes = len(episode_ids(ds))
     ok = True
     details = []
     for x in (10, 25, 40, 100):
         spec, _ = datasets.percentile_filter(ds, x)
         expected = math.ceil(x / 100.0 * n_episodes)
-        g0 = ds.episode_g0()
+        g0 = episode_g0(ds)
         kept_min = min(g0[e] for e in spec.kept_episodes)
         dropped = [g for e, g in g0.items() if e not in spec.kept_episodes]
         exact = len(spec.kept_episodes) == expected and (not dropped or kept_min >= max(dropped))

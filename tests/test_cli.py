@@ -9,6 +9,7 @@ import pytest
 from griddistill import cli, datasets, expert, gridenv, tinynet
 from griddistill import distill as dst
 from griddistill.rng import derive_stream
+from helpers import episode_ids
 
 SMALL_CONFIG = {
     "env": {"grid_n": 4, "hazard_count": 1, "horizon": 12},
@@ -180,7 +181,7 @@ class TestCollect:
         out = tmp_path / "out"
         assert run_cli(["--config", config_path, "--out", str(out), "collect"]) == 0
         ds = datasets.load(str(out / "offline.jsonl"))
-        assert len(ds.episode_ids()) == 6
+        assert len(episode_ids(ds)) == 6
         meta = json.load(open(out / "offline.meta.json"))
         assert meta["episode_count"] == 6
 
@@ -199,7 +200,7 @@ class TestCollect:
         )
         assert rc == 0
         ds = datasets.load(str(out / "offline.jsonl"))
-        assert len(ds.episode_ids()) == 1
+        assert len(episode_ids(ds)) == 1
         # replay the planner greedily and compare the stored actions
         spec = gridenv.generate(gridenv.EnvConfig(), 0)
         table = expert.value_iteration(spec)
@@ -273,6 +274,26 @@ class TestTrainCmd:
         config_path, out = collected
         with pytest.raises(ValueError):
             run_cli(["--config", config_path, "--out", str(out), "train", "--method", "boost"])
+
+    @pytest.mark.parametrize(
+        "method",
+        ["bc050", "bc1e1", "bc100.0", "bc10.5", "bcfoo", "bc0", "bc101", "bc", "bc-5", "bc+5",
+         "bc 5", "BC10", "bc٥", "synthetic2"],
+    )
+    def test_method_eval_never_reads_rejected_before_any_read(self, tmp_path, method):
+        # bc050, bc1e1 and bc100.0 used to train cohorts into directories
+        # eval never reads; the out dir here holds no dataset, so a name
+        # that got as far as a file read would fail with another error
+        config_path = write_small_config(tmp_path)
+        out = tmp_path / "out"
+        pattern = rf"unknown training method {re.escape(repr(method))}: expected 'synthetic' or 'bc<k>'"
+        with pytest.raises(ValueError, match=pattern):
+            run_cli(["--config", config_path, "--out", str(out), "train", "--method", method])
+        assert sorted(p.name for p in out.iterdir()) == ["config.echo.json"]
+
+    def test_every_configured_method_accepted(self):
+        config = cli.ExperimentConfig(percentiles=list(range(1, 101)))
+        assert set(config.methods()) == cli._BC_METHODS | {"synthetic"}
 
 
 class TestEvalCmd:

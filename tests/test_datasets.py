@@ -1,15 +1,17 @@
 import json
 import math
+import os
 import re
 
 import numpy as np
 import pytest
 
-from griddistill import datasets, expert
+from griddistill import cli, datasets, expert
 from griddistill.datasets import SchemaError
 from griddistill.expert import Episode
 from griddistill.gridenv import EnvConfig
 from griddistill.rng import derive_stream
+from helpers import episode_g0, episode_ids
 
 
 def toy_steps(rewards, tag=0):
@@ -78,7 +80,7 @@ class TestComputeReturns:
         cfg = EnvConfig()
         episodes = expert.collect_rollouts(cfg, list(range(20)), 100, [0.0, 0.1, 0.3], root_seed=3)
         ds = datasets.from_episodes(episodes, meta={})
-        for eid in ds.episode_ids():
+        for eid in episode_ids(ds):
             rows = ds.episode_id == eid
             forward = 0.0
             for reward in ds.reward[rows].tolist():
@@ -123,7 +125,7 @@ class TestPercentileFilter:
         rng = derive_stream(77, "filter")
         ds = toy_dataset([[rng.next_uniform() * 10] for _ in range(30)])
         spec, out = datasets.percentile_filter(ds, 40.0)
-        g0 = ds.episode_g0()
+        g0 = episode_g0(ds)
         kept_min = min(g0[e] for e in spec.kept_episodes)
         dropped = [g for e, g in g0.items() if e not in spec.kept_episodes]
         assert not dropped or kept_min >= max(dropped)
@@ -575,6 +577,120 @@ def reference_validate(rows):
             g_next = r["g_t"]
         if any(abs(r["g_0"] - ep[0]["g_t"]) > 1e-9 for r in ep):
             raise SchemaError(f"episode {eid}: g_0 mismatch")
+
+
+@pytest.fixture()
+def parses(monkeypatch):
+    """The body parses `load` starts from here on, from an empty memo,
+    failed ones included; each entry is the body it parses."""
+    monkeypatch.setattr(datasets, "_last", None)
+    parse, calls = datasets._parse_rows, []
+
+    def counting(body, *args):
+        calls.append(body)
+        return parse(body, *args)
+
+    monkeypatch.setattr(datasets, "_parse_rows", counting)
+    return calls
+
+
+def assert_same_bytes(a, b):
+    """Equal columns byte for byte (the object column `seed` by value),
+    with the dtypes of COLUMNS, and equal meta."""
+    for name, dtype in datasets.COLUMNS.items():
+        col_a, col_b = getattr(a, name), getattr(b, name)
+        assert col_a.dtype == col_b.dtype == dtype and col_a.shape == col_b.shape, name
+        if dtype is object:
+            assert col_a.tolist() == col_b.tolist(), name
+        else:
+            assert col_a.tobytes() == col_b.tobytes(), name
+    assert a.meta == b.meta
+
+
+def rewrite(path, old, new):
+    """Replace the one occurrence of `old` in a file with `new`."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    assert data.count(old) == 1
+    with open(path, "wb") as fh:
+        fh.write(data.replace(old, new))
+
+
+class TestLoadMemo:
+    @pytest.fixture()
+    def saved(self, tmp_path):
+        episodes = expert.collect_rollouts(EnvConfig(), list(range(4)), 8, [0.0, 0.3], root_seed=6)
+        path = str(tmp_path / "offline.jsonl")
+        datasets.save(datasets.from_episodes(episodes, meta={"root_seed": 6}), path)
+        return path
+
+    def test_repeated_load_equals_a_fresh_parse(self, saved, parses, monkeypatch):
+        first = datasets.load(saved)
+        again = datasets.load(saved)
+        assert len(parses) == 1 and again is not first
+        monkeypatch.setattr(datasets, "_last", None)
+        fresh = datasets.load(saved)
+        assert len(parses) == 2
+        assert_same_bytes(again, fresh)
+        assert_same_bytes(first, fresh)
+        assert fresh.meta == {"root_seed": 6}
+
+    def test_one_byte_change_to_the_body_is_picked_up(self, saved, parses):
+        before = datasets.load(saved)
+        assert before.seed[0] == 0
+        rewrite(saved, b'{"episode_id":0,"t":0,"seed":0,', b'{"episode_id":0,"t":0,"seed":7,')
+        after = datasets.load(saved)
+        assert len(parses) == 2
+        assert after.seed.tolist() == [7] + before.seed.tolist()[1:]
+
+    def test_one_byte_change_to_the_sidecar_alone_is_picked_up(self, saved, parses):
+        meta_path = datasets._meta_path(saved)
+        n = len(datasets.load(saved))
+        rewrite(meta_path, b'"root_seed": 6', b'"root_seed": 5')
+        assert datasets.load(saved).meta == {"root_seed": 5}
+        assert len(parses) == 2
+        # a row count one less on an unchanged body is checked again
+        rewrite(meta_path, f'"rows": {n}'.encode(), f'"rows": {n - 1}'.encode())
+        with pytest.raises(SchemaError, match=f"meta says {n - 1}, file has {n}$"):
+            datasets.load(saved)
+
+    def test_columns_are_read_only_on_the_first_load_and_a_repeat(self, saved, parses):
+        for _ in range(2):  # each load checked before the next one is made
+            ds = datasets.load(saved)
+            for name in datasets.COLUMNS:
+                col = getattr(ds, name)
+                with pytest.raises(ValueError, match="read-only"):
+                    col[:1] = col[:1]
+        assert len(parses) == 1
+
+    def test_each_load_has_its_own_meta(self, saved, parses):
+        first = datasets.load(saved)
+        first.meta["root_seed"] = 99
+        first.meta["note"] = "x"
+        again = datasets.load(saved)
+        assert again.meta == {"root_seed": 6}
+        again.meta.clear()
+        assert datasets.load(saved).meta == {"root_seed": 6}
+        assert len(parses) == 1
+
+    def test_a_failed_load_between_two_good_loads_keeps_nothing(self, saved, parses, tmp_path):
+        good = datasets.load(saved)
+        # return consistency is the last check, after every row parsed
+        bad = str(tmp_path / "bad.jsonl")
+        datasets.save(good, bad)
+        rewrite(bad, b'{"episode_id":0,"t":1,', b'{"episode_id":0,"t":5,')
+        for _ in range(2):
+            with pytest.raises(SchemaError, match="transitions not contiguous/t-ordered"):
+                datasets.load(bad)
+        again = datasets.load(saved)
+        assert len(parses) == 3  # the good file, then the bad one twice
+        assert_same_bytes(again, good)
+
+    def test_in_process_run_all_parses_the_offline_dataset_once(self, tmp_path, parses):
+        config = os.path.join(os.path.dirname(__file__), "data", "smoke.config.json")
+        out = tmp_path / "out"
+        assert cli.main(["--config", config, "--out", str(out), "run-all"]) == 0
+        assert parses == [(out / "offline.jsonl").read_bytes()]
 
 
 class TestWriteAtomic:
