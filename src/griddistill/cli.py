@@ -74,6 +74,9 @@ class ExperimentConfig:
     output_dir: str = "out"
 
     def __post_init__(self):
+        seed = self.root_seed
+        if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
+            raise ValueError(f"root_seed {seed!r} is not an integer")
         bad = [x for x in self.percentiles if isinstance(x, bool) or x not in range(1, 101)]
         if bad:
             raise ValueError(f"percentiles {bad} are not integers in [1, 100]")

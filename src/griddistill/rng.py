@@ -10,31 +10,28 @@ draws.
 The scalar methods (`next_u64`, `next_int`, ...) are the reference. The
 bulk methods return exactly the sequence that the same number of scalar
 calls would, and leave the stream in the same state. They are exact
-because the xoshiro256** state update is linear over GF(2): the s1 words
-of the next 256 steps, and the state 256 or 512 steps on, are the XOR of
-the contributions of the state's set bits taken one at a time. Those
-per-bit contributions are tabulated once, at import.
+because the state update J is linear over GF(2). For each power J^(2^a),
+a = 0..20, a table built at import holds the image of every value of each
+of the state's 64 nibbles, so a jump of m states 2^a steps on is one
+gather per state word and an XOR reduction: the method of Four Russians
+applied to F2-linear jump-ahead (Haramoto et al., "Efficient jump ahead
+for F2-linear random number generators", INFORMS J. Computing 2008;
+Blackman & Vigna, "Scrambled linear pseudorandom number generators", ACM
+TOMS 2021).
 
-Draws below 32,768 words (in all, over the streams drawn together) take
-whole blocks of 256 outputs from the tables, one vectorized XOR per block,
-and the last k mod 256 words from the scalar generator. Larger draws
-split the stream into lanes 512 words apart (each lane starts one
-512-step jump after the last: the jump functions of Blackman & Vigna used
-for block splitting) and step all lanes at once as uint64 vectors; their
-k mod 512 tail takes the table path. Either way the (nonlinear) output
-scrambler runs in uint64 over the whole draw.
-
-`next_u64_arrays` and `next_int_arrays` make the same draw from each of
-several streams at once, for a consumer that reads many streams alike:
-the lanes of all the streams step together, so the lanes' fixed cost is
-paid once per draw. A stream's own bulk draw is their one-stream case.
-
-`next_uniform_lanes` takes one uniform from each of many streams whose
-states sit side by side as uint64 columns, for a consumer that walks many
-streams in lockstep.
-
-`LaneCursor` reads a stream ahead, 256 lanes at a time, for a consumer
-that makes many mid-sized draws and never reads the stream afterwards.
+A bulk draw of 256 words or more in all is one lane pass: each stream
+splits into L lanes of D = 2^a words, D growing as the square root of the
+draw. The lane starts fill by doubling (round r jumps the first n = 2^r
+starts D * n steps on into the next n), then all lanes of all the streams
+step D times at once as uint64 vectors, scrambled and written out in
+stream order a few steps at a time. Smaller draws step the scalar loop.
+`next_u64_arrays` and `next_int_arrays` draw from several streams in one
+pass, for a consumer that reads many streams alike; a stream's own bulk
+draw is their one-stream case. `LaneCursor` reads a stream ahead one
+large pass at a time, for a consumer that makes many mid-sized draws and
+never reads the stream afterwards. `next_uniform_lanes` takes one uniform
+from each of many streams whose states sit side by side as uint64
+columns, for a consumer that walks many streams in lockstep.
 """
 
 import math
@@ -45,15 +42,10 @@ _MASK64 = (1 << 64) - 1
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 _INV_2_53 = 2.0 ** -53
-_BLOCK = 256  # outputs per table block; also the number of state bits
-_LANE_BLOCK = 512  # words per lane: lanes start one 512-step jump apart
-# Smallest draw that takes lanes; smaller ones take the tables. The lanes'
-# fixed cost is 512 vector steps, so on 2 cores (best of 15) they cross the
-# tables here: 28,672 words took 3.6-5.8 ms by lanes and 4.1-5.3 ms by
-# tables, 32,768 words 3.7-6.2 ms by lanes and 4.9-6.7 ms by tables.
-_LANE_MIN = 32_768
-_CURSOR_REFILL = 256 * _LANE_BLOCK  # words per LaneCursor refill
-_SCRAMBLE_CHUNK = 8192  # words scrambled per in-place pass, cache-sized
+_POWERS = 21  # jump tables for J^(2^a), a = 0..20
+_BULK_MIN = 256  # fewest words in all that take a lane pass
+_PASS_MAX = 1 << 21  # most words per stream in one pass: starts jump at most 2^20 steps
+_CURSOR_REFILL = 1 << 17  # words per LaneCursor refill
 
 
 def fnv1a64(text: str) -> int:
@@ -96,84 +88,100 @@ def _step_u64(s0, s1, s2, s3, t, u) -> None:
     np.bitwise_or(s3, u, out=s3)
 
 
-def _block_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Run the xoshiro256** state update from the 256 unit states (state
-    bit i = bit i % 64 of word i // 64) at once. Row i of `outs` holds the
-    s1 word at steps 0..255 from unit state i; row i of `jump` holds that
-    state after 256 steps, and row i of `jump512` after 512."""
-    words = np.zeros((4, _BLOCK), dtype=np.uint64)
-    bit = np.arange(_BLOCK)
-    words[bit // 64, bit] = np.uint64(1) << (bit % 64).astype(np.uint64)
-    scratch = np.empty((2, _BLOCK), dtype=np.uint64)
-    outs = np.empty((_BLOCK, _BLOCK), dtype=np.uint64)
-    for step in range(_BLOCK):
-        outs[:, step] = words[1]
-        _step_u64(*words, *scratch)
-    jump = words.T.copy()
-    for _ in range(_LANE_BLOCK - _BLOCK):
-        _step_u64(*words, *scratch)
-    jump512 = words.T.copy()
-    for table in (outs, jump, jump512):
-        table.flags.writeable = False
-    return outs, jump, jump512
+def _nibbles(states: np.ndarray) -> np.ndarray:
+    """The nibbles of the m states of a C-contiguous (m, 4) uint64 array, as
+    (m, 64) intp: nibble p holds state bits 4p..4p+3 (bit i is bit i % 64 of
+    word i // 64) on any host, as the words are read as little-endian bytes."""
+    octets = states.astype("<u8", copy=False).view(np.uint8)
+    nibbles = np.empty((len(octets), 32, 2), dtype=np.intp)
+    np.bitwise_and(octets, 15, out=nibbles[:, :, 0], casting="unsafe")
+    np.right_shift(octets, 4, out=nibbles[:, :, 1], casting="unsafe")
+    return nibbles.reshape(len(octets), 64)
 
 
-# Built once at import (~10 ms, 528 KiB), so the draw path needs no
-# first-use check.
-_OUTS, _JUMP, _JUMP512 = _block_tables()
+def _jump(table: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """The m states of a C-contiguous (m, 4) uint64 array taken through the
+    map whose (4, 64 * 16) nibble table is `table`: per state word, one
+    gather at the states' 64 nibbles, XOR-reduced along the contiguous axis."""
+    index = _nibbles(states) + np.arange(0, 1024, 16)
+    out = np.empty((len(index), 4), dtype=np.uint64)
+    for w in range(4):
+        np.bitwise_xor.reduce(table[w].take(index), axis=1, out=out[:, w])
+    return out
 
 
-def _set_bits(state: np.ndarray) -> np.ndarray:
-    """Indices of the set bits of a state of four little-endian uint64
-    words: the table rows whose XOR is the state's image."""
-    return np.flatnonzero(np.unpackbits(state.view(np.uint8), bitorder="little"))
+def _jump_tables() -> np.ndarray:
+    """tables[a, w, 16 * p + v] is word w of the state 2^a steps on from
+    the state whose only set bits are the value v in nibble p. Power a + 1
+    takes the 256 unit states' images under power a through it once more,
+    and a nibble's 16 values are XORs of the images of its four bits."""
+    unit = np.packbits(np.eye(256, dtype=np.uint8), axis=1, bitorder="little").view("<u8")
+    images = unit.astype(np.uint64)  # row i: unit state i, stepped to its image under J
+    _step_u64(*images.T, *np.empty((2, 256), dtype=np.uint64))
+    tables = np.zeros((_POWERS, 4, 64, 16), dtype=np.uint64)
+    for a, table in enumerate(tables):
+        if a:
+            images = _jump(tables[a - 1].reshape(4, 1024), images)
+        bits = images.T.reshape(4, 64, 4)  # [word, nibble, bit of the nibble]
+        for b in range(4):  # values 2^b .. 2^(b+1) - 1: those below 2^b, XOR bit b
+            np.bitwise_xor(table[..., : 1 << b], bits[..., b, None], out=table[..., 1 << b : 2 << b])
+    tables = tables.reshape(_POWERS, 4, 1024)
+    tables.flags.writeable = False
+    return tables
+
+
+# Built at import (3-5 ms, 672 KiB), so the draw path needs no first-use check.
+_TABLES = _jump_tables()
 
 
 def _scramble(words: np.ndarray) -> None:
-    """xoshiro256** output scrambler rotl(s1 * 5, 7) * 9, in place on a 1-D
-    uint64 array, a cache-sized chunk at a time."""
-    tmp = np.empty(min(len(words), _SCRAMBLE_CHUNK), dtype=np.uint64)
-    for lo in range(0, len(words), _SCRAMBLE_CHUNK):
-        chunk = words[lo : lo + _SCRAMBLE_CHUNK]
-        t = tmp[: len(chunk)]
-        np.multiply(chunk, _U5, out=chunk)
-        np.right_shift(chunk, _U57, out=t)
-        np.left_shift(chunk, _U7, out=chunk)
-        np.bitwise_or(chunk, t, out=chunk)
-        np.multiply(chunk, _U9, out=chunk)
+    """xoshiro256** output scrambler rotl(s1 * 5, 7) * 9, in place on a
+    uint64 array."""
+    t = np.empty_like(words)
+    np.multiply(words, _U5, out=words)
+    np.right_shift(words, _U57, out=t)
+    np.left_shift(words, _U7, out=words)
+    np.bitwise_or(words, t, out=words)
+    np.multiply(words, _U9, out=words)
 
 
-def _table_words(state: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Fill the (blocks, 256) array `out` with the s1 words of the stream
-    from `state`, block by block from the tables; return the state after."""
-    for b in range(out.shape[0]):
-        set_bits = _set_bits(state)
-        out[b] = np.bitwise_xor.reduce(_OUTS[set_bits], axis=0)
-        state = np.bitwise_xor.reduce(_JUMP[set_bits], axis=0)
-    return state
-
-
-def _lane_words(states: list, out: np.ndarray) -> list:
-    """Fill the (S, lanes, 512) array `out` with the s1 words of S streams,
-    stream i from states[i]: lane l of a stream starts l 512-step jumps on,
-    all S * lanes lanes step together, and step j writes column j, so
-    out[i].ravel() is stream i's order. Returns each stream's state after
-    its last lane."""
-    streams, lanes = out.shape[:2]
-    starts = np.empty((4, streams, lanes), dtype=np.uint64)
-    after = []
-    for i, state in enumerate(states):
-        for lane in range(lanes):
-            starts[:, i, lane] = state
-            state = np.bitwise_xor.reduce(_JUMP512[_set_bits(state)], axis=0)
-        after.append(state)
-    s0, s1, s2, s3 = starts.reshape(4, streams * lanes)
-    words = s1.reshape(streams, lanes)  # a view: it follows s1's in-place steps
-    t, u = np.empty((2, streams * lanes), dtype=np.uint64)
-    for step in range(_LANE_BLOCK):
-        out[:, :, step] = words
-        _step_u64(s0, s1, s2, s3, t, u)
-    return after
+def _lane_pass(streams: list, out: np.ndarray) -> None:
+    """Fill the (S, k) array `out` (1 <= k <= 2^21; rows contiguous) with
+    the next k words of each of the S streams, and move every stream on k
+    steps. Lane l of a stream starts l * D steps on, its last lane cut to
+    the k - (L - 1) * D words still owed. D is the largest power of two with
+    8 * D^2 <= S * k, and at least 8: D vector steps against S * k / D starts."""
+    streams_n, k = out.shape
+    a = max(3, (streams_n * k).bit_length() // 2 - 2)
+    length = 1 << a
+    lanes = -(-k // length)
+    starts = np.empty((lanes, streams_n, 4), dtype=np.uint64)
+    starts[0] = [stream.state for stream in streams]
+    n = 1
+    while n < lanes:  # jump the first n starts D * n = 2^(a + log2 n) steps on
+        m = min(n, lanes - n)
+        after = _jump(_TABLES[a + n.bit_length() - 1], starts[:m].reshape(m * streams_n, 4))
+        starts[n : n + m] = after.reshape(m, streams_n, 4)
+        n += m
+    state = starts.reshape(lanes * streams_n, 4).T.copy()  # column l * S + i: lane l of stream i
+    tail = k - (lanes - 1) * length
+    body = out[:, : k - tail].reshape(streams_n, lanes - 1, length)
+    last = out[:, k - tail :]
+    steps = min(16, length)  # lane steps buffered per strided write into `out`
+    buf = np.empty((steps, lanes * streams_n), dtype=np.uint64)
+    scratch = np.empty((2, lanes * streams_n), dtype=np.uint64)
+    for lo in range(0, length, steps):
+        for j in range(steps):
+            buf[j] = state[1]
+            _step_u64(*state, *scratch)
+            if lo + j + 1 == tail:  # each stream's last lane is done
+                ends = state[:, -streams_n:].T.copy()
+        _scramble(buf)
+        words = buf.reshape(steps, lanes, streams_n).transpose(2, 1, 0)  # (S, L, steps)
+        body[:, :, lo : lo + steps] = words[:, :-1]
+        last[:, lo : lo + steps] = words[:, -1, : max(tail - lo, 0)]
+    for stream, end in zip(streams, ends):
+        stream.state = tuple(int(w) for w in end)
 
 
 class RngStream:
@@ -305,27 +313,18 @@ def _int_array(draw, n: int, k: int) -> np.ndarray:
 def next_u64_arrays(streams: list, k: int) -> np.ndarray:
     """k raw words from each of the streams, as an (S, k) uint64 array whose
     row i is the same sequence as k calls to streams[i].next_u64(); each
-    stream is left where those calls would leave it. From 32,768 words in
-    all on, one lane pass gives every stream's whole lanes of 512; whole
-    blocks of 256 come from the tables, the last k % 256 words from
-    next_u64."""
+    stream is left where those calls would leave it. From 256 words in all
+    on, the streams' lanes step together in one pass (one per 2^21 words of
+    a longer draw); fewer words come from next_u64."""
     if k < 0:
         raise ValueError(f"draw count must be >= 0, got {k}")
-    lanes = k // _LANE_BLOCK if len(streams) * k >= _LANE_MIN else 0
-    body = lanes * _LANE_BLOCK
-    blocks = (k - body) // _BLOCK
-    head = body + blocks * _BLOCK
     out = np.empty((len(streams), k), dtype=np.uint64)
-    if head:
-        states = [np.array(stream.state, dtype="<u8") for stream in streams]
-        if lanes:
-            states = _lane_words(states, out[:, :body].reshape(len(streams), lanes, _LANE_BLOCK))
-        for stream, state, row in zip(streams, states, out):
-            state = _table_words(state, row[body:head].reshape(blocks, _BLOCK))
-            _scramble(row[:head])
-            stream.state = tuple(int(w) for w in state)
-    for stream, row in zip(streams, out):
-        row[head:] = [stream.next_u64() for _ in range(k - head)]
+    if len(streams) * k < _BULK_MIN:
+        for stream, row in zip(streams, out):
+            row[:] = [stream.next_u64() for _ in range(k)]
+    else:
+        for lo in range(0, k, _PASS_MAX):
+            _lane_pass(streams, out[:, lo : lo + _PASS_MAX])
     return out
 
 
@@ -341,13 +340,13 @@ def next_int_arrays(streams: list, n: int, k: int) -> np.ndarray:
 
 
 class LaneCursor:
-    """Reads a stream ahead, 131,072 words at a time, and serves the bulk
-    draws from that buffer: the same words in the same order as the
-    stream's own bulk methods, at the lanes' per-word cost even when each
-    draw is small. The stream is left up to one refill past the last word
-    served, so only a consumer that never reads the stream afterwards may
-    use it. A refill of 256 lanes keeps the buffer at 1 MiB, a small share
-    of the pipeline's ~43 MB peak RSS."""
+    """Reads a stream ahead, one 131,072-word lane pass at a time, and
+    serves the bulk draws from that buffer: the same words in the same
+    order as the stream's own bulk methods, without each mid-sized draw
+    paying a pass's fixed cost of lane starts and step calls. The stream is
+    left up to one refill past the last word served, so only a consumer
+    that never reads the stream afterwards may use it. The buffer's 1 MiB
+    is a small share of the pipeline's ~43 MB peak RSS."""
 
     __slots__ = ("stream", "buf", "pos")
 

@@ -120,6 +120,9 @@ class TestConfig:
             ({"student": {"n_students": 2.5}}, r"student.n_students 2.5 is not an integer"),
             ({"student": {"n_students": True}}, r"student.n_students True is not an integer"),
             ({"student": {"n_students": "3"}}, r"student.n_students '3' is not an integer"),
+            ({"root_seed": True}, r"root_seed True is not an integer"),
+            ({"root_seed": "42"}, r"root_seed '42' is not an integer"),
+            ({"root_seed": 42.0}, r"root_seed 42.0 is not an integer"),
         ],
     )
     def test_bad_collect_and_student_values_rejected_at_load(self, data, reason):

@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 from griddistill.rng import (
+    _TABLES,
     LaneCursor,
     RngStream,
+    _jump,
+    _nibbles,
     derive_stream,
     fnv1a64,
     next_int_arrays,
@@ -60,11 +63,11 @@ def test_next_uniform_range():
     assert all(0.0 <= u < 1.0 for u in draws)
 
 
-# draw counts around the 256-output block: none, tail only, whole blocks,
-# blocks plus tail, and the two init_params sizes of the default network;
-# mid-sized draws that take the tables (16,383-16,896); then around
-# the 32,768-word lane threshold: tables only, whole lanes, lanes plus a
-# scalar tail; and two lane refills of distillation's read-ahead
+# draw counts chosen around the earlier bulk mechanisms' edges (256-output
+# table blocks, the 32,768-word lane threshold), kept as they were: none,
+# the scalar loop, the smallest lane passes, the two init_params sizes of
+# the default network, mid-sized passes, and two refills of distillation's
+# read-ahead
 BULK_COUNTS = (
     0, 1, 255, 256, 257, 512, 4608, 4768, 16383, 16384, 16385, 16896,
     32767, 32768, 32769, 262144,
@@ -112,7 +115,7 @@ def test_next_int_array_matches_scalar(n, k):
     [
         (540, 256),
         (3 << 61, 256),  # 2**64 mod n is a quarter of all words: rejection 1/4
-        (540, 15),  # every per-step call is a scalar tail, below one block
+        (540, 15),  # every per-step call takes the scalar loop
     ],
 )
 def test_one_schedule_draw_matches_per_step_draws(n, batch):
@@ -130,11 +133,11 @@ def test_one_schedule_draw_matches_per_step_draws(n, batch):
     "streams, k",
     [
         (3, 0),
-        (3, 300),  # tables and scalar tails only
-        (3, 10_880),  # 32,640 words in all: just below the lanes
-        (3, 11_018),  # lanes: 21 per stream, then one table block and 10 scalars
+        (3, 300),  # lanes of 8 words, the last one of 4
+        (3, 10_880),  # 32,640 words in all: lanes of 32
+        (3, 11_018),  # 33,054 words in all: lanes of 64, the last one of 10
         (1, 32_768),
-        (10, 5_120),  # lanes only: 10 per stream
+        (10, 5_120),  # 51,200 words in all: 80 lanes of 64 per stream
     ],
 )
 def test_u64_arrays_match_each_stream_alone(streams, k):
@@ -154,7 +157,7 @@ def test_int_arrays_match_each_stream_alone(n):
     labels = [f"student:{i}" for i in range(4)]
     block = [derive_stream(12, label) for label in labels]
     alone = [derive_stream(12, label) for label in labels]
-    for k in (12_800, 300):  # lanes, then tables and scalar tails
+    for k in (12_800, 300):  # a large pass, then a small one
         ints = next_int_arrays(block, n, k)
         assert ints.dtype == np.int64 and ints.shape == (4, k)
         for row, stream, ref in zip(ints, block, alone):
@@ -314,3 +317,90 @@ def test_shuffle_uniformity_small():
     sigma = (60_000 * (1 / 6) * (5 / 6)) ** 0.5
     for _perm, c in counts.items():
         assert abs(c - expected) <= 5 * sigma
+
+
+# One lane pass serves every bulk draw of 256 words or more in all. Its
+# lane length D is the largest power of two with 8 * D^2 <= the words drawn
+# (at least 8), so D changes at 2,048 (8 -> 16), 8,192, 32,768 and 131,072
+# words in all; 256 is where the scalar loop ends.
+PASS_BOUNDARIES = (256, 2048, 8192, 32768, 131072)
+# k = (L - 1) * D + 1 (a last lane of one word) and k = L * D (whole lanes),
+# for D = 8 (L = 100), 16 (L = 200), 32 (L = 300), 64 (L = 1000), 128 (L = 1025)
+LAST_LANE_COUNTS = (793, 800, 3185, 3200, 9569, 9600, 63937, 64000, 131073, 131200)
+PASS_COUNTS = tuple(b + d for b in PASS_BOUNDARIES for d in (-1, 0, 1)) + LAST_LANE_COUNTS
+
+
+@pytest.mark.parametrize("k", PASS_COUNTS)
+def test_lane_pass_matches_scalar(k):
+    a = derive_stream(19, "pass")
+    b = derive_stream(19, "pass")
+    arr = a.next_u64_array(k)
+    ref = np.array([b.next_u64() for _ in range(k)], dtype=np.uint64)
+    assert np.array_equal(arr, ref)
+    assert a.state == b.state
+
+
+def _assert_block_matches_alone(streams, counts):
+    labels = [f"student:{i}" for i in range(streams)]
+    block = [derive_stream(23, label) for label in labels]
+    alone = [derive_stream(23, label) for label in labels]
+    for k in counts:  # one block carried through every count
+        words = next_u64_arrays(block, k)
+        assert words.dtype == np.uint64 and words.shape == (streams, k)
+        for row, stream, ref in zip(words, block, alone):
+            assert np.array_equal(row, ref.next_u64_array(k)), (k, stream.label)
+            assert stream.state == ref.state, (k, stream.label)
+
+
+@pytest.mark.parametrize("streams", (2, 3, 10))
+@pytest.mark.parametrize("k", PASS_COUNTS)
+def test_multi_stream_pass_matches_each_stream_alone(streams, k):
+    _assert_block_matches_alone(streams, [k])
+
+
+@pytest.mark.parametrize("streams", (2, 3, 10))
+def test_multi_stream_pass_at_boundaries_of_words_in_all(streams):
+    # the size rule reads the words drawn from all the streams together, so
+    # S streams cross its boundaries at S times fewer words each
+    _assert_block_matches_alone(
+        streams, [b // streams + d for b in PASS_BOUNDARIES for d in (-1, 0, 1)]
+    )
+
+
+@pytest.mark.parametrize("a", (0, 1, 3, 7, 12))
+def test_jump_table_matches_scalar_steps(a):
+    streams = [derive_stream(seed, "jump") for seed in range(3)]
+    states = np.array([s.state for s in streams], dtype=np.uint64)
+    jumped = _jump(_TABLES[a], states)
+    for stream in streams:
+        for _ in range(1 << a):
+            stream.next_u64()
+    assert [tuple(int(w) for w in row) for row in jumped] == [s.state for s in streams]
+
+
+def test_nibble_p_holds_state_bits_4p_to_4p_plus_3():
+    states = np.array(
+        [derive_stream(seed, "nibbles").state for seed in range(5)]
+        + [(1, 0, 0, 1 << 63), (0x0123456789ABCDEF, 0, 0xF, 1 << 60)],
+        dtype=np.uint64,
+    )
+    nibbles = _nibbles(states)
+    assert nibbles.shape == (len(states), 64)
+    for row, state in zip(nibbles, states):
+        bits = sum(int(w) << (64 * i) for i, w in enumerate(state))
+        assert [int(v) for v in row] == [(bits >> (4 * p)) & 15 for p in range(64)]
+
+
+def test_draw_longer_than_one_pass():
+    # a draw past 2**21 words takes a second pass from where the first ended:
+    # its last words are those of a stream jumped 2**21 steps on by the table
+    k = (1 << 21) + 300
+    s = derive_stream(29, "long")
+    words = s.next_u64_array(k)
+    ref = derive_stream(29, "long")
+    assert np.array_equal(words[:256], ref.next_u64_array(256))
+    state = np.array([derive_stream(29, "long").state], dtype=np.uint64)
+    state = _jump(_TABLES[20], _jump(_TABLES[20], state))  # 2 * 2**20 steps on
+    jumped = RngStream(tuple(int(w) for w in state[0]), "long")
+    assert [int(x) for x in words[1 << 21 :]] == [jumped.next_u64() for _ in range(300)]
+    assert s.state == jumped.state
