@@ -23,6 +23,10 @@ from .rng import derive_stream
 from .trainer import TrainConfig, train_cohort
 
 
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 @dataclass
 class CollectConfig:
     episodes: int = 100
@@ -32,17 +36,21 @@ class CollectConfig:
     gamma: float = 0.99
 
     def __post_init__(self):
+        for name in ("episodes", "seed_start", "seed_count"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"collect.{name} {value!r} is not an integer")
         if self.episodes < 1:
             raise ValueError("collect.episodes must be >= 1")
         if self.seed_count < 1:
             raise ValueError("collect.seed_count must be >= 1")
-        if not self.epsilons:
+        if not isinstance(self.epsilons, list) or not self.epsilons:
             raise ValueError("collect.epsilons needs at least one epsilon")
-        bad = [e for e in self.epsilons if not (0.0 <= e <= 1.0)]
+        bad = [e for e in self.epsilons if not (_is_real(e) and 0.0 <= e <= 1.0)]
         if bad:
             raise ValueError(f"collect.epsilons {bad} are not in [0, 1]")
-        if not (0.0 < self.gamma < 1.0):
-            raise ValueError(f"collect.gamma {self.gamma} is not in (0, 1)")
+        if not (_is_real(self.gamma) and 0.0 < self.gamma < 1.0):
+            raise ValueError(f"collect.gamma {self.gamma!r} is not in (0, 1)")
 
     def seeds(self) -> list:
         return list(range(self.seed_start, self.seed_start + self.seed_count))

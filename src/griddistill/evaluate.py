@@ -1,18 +1,22 @@
 """Monte Carlo evaluation of trained students (and the planner itself) on
 in-distribution and out-of-distribution seed sets, plus report emission.
 
-On a fixed map a policy is a table from cell to action distribution: one
-batched forward over the map's cell observations for a student, the
-greedy actions for the planner. Each split runs in two phases. Each eval
-map is generated, solved and observed once, keeping what the walk reads
-of every student's table: its argmax action per cell, or its cumulative
-action probabilities under the `stochastic` rule. Then every (student,
-map, episode) lane of the split walks in lockstep over the maps' stacked
-transition tables, and the planner walks one lane per map. Students act
-by argmax by default, so cohort comparisons reflect training rather than
-action-sampling noise; the `stochastic` rule samples instead, each lane
-from its episode's own stream. The planner always acts greedily. Reports
-carry both pooled statistics over every episode and the mean of
+On a fixed map a policy is a table from cell to action distribution: a
+forward over the map's cell observations for a student, the greedy actions
+for the planner. Each split runs in two phases, both over the whole split
+at once. First its maps are generated and solved as one block
+(`gridenv.generate_maps`, `expert.solve_maps`), and each student's tables
+come from one forward per chunk of 8 maps, on an (8, cells, obs_dim) stack
+whose every slice is the same 36-row BLAS call as a one-map forward (8
+keeps the stacks' memory small; `_CHUNK` gives the measured RSS); what the
+walk reads of each table is kept: its argmax action per cell, or its
+cumulative action probabilities under the `stochastic` rule. Then every
+(student, map, episode) lane of the split walks in lockstep over the
+maps' stacked transition tables, and the planner walks one lane per map.
+Students act by argmax by default, so cohort comparisons reflect training
+rather than action-sampling noise; the `stochastic` rule samples instead,
+each lane from its episode's own stream. The planner always acts greedily.
+Reports carry both pooled statistics over every episode and the mean of
 per-student statistics; the CSV holds the pooled numbers, the markdown
 tables the per-student ones.
 """
@@ -86,60 +90,71 @@ class EvalReport:
     student_std: float | None = None
 
 
-class _Maps:
-    """A split's map MDPs over global cells g = m * cells + c (cell c of map
-    m), filled one map at a time: `next[g, a]` is the global cell action a
-    leads to from g, `reward[g, a]` what that move pays, `goal[g]` whether g
-    is its map's goal, and `start[m]` map m's start cell."""
+# Maps per stacked student forward; each slice of the stack is the same
+# 36-row BLAS call as a one-map forward, so the tables are the same bytes.
+# The chunk bounds the stack's memory. Evaluating eval-stochastic's
+# cohorts (seed 42) in a fresh process raised its peak RSS by 13.6 MB with
+# the whole 200-map split in one stack, 4.4 MB in chunks of 32 and 3.5 MB
+# in chunks of 16, but 3.1 MB in chunks of 8, as in chunks of 4 or 1; and
+# eval time stops falling at 8.
+_CHUNK = 8
 
-    def __init__(self, count: int, config: EnvConfig):
-        self.cells = config.grid_n ** 2
-        self.horizon = config.horizon
-        self.next = np.empty((count * self.cells, N_ACTIONS), dtype=np.int64)
-        self.reward = np.empty((count * self.cells, N_ACTIONS))
-        self.goal = np.zeros(count * self.cells, dtype=bool)
-        self.start = np.empty(count, dtype=np.int64)
 
-    def add(self, m: int, spec: gridenv.GridSpec) -> None:
-        n, base = spec.config.grid_n, m * self.cells
-        self.next[base : base + self.cells] = spec.next_cell.T + base
-        self.reward[base : base + self.cells] = spec.reward.T
-        self.goal[base + spec.goal[0] * n + spec.goal[1]] = True
-        self.start[m] = base + spec.start[0] * n + spec.start[1]
-
-    def walk(
-        self, cell: np.ndarray, offset: np.ndarray, policy: np.ndarray, states=None
-    ) -> np.ndarray:
-        """Every lane's undiscounted return, all lanes stepped together. Lane
-        l starts on global cell `cell[l]` and reads policy row `offset[l] +
-        g` on cell g. Without `states`, `policy` holds one action per row
-        (the argmax rule). With them, its rows are cumulative action
-        probabilities and lane l samples from stream `states[:, l]`: the
-        first action a with u < row[a], else the last, as a running sum of
-        the probabilities would pick. Returns add each reward in step order
-        from 0.0, so they equal sum() over the episode's rewards. A lane ends
-        on its goal or at the horizon."""
-        returns = np.zeros(len(cell))
-        lane = np.arange(len(cell))
-        next_cell, reward = self.next.ravel(), self.reward.ravel()
-        for _ in range(self.horizon):
-            if not len(lane):
-                break
-            row = offset + cell
-            if states is None:
-                action = policy[row]
+def _student_tables(students: list, maps: gridenv.Maps, sampled: bool) -> np.ndarray:
+    """What the walk reads of every student's policy on every map, (S, maps,
+    cells): the argmax action per cell, or under the `stochastic` rule the
+    cumulative action probabilities, (S, maps, cells, N_ACTIONS). Each
+    student's tables come from one forward per chunk of _CHUNK maps."""
+    shape = (len(students), len(maps.start), maps.cells)
+    if sampled:
+        tables = np.empty((*shape, N_ACTIONS))
+    else:
+        tables = np.empty(shape, dtype=np.int8)
+    for lo in range(0, len(maps.start), _CHUNK):
+        obs = maps.observations(lo, lo + _CHUNK)
+        for table, params in zip(tables[:, lo : lo + _CHUNK], students):
+            probs = tinynet.forward(params, obs)
+            if sampled:
+                np.cumsum(probs, axis=2, out=table)
             else:
-                u = next_uniform_lanes(states)
-                action = np.minimum((policy[row] <= u[:, None]).sum(axis=1), N_ACTIONS - 1)
-            move = cell * N_ACTIONS + action
-            cell = next_cell[move]
-            returns[lane] += reward[move]
-            live = ~self.goal[cell]
-            if not live.all():
-                lane, cell, offset = lane[live], cell[live], offset[live]
-                if states is not None:
-                    states = states[:, live]
-        return returns
+                table[:] = probs.argmax(axis=2)
+        del obs  # freed before the next chunk's stack is built
+    return tables
+
+
+def _walk(
+    maps: gridenv.Maps, cell: np.ndarray, offset: np.ndarray, policy: np.ndarray, states=None
+) -> np.ndarray:
+    """Every lane's undiscounted return, all lanes stepped together over the
+    stacked tables of `maps`. Lane l starts on global cell `cell[l]` and
+    reads policy row `offset[l] + g` on cell g. Without `states`, `policy`
+    holds one action per row (the argmax rule). With them, its rows are
+    cumulative action probabilities and lane l samples from stream
+    `states[:, l]`: the first action a with u < row[a], else the last, as a
+    running sum of the probabilities would pick. Returns add each reward in
+    step order from 0.0, so they equal sum() over the episode's rewards. A
+    lane ends on its goal or at the horizon."""
+    returns = np.zeros(len(cell))
+    lane = np.arange(len(cell))
+    next_cell, reward = maps.next.ravel(), maps.reward.ravel()
+    for _ in range(maps.horizon):
+        if not len(lane):
+            break
+        row = offset + cell
+        if states is None:
+            action = policy[row]
+        else:
+            u = next_uniform_lanes(states)
+            action = np.minimum((policy[row] <= u[:, None]).sum(axis=1), N_ACTIONS - 1)
+        move = cell * N_ACTIONS + action
+        cell = next_cell[move]
+        returns[lane] += reward[move]
+        live = ~maps.goal[cell]
+        if not live.all():
+            lane, cell, offset = lane[live], cell[live], offset[live]
+            if states is not None:
+                states = states[:, live]
+    return returns
 
 
 def _split_returns(
@@ -153,30 +168,17 @@ def _split_returns(
 ) -> tuple:
     """(planner returns, student returns) on one split. Each is ordered by
     map, then episode; the students' are one row per student, cohorts in
-    order. Each map is generated, solved and observed once, and every
-    student's policy on it is one forward; then every episode of the split
-    walks in lockstep, the planner's greedy walk (one lane per map) apart."""
+    order. The split's maps are generated and solved as one block, and
+    every student's tables on them come in chunks of _CHUNK maps; then every
+    episode of the split walks in lockstep, the planner's greedy walk (one
+    lane per map) apart."""
     sampled = eval_cfg.action_rule == "stochastic"
     episodes = eval_cfg.episodes_per_seed
     students = [params for members, _ in cohorts.values() for params in members]
-    maps = _Maps(len(seeds), env_config)
-    planner = np.empty((len(seeds), maps.cells), dtype=np.int8)
-    if sampled:
-        policies = np.empty((len(students), len(seeds), maps.cells, N_ACTIONS))
-    else:
-        policies = np.empty((len(students), len(seeds), maps.cells), dtype=np.int8)
-    for m, seed in enumerate(seeds):
-        spec = gridenv.generate(env_config, seed)
-        maps.add(m, spec)
-        planner[m] = expert.value_iteration(spec, gamma=gamma).greedy_action
-        obs = gridenv.cell_observations(spec)
-        for s, params in enumerate(students):
-            table = tinynet.forward(params, obs)
-            if sampled:
-                np.cumsum(table, axis=1, out=policies[s, m])
-            else:
-                policies[s, m] = table.argmax(axis=1)
-    planner_returns = maps.walk(maps.start, np.zeros(len(seeds), dtype=np.int64), planner.ravel())
+    maps = gridenv.Maps(gridenv.generate_maps(env_config, seeds))
+    planner = expert.solve_maps(maps, gamma)[1].astype(np.int8)
+    policies = _student_tables(students, maps, sampled)
+    planner_returns = _walk(maps, maps.start, np.zeros(len(seeds), dtype=np.int64), planner)
     per_student = len(seeds) * episodes  # one student's lanes: by map, then episode
     cell = np.tile(np.repeat(maps.start, episodes), len(students))
     offset = np.repeat(np.arange(len(students)) * (len(seeds) * maps.cells), per_student)
@@ -196,7 +198,7 @@ def _split_returns(
         ).reshape(width, per_student, 4)
         member = [i for members, _ in cohorts.values() for i in range(len(members))]
         states = np.ascontiguousarray(by_index[member].reshape(-1, 4).T)
-    returns = maps.walk(cell, offset, policies.reshape(-1, *policies.shape[3:]), states)
+    returns = _walk(maps, cell, offset, policies.reshape(-1, *policies.shape[3:]), states)
     return np.repeat(planner_returns, episodes), returns.reshape(len(students), per_student)
 
 

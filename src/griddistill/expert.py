@@ -4,6 +4,9 @@ per map, optionally epsilon-noised.
 Solving each seed's deterministic MDP exactly sidesteps expert training
 entirely; the epsilon mixture cycled across episodes manufactures the
 return spread that percentile filtering needs to be a meaningful baseline.
+The planner solves a block of maps in one elementwise sweep over their
+stacked tables (`solve_maps`); collection generates and solves all of its
+maps as one block, then rolls its episodes out one by one.
 """
 
 from dataclasses import dataclass
@@ -33,10 +36,13 @@ class ValueTable:
     residual: float
 
 
-def value_iteration(spec: GridSpec, gamma: float = 0.99, tol: float = 1e-8) -> ValueTable:
-    """Stationary infinite-horizon value iteration on the deterministic
-    grid MDP, swept until the Bellman residual over every cell drops below
-    `tol`.
+def solve_maps(maps: gridenv.Maps, gamma: float = 0.99, tol: float = 1e-8) -> tuple:
+    """Stationary infinite-horizon value iteration on every map of the
+    block at once: (values, greedy actions) over the block's global cells
+    and each map's final Bellman residual. Every sweep is elementwise over
+    the stacked tables, so each map's values are the bytes it would get
+    swept alone. A map is frozen at the sweep where its own residual over
+    its cells first drops to `tol`; the others sweep on.
 
     Every cell starts at its stay-forever value reward[STAY] / (1 - gamma),
     the goal at 0. A move's reward depends only on the cell it lands on, so
@@ -44,28 +50,45 @@ def value_iteration(spec: GridSpec, gamma: float = 0.99, tol: float = 1e-8) -> V
     the start is a lower bound (T v0 >= v0) and the sweeps rise
     monotonically to the optimum. Free cells walled off from the goal start
     at their exact value, and the rest settle in about as many sweeps as
-    their path to the goal is long. Against a zero start, greedy actions
-    and goal-reachable values are bit-equal (tested on ID and OOD maps);
-    other cells differ by less than tol / (1 - gamma)."""
+    their path to the goal is long (at most 17 on the default ID and OOD
+    maps). Against a zero start, greedy actions and goal-reachable values
+    are bit-equal (tested on ID and OOD maps); other cells differ by less
+    than tol / (1 - gamma). Greedy ties break toward the lowest action."""
     if not (0.0 < gamma < 1.0):
         raise ValueError("gamma must be in (0, 1)")
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    nxt, rew = spec.next_cell, spec.reward
-    goal_idx = spec.goal[0] * spec.config.grid_n + spec.goal[1]
-    values = rew[_STAY] / (1.0 - gamma)
-    values[goal_idx] = 0.0
-    while True:
-        q = rew + gamma * values[nxt]  # (A, cells)
-        new_values = q.max(axis=0)
-        new_values[goal_idx] = 0.0
-        residual = float(np.abs(new_values - values).max())
-        values = new_values
-        if residual <= tol:
-            break
-    q = rew + gamma * values[nxt]
-    greedy = q.argmax(axis=0)  # argmax takes the lowest index on ties
-    return ValueTable(spec=spec, gamma=gamma, values=values, greedy_action=greedy, residual=residual)
+    count = len(maps.start)
+    values = maps.reward[:, _STAY] / (1.0 - gamma)
+    values[maps.goal] = 0.0
+    residual = np.full(count, np.inf)
+    live = np.ones(count, dtype=bool)
+    while live.any():
+        new_values = _q(maps, gamma, values).max(axis=1)
+        new_values[maps.goal] = 0.0
+        change = np.abs(new_values - values).reshape(count, maps.cells).max(axis=1)
+        residual[live] = change[live]
+        values = np.where(np.repeat(live, maps.cells), new_values, values)
+        live &= residual > tol
+    return values, _q(maps, gamma, values).argmax(axis=1), residual
+
+
+def _q(maps: gridenv.Maps, gamma: float, values: np.ndarray) -> np.ndarray:
+    """reward + gamma * values[next] on every global cell and action, in
+    one buffer; IEEE products and sums commute, so these are the bytes of
+    that expression."""
+    q = values[maps.next]
+    q *= gamma
+    q += maps.reward
+    return q
+
+
+def value_iteration(spec: GridSpec, gamma: float = 0.99, tol: float = 1e-8) -> ValueTable:
+    """One map's ValueTable: the block of one of `solve_maps`."""
+    values, greedy, residual = solve_maps(gridenv.Maps([spec]), gamma, tol)
+    return ValueTable(
+        spec=spec, gamma=gamma, values=values, greedy_action=greedy, residual=float(residual[0])
+    )
 
 
 @dataclass(frozen=True)
@@ -116,22 +139,25 @@ def collect_rollouts(
     gamma: float = 0.99,
 ) -> list:
     """Collect `episodes` expert episodes, round-robin over `seeds`, cycling
-    epsilon through `epsilons`. Episode i rolls with its own derived stream
-    so collection order never affects the data."""
+    epsilon through `epsilons`. The maps the episodes visit are generated
+    and solved as one block first. Episode i rolls with its own derived
+    stream so collection order never affects the data."""
     if not seeds:
         raise ValueError("need at least one seed")
     if not epsilons:
         raise ValueError("need at least one epsilon")
-    tables = {}
+    if episodes < 1:
+        return []
+    used = list(dict.fromkeys(seeds[:episodes]))  # the seeds episodes visit, in order
+    specs = gridenv.generate_maps(config, used)
+    values, greedy, residual = solve_maps(gridenv.Maps(specs), gamma)
+    by_map = (len(specs), -1)
+    solved = zip(specs, values.reshape(by_map), greedy.reshape(by_map), residual)
+    tables = {spec.seed: ValueTable(spec, gamma, v, g, float(r)) for spec, v, g, r in solved}
     out = []
     for i in range(episodes):
-        seed = seeds[i % len(seeds)]
-        eps = epsilons[i % len(epsilons)]
-        if seed not in tables:
-            spec = gridenv.generate(config, seed)
-            tables[seed] = value_iteration(spec, gamma=gamma)
-        table = tables[seed]
-        policy = ExpertPolicy(table=table, epsilon=eps)
+        table = tables[seeds[i % len(seeds)]]
+        policy = ExpertPolicy(table=table, epsilon=epsilons[i % len(epsilons)])
         stream = derive_stream(root_seed, f"rollout:{i}")
         out.append(rollout(policy, table.spec, stream))
     return out

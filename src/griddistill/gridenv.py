@@ -8,17 +8,24 @@ channel a row-major grid_n x grid_n block.
 
 Each map carries its MDP over flat row-major cells (`GridSpec.next_cell`,
 `GridSpec.reward`), and collection, evaluation and the planner all read
-those tables. `run_episode` walks them one episode at a time, cell by
-cell, for collection; evaluation walks all of a split's episodes at once
-over the same tables. `GridState`, `initial_state`, `step` and `observe`
-are the reference semantics the tables are tested against.
+those tables. Maps are made as a block: `generate_maps` draws every seed's
+first layout in one multi-stream lane pass, and `Maps` stacks a block's
+tables over global cells, which the planner sweeps all at once and
+evaluation walks all of a split's episodes over. `Maps.observations` gives
+the cell observations of a run of its maps, which evaluation forwards 8
+maps at a time: a whole split's stack would add ~10 MB of peak RSS (see
+`evaluate._CHUNK`). `generate` is the block of one. `run_episode` walks
+one map's tables one episode at a time, cell by cell, for collection.
+`GridState`, `initial_state`, `step` and `observe` are the reference
+semantics the tables are tested against.
 """
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .rng import derive_stream
+from .rng import derive_stream, next_uniform_arrays
 
 ACTIONS = ("UP", "DOWN", "LEFT", "RIGHT", "STAY")
 ACTION_MOVES = ((-1, 0), (1, 0), (0, -1), (0, 1), (0, 0))
@@ -27,6 +34,10 @@ N_ACTIONS = 5
 
 class GenerationError(Exception):
     """No reachable layout found; the config is too dense."""
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -40,14 +51,19 @@ class EnvConfig:
     goal_reward: float = 10.0
 
     def __post_init__(self):
-        if self.grid_n < 2:
-            raise ValueError("grid_n must be >= 2")
-        if self.horizon < 1:
-            raise ValueError("horizon must be >= 1")
-        if not (0.0 <= self.wall_density < 1.0):
-            raise ValueError("wall_density must be in [0, 1)")
-        if self.hazard_count < 0:
-            raise ValueError("hazard_count must be >= 0")
+        for name, least in (("grid_n", 2), ("hazard_count", 0), ("horizon", 1)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"env.{name} {value!r} is not an integer")
+            if value < least:
+                raise ValueError(f"env.{name} must be >= {least}")
+        density = self.wall_density
+        if not _is_real(density) or not 0.0 <= density < 1.0:
+            raise ValueError(f"env.wall_density {density!r} is not in [0, 1)")
+        for name in ("step_reward", "hazard_reward", "goal_reward"):
+            value = getattr(self, name)
+            if not _is_real(value) or not np.isfinite(value):
+                raise ValueError(f"env.{name} {value!r} is not a finite number")
 
     @property
     def obs_dim(self) -> int:
@@ -126,15 +142,28 @@ def reachable(spec: GridSpec, cell: int) -> np.ndarray:
     return np.array(seen)
 
 
-def generate(config: EnvConfig, seed: int) -> GridSpec:
-    """Deterministic map for (config, seed): Bernoulli walls, then start,
-    goal and hazards drawn uniformly among free cells without collision.
-    Retries the whole layout until the goal is reachable (<= 100 tries).
-    """
-    stream = derive_stream(seed, "env:gen")
+def generate_maps(config: EnvConfig, seeds) -> list:
+    """The GridSpec of each seed, in order: Bernoulli walls, then start, goal
+    and hazards drawn uniformly among free cells without collision, the
+    whole layout retried until the goal is reachable (<= 100 tries). Each
+    seed reads only its own stream; the first layout's grid_n^2 uniforms of
+    all the seeds come from one multi-stream lane pass, and retries and the
+    start, goal and hazard draws continue on each seed's stream, so a map
+    reads exactly the words it would alone. Raises GenerationError naming
+    the first seed with no reachable layout."""
+    streams = [derive_stream(seed, "env:gen") for seed in seeds]
+    first = next_uniform_arrays(streams, config.grid_n ** 2)
+    return [_layout(config, seed, stream, u) for seed, stream, u in zip(seeds, streams, first)]
+
+
+def _layout(config: EnvConfig, seed: int, stream, uniforms: np.ndarray) -> GridSpec:
+    """One seed's map from its first layout's uniforms, drawing the rest of
+    what it needs from its stream."""
     n = config.grid_n
-    for _ in range(100):
-        walls = (stream.next_uniform_array(n * n) < config.wall_density).reshape(n, n)
+    for attempt in range(100):
+        if attempt:
+            uniforms = stream.next_uniform_array(n * n)
+        walls = (uniforms < config.wall_density).reshape(n, n)
         free = [divmod(int(s), n) for s in np.flatnonzero(~walls)]
         if len(free) < 2 + config.hazard_count:
             continue
@@ -152,6 +181,43 @@ def generate(config: EnvConfig, seed: int) -> GridSpec:
     raise GenerationError(
         f"no reachable layout in 100 attempts for seed {seed} (config too dense?)"
     )
+
+
+def generate(config: EnvConfig, seed: int) -> GridSpec:
+    """Deterministic map for (config, seed): the block of one of
+    `generate_maps`."""
+    return generate_maps(config, [seed])[0]
+
+
+class Maps:
+    """Several maps (one config) stacked for block passes, over global cells
+    g = m * cells + c, cell c of map m: `next[g, a]` is the global cell
+    action a leads to from g, `reward[g, a]` what that move pays, `goal[g]`
+    whether g is its map's goal, `start[m]` map m's start cell and
+    `static[m]` the goal, wall and hazard channels of its observations, as
+    bools. It keeps no GridSpec, so a block's specs can be freed once it is
+    built."""
+
+    def __init__(self, specs: list):
+        config = specs[0].config
+        n = config.grid_n
+        self.cells = n * n
+        self.horizon = config.horizon
+        base = np.arange(len(specs)) * self.cells
+        tables = np.stack([spec.next_cell.T for spec in specs])  # (maps, cells, actions)
+        tables += base[:, None, None]
+        self.next = tables.reshape(-1, N_ACTIONS)
+        self.reward = np.stack([spec.reward.T for spec in specs]).reshape(-1, N_ACTIONS)
+        self.goal = np.zeros(len(self.next), dtype=bool)
+        self.goal[base + [spec.goal[0] * n + spec.goal[1] for spec in specs]] = True
+        self.start = base + [spec.start[0] * n + spec.start[1] for spec in specs]
+        static = [observe(initial_state(spec))[self.cells :] > 0 for spec in specs]
+        self.static = np.stack(static)
+
+    def observations(self, lo: int, hi: int) -> np.ndarray:
+        """Every cell's observation on maps lo .. hi - 1, (maps, cells,
+        obs_dim), as `cell_observations` gives each."""
+        return _observations(self.static[lo:hi])
 
 
 def initial_state(spec: GridSpec) -> GridState:
@@ -201,14 +267,23 @@ def observe(state: GridState) -> np.ndarray:
     return obs
 
 
+def _observations(static: np.ndarray) -> np.ndarray:
+    """(maps, cells, obs_dim) from each map's goal, wall and hazard channels
+    (maps, 3 * cells), as 0/1 values or bools: the agent channel of row c is
+    one-hot on c."""
+    cells = static.shape[1] // 3
+    obs = np.empty((len(static), cells, 4 * cells))
+    obs[:, :, :cells] = np.eye(cells)
+    obs[:, :, cells:] = static[:, None, :]
+    return obs
+
+
 def cell_observations(spec: GridSpec) -> np.ndarray:
     """Every cell's observation on this map, (grid_n^2, obs_dim): row
     r * grid_n + c is observe() with the agent on (r, c). Wall rows are
     included although the agent never stands there."""
     cells = spec.config.grid_n ** 2
-    obs = np.tile(observe(initial_state(spec)), (cells, 1))
-    obs[:, :cells] = np.eye(cells)
-    return obs
+    return _observations(observe(initial_state(spec))[None, cells:])[0]
 
 
 def run_episode(spec: GridSpec, choose) -> list:

@@ -25,13 +25,14 @@ draw. The lane starts fill by doubling (round r jumps the first n = 2^r
 starts D * n steps on into the next n), then all lanes of all the streams
 step D times at once as uint64 vectors, scrambled and written out in
 stream order a few steps at a time. Smaller draws step the scalar loop.
-`next_u64_arrays` and `next_int_arrays` draw from several streams in one
-pass, for a consumer that reads many streams alike; a stream's own bulk
-draw is their one-stream case. `LaneCursor` reads a stream ahead one
-large pass at a time, for a consumer that makes many mid-sized draws and
-never reads the stream afterwards. `next_uniform_lanes` takes one uniform
-from each of many streams whose states sit side by side as uint64
-columns, for a consumer that walks many streams in lockstep.
+`next_u64_arrays`, `next_uniform_arrays` and `next_int_arrays` draw from
+several streams in one pass, for a consumer that reads many streams alike;
+a stream's own bulk draw is their one-stream case. `LaneCursor` reads a
+stream ahead one large pass at a time, for a consumer that makes many
+mid-sized draws and never reads the stream afterwards.
+`next_uniform_lanes` takes one uniform from each of many streams whose
+states sit side by side as uint64 columns, for a consumer that walks many
+streams in lockstep.
 """
 
 import math
@@ -326,6 +327,12 @@ def next_u64_arrays(streams: list, k: int) -> np.ndarray:
         for lo in range(0, k, _PASS_MAX):
             _lane_pass(streams, out[:, lo : lo + _PASS_MAX])
     return out
+
+
+def next_uniform_arrays(streams: list, k: int) -> np.ndarray:
+    """k uniforms in [0, 1) from each of the streams, as an (S, k) float64
+    array whose row i is streams[i].next_uniform_array(k)."""
+    return _uniforms(next_u64_arrays(streams, k))
 
 
 def next_int_arrays(streams: list, n: int, k: int) -> np.ndarray:

@@ -102,11 +102,16 @@ def _log_softmax(z: np.ndarray) -> np.ndarray:
 
 def forward(params: PolicyParams, x: np.ndarray) -> np.ndarray:
     """Action distribution softmax(W2 relu(W1 x + b1) + b2). Accepts a
-    single observation or a (batch, in_dim) matrix."""
+    single observation, a (batch, in_dim) matrix or a stack of them, e.g.
+    evaluation's (8 maps, cells, in_dim) chunk: each slice of a stack is the
+    same BLAS call as the 2-D forward on that slice alone, so its rows are
+    the same bytes (a tall 2-D product over the whole stack is not)."""
     w1, b1, w2, b2 = unpack(params)
     single = x.ndim == 1
     xb = x[None, :] if single else x
-    h = np.maximum(xb @ w1.T + b1, 0.0)
+    h = xb @ w1.T
+    h += b1
+    np.maximum(h, 0.0, out=h)
     z = h @ w2.T + b2
     p = np.exp(_log_softmax(z))
     return p[0] if single else p

@@ -123,6 +123,15 @@ class TestConfig:
             ({"root_seed": True}, r"root_seed True is not an integer"),
             ({"root_seed": "42"}, r"root_seed '42' is not an integer"),
             ({"root_seed": 42.0}, r"root_seed 42.0 is not an integer"),
+            ({"collect": {"episodes": 2.5}}, r"collect.episodes 2.5 is not an integer"),
+            ({"env": {"grid_n": 6.0}}, r"env.grid_n 6.0 is not an integer"),
+            ({"env": {"hazard_count": 1.5}}, r"env.hazard_count 1.5 is not an integer"),
+            ({"env": {"horizon": True}}, r"env.horizon True is not an integer"),
+            ({"collect": {"seed_start": "0"}}, r"collect.seed_start '0' is not an integer"),
+            ({"collect": {"seed_count": True}}, r"collect.seed_count True is not an integer"),
+            ({"collect": {"epsilons": [True]}}, r"collect.epsilons \[True\] are not in \[0, 1\]"),
+            ({"collect": {"gamma": "0.9"}}, r"collect.gamma '0.9' is not in \(0, 1\)"),
+            ({"env": {"wall_density": "0.2"}}, r"env.wall_density '0.2' is not in \[0, 1\)"),
         ],
     )
     def test_bad_collect_and_student_values_rejected_at_load(self, data, reason):
@@ -379,22 +388,24 @@ class TestEvalCmd:
     def test_each_map_generated_and_solved_once(self, trained, monkeypatch):
         config_path, out = trained
         generated, solved = [], []
-        generate, value_iteration = gridenv.generate, expert.value_iteration
+        generate_maps, solve_maps = gridenv.generate_maps, expert.solve_maps
 
-        def counting_generate(config, seed):
-            generated.append(seed)
-            return generate(config, seed)
+        def counting_generate_maps(config, seeds):
+            generated.extend(seeds)
+            return generate_maps(config, seeds)
 
-        def counting_value_iteration(spec, *args, **kwargs):
-            solved.append(spec.seed)
-            return value_iteration(spec, *args, **kwargs)
+        def counting_solve_maps(maps, *args, **kwargs):
+            solved.append(len(maps.start))
+            return solve_maps(maps, *args, **kwargs)
 
-        monkeypatch.setattr(gridenv, "generate", counting_generate)
-        monkeypatch.setattr(expert, "value_iteration", counting_value_iteration)
+        monkeypatch.setattr(gridenv, "generate_maps", counting_generate_maps)
+        monkeypatch.setattr(gridenv, "generate", lambda *a: pytest.fail("per-map generate"))
+        monkeypatch.setattr(expert, "value_iteration", lambda *a, **k: pytest.fail("per-map"))
+        monkeypatch.setattr(expert, "solve_maps", counting_solve_maps)
         run_cli(["--config", config_path, "--out", str(out), "eval"])
         seeds = [0, 1, 2, 10_000, 10_001]  # SMALL_CONFIG's ID and OOD seeds
         assert sorted(generated) == seeds
-        assert sorted(solved) == seeds
+        assert solved == [3, 2]  # one block per split
 
     def test_rerun_eval_byte_identical(self, tmp_path):
         config_path = write_small_config(tmp_path)

@@ -36,8 +36,7 @@ def walk_one_map(tables, spec, streams=None):
     """Lockstep returns on one map, one lane per (cells, N_ACTIONS) policy
     table in `tables`: argmax lanes without `streams`, else lane l samples
     its table from streams[l]."""
-    maps = evaluate._Maps(1, spec.config)
-    maps.add(0, spec)
+    maps = gridenv.Maps([spec])
     lanes = len(tables)
     offset = np.arange(lanes) * maps.cells
     if streams is None:
@@ -45,7 +44,7 @@ def walk_one_map(tables, spec, streams=None):
     else:
         policy = np.concatenate([np.cumsum(t, axis=1) for t in tables])
         states = np.array([rng.state for rng in streams], dtype=np.uint64).T.copy()
-    return maps.walk(np.repeat(maps.start, lanes), offset, policy, states)
+    return evaluate._walk(maps, np.repeat(maps.start, lanes), offset, policy, states)
 
 
 def student_return(params, spec, rng=None):
@@ -205,6 +204,27 @@ class TestPolicyTableEquivalence:
             policy = expert.ExpertPolicy(table=expert.value_iteration(spec), epsilon=0.0)
             episode = expert.rollout(policy, spec, derive_stream(seed, "eq:planner"))
             assert planner[m] == sum(s[3] for s in episode.steps)
+
+
+class TestStudentTables:
+    """Each student's tables come from one stacked forward per chunk of
+    maps; one forward per map is the reference, byte for byte."""
+
+    @pytest.mark.parametrize("action_rule", ["argmax", "stochastic"])
+    @pytest.mark.parametrize("count", [1, 7, 8, 9, 17])
+    def test_chunks_match_per_map_forward(self, count, action_rule):
+        env = EnvConfig()
+        specs = gridenv.generate_maps(env, range(10_000, 10_000 + count))
+        shape = NetShape(in_dim=env.obs_dim)
+        students = [tinynet.init_params(shape, derive_stream(i, "chunks")) for i in range(2)]
+        sampled = action_rule == "stochastic"
+        got = evaluate._student_tables(students, gridenv.Maps(specs), sampled)
+        assert got.shape[:2] == (2, count)
+        for params, tables in zip(students, got):
+            for spec, table in zip(specs, tables):
+                probs = tinynet.forward(params, gridenv.cell_observations(spec))
+                want = np.cumsum(probs, axis=1) if sampled else probs.argmax(axis=1)
+                assert table.tobytes() == want.astype(table.dtype).tobytes(), spec.seed
 
 
 def eval_config(id_seeds, ood_seeds, **kwargs):

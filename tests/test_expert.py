@@ -6,6 +6,7 @@ from griddistill.checks import best_return_search
 from griddistill.gridenv import EnvConfig
 from griddistill.rng import derive_stream
 
+from helpers import value_iteration_reference
 from test_gridenv import make_spec
 
 
@@ -63,6 +64,28 @@ class TestValueIteration:
             greedy_return = sum(s[3] for s in episode.steps)
             assert greedy_return == pytest.approx(best_return_search(spec, 8))
             checked += 1
+
+
+class TestSolveMaps:
+    """solve_maps sweeps a block of maps at once; the per-map sweep it
+    replaced (tests/helpers.py) is the reference."""
+
+    # at tol 0.5 and 0.05 maps freeze before their values settle, so a map
+    # frozen a sweep early or late changes its bytes
+    @pytest.mark.parametrize("gamma, tol", [(0.99, 1e-8), (0.99, 0.5), (0.9, 0.05)])
+    def test_block_matches_per_map_sweep_on_id_and_ood_maps(self, gamma, tol):
+        specs = gridenv.generate_maps(EnvConfig(), [*range(200), *range(10000, 10100)])
+        values, greedy, residual = expert.solve_maps(gridenv.Maps(specs), gamma, tol)
+        refs = [value_iteration_reference(spec, gamma, tol) for spec in specs]
+        assert values.tobytes() == np.concatenate([r[0] for r in refs]).tobytes()
+        assert greedy.tobytes() == np.concatenate([r[1] for r in refs]).tobytes()
+        assert residual.tobytes() == np.array([r[2] for r in refs]).tobytes()
+        assert len({r[3] for r in refs}) > 3  # the maps freeze at different sweeps
+        for spec, (ref_values, ref_greedy, ref_residual, _) in list(zip(specs, refs))[:20]:
+            table = expert.value_iteration(spec, gamma, tol)  # the block of one
+            assert table.values.tobytes() == ref_values.tobytes()
+            assert table.greedy_action.tobytes() == ref_greedy.tobytes()
+            assert table.residual == ref_residual
 
 
 def zero_start_value_iteration(spec, gamma=0.99, tol=1e-8):

@@ -4,6 +4,8 @@ import pytest
 from griddistill import gridenv
 from griddistill.gridenv import EnvConfig, GridSpec
 
+from helpers import generate_reference
+
 
 def make_spec(walls, start, goal, hazards=(), config=None):
     """Hand-built map for targeted dynamics tests."""
@@ -43,6 +45,16 @@ class TestConfig:
             EnvConfig(horizon=0)
         with pytest.raises(ValueError):
             EnvConfig(wall_density=1.0)
+        with pytest.raises(ValueError, match=r"env.grid_n 6.0 is not an integer"):
+            EnvConfig(grid_n=6.0)
+        with pytest.raises(ValueError, match=r"env.hazard_count 1.5 is not an integer"):
+            EnvConfig(hazard_count=1.5)
+        with pytest.raises(ValueError, match=r"env.horizon True is not an integer"):
+            EnvConfig(horizon=True)
+        with pytest.raises(ValueError, match=r"env.wall_density '0.2' is not in \[0, 1\)"):
+            EnvConfig(wall_density="0.2")
+        with pytest.raises(ValueError, match=r"env.goal_reward nan is not a finite number"):
+            EnvConfig(goal_reward=float("nan"))
 
 
 class TestGenerate:
@@ -78,6 +90,47 @@ class TestGenerate:
     def test_overdense_config_raises(self):
         with pytest.raises(gridenv.GenerationError):
             gridenv.generate(EnvConfig(grid_n=2, wall_density=0.0, hazard_count=10), 0)
+
+
+def assert_same_maps(block, refs):
+    assert len(block) == len(refs)
+    for spec, ref in zip(block, refs):
+        assert spec == ref, ref.seed
+        assert spec.next_cell.tobytes() == ref.next_cell.tobytes(), ref.seed
+        assert spec.reward.tobytes() == ref.reward.tobytes(), ref.seed
+
+
+class TestGenerateMaps:
+    """generate_maps draws a block's first layouts in one lane pass; the
+    per-seed generation it replaced (tests/helpers.py) and the block of one
+    are the references."""
+
+    def test_matches_per_seed_generation_on_id_and_ood_seeds(self):
+        cfg = EnvConfig()
+        seeds = [*range(200), *range(10000, 10100)]
+        refs, layouts = zip(*(generate_reference(cfg, seed) for seed in seeds))
+        assert_same_maps(gridenv.generate_maps(cfg, seeds), refs)
+        assert_same_maps([gridenv.generate(cfg, seed) for seed in seeds], refs)
+        # 17 of these seeds retry their layout, two of them twice
+        assert sum(n > 1 for n in layouts) == 17 and max(layouts) == 3
+
+    @pytest.mark.parametrize("count", range(1, 10))
+    def test_block_sizes_across_the_lane_pass_threshold(self, count):
+        # 7 maps x 36 words = 252 take the scalar path and 8 x 36 = 288 a
+        # lane pass; every block ends on seed 34, which draws three layouts
+        cfg = EnvConfig()
+        seeds = range(35 - count, 35)
+        refs = [generate_reference(cfg, seed)[0] for seed in seeds]
+        assert_same_maps(gridenv.generate_maps(cfg, seeds), refs)
+
+    def test_overdense_block_names_the_seed(self):
+        # 64 maps x 4 words take a lane pass
+        cfg = EnvConfig(grid_n=2, wall_density=0.0, hazard_count=10)
+        with pytest.raises(gridenv.GenerationError, match="for seed 7 "):
+            gridenv.generate_maps(cfg, range(7, 71))
+
+    def test_empty_block(self):
+        assert gridenv.generate_maps(EnvConfig(), []) == []
 
 
 class TestStep:

@@ -13,6 +13,7 @@ from griddistill.rng import (
     fnv1a64,
     next_int_arrays,
     next_u64_arrays,
+    next_uniform_arrays,
     next_uniform_lanes,
     splitmix64,
 )
@@ -148,6 +149,11 @@ def test_u64_arrays_match_each_stream_alone(streams, k):
     assert words.dtype == np.uint64 and words.shape == (streams, k)
     for row, stream, ref in zip(words, block, alone):
         assert np.array_equal(row, ref.next_u64_array(k)), stream.label
+        assert stream.state == ref.state, stream.label
+    # then a map layout's 36 uniforms from each stream
+    uniforms = next_uniform_arrays(block, 36)
+    for row, stream, ref in zip(uniforms, block, alone):
+        assert np.array_equal(row, ref.next_uniform_array(36)), stream.label
         assert stream.state == ref.state, stream.label
 
 

@@ -97,6 +97,18 @@ class TestForward:
         for i in range(2):
             assert np.allclose(batched[i], tinynet.forward(params, xs[i]))
 
+    def test_stacked_forward_matches_each_slice(self):
+        # evaluation stacks maps as (maps, cells, in_dim): each slice must be
+        # the bytes of the 2-D forward on that map's 36 cell observations
+        shape = NetShape(in_dim=144)
+        rng = derive_stream(4, "stack")
+        params = tinynet.init_params(shape, rng)
+        xs = (rng.next_uniform_array(8 * 36 * 144) < 0.1).astype(np.float64).reshape(8, 36, 144)
+        stacked = tinynet.forward(params, xs)
+        assert stacked.shape == (8, 36, 5)
+        for x, p in zip(xs, stacked):
+            assert p.tobytes() == tinynet.forward(params, x).tobytes()
+
 
 class TestBcLoss:
     def test_zero_params_log5(self):
