@@ -15,7 +15,8 @@ cumulative action probabilities under the `stochastic` rule. Then every
 maps' stacked transition tables, and the planner walks one lane per map.
 Students act by argmax by default, so cohort comparisons reflect training
 rather than action-sampling noise; the `stochastic` rule samples instead,
-each lane from its episode's own stream. The planner always acts greedily.
+each lane from its episode's own stream, whose states for the whole split
+come from one `rng.derive_states` call. The planner always acts greedily.
 Reports carry both pooled statistics over every episode and the mean of
 per-student statistics; the CSV holds the pooled numbers, the markdown
 tables the per-student ones.
@@ -30,7 +31,8 @@ import numpy as np
 from . import expert, gridenv, tinynet
 from .datasets import write_atomic
 from .gridenv import N_ACTIONS, EnvConfig
-from .rng import derive_stream, next_uniform_lanes
+from .rng import derive_states, next_uniform_lanes
+from .rng import derive_stream  # noqa: F401 -- a name perfbench's tracer rebinds
 
 METHOD_ORDER = ("expert", "bc10", "bc25", "bc40", "bc100", "synthetic")
 
@@ -56,16 +58,25 @@ class EvalConfig:
         ):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} {value!r} is not an integer")
-        if self.id_seed_count < 1 or self.ood_seed_count < 1:
-            raise ValueError("each eval split needs at least one seed")
+                raise ValueError(f"eval.{name} {value!r} is not an integer")
+        for name in ("id_seed_count", "ood_seed_count"):
+            if getattr(self, name) < 1:
+                raise ValueError(
+                    f"eval.{name} must be >= 1: each eval split needs at least one seed"
+                )
         id_seeds, ood_seeds = self.id_seeds, self.ood_seeds
         if id_seeds.start < ood_seeds.stop and ood_seeds.start < id_seeds.stop:
-            raise ValueError("ID and OOD seed sets must be disjoint")
+            raise ValueError(
+                f"eval.id_seed_* [{id_seeds.start}, {id_seeds.stop}) and eval.ood_seed_* "
+                f"[{ood_seeds.start}, {ood_seeds.stop}): ID and OOD seed sets must be disjoint"
+            )
         if self.episodes_per_seed < 1:
-            raise ValueError("episodes_per_seed must be >= 1")
+            raise ValueError("eval.episodes_per_seed must be >= 1")
         if self.action_rule not in ("argmax", "stochastic"):
-            raise ValueError(f"unknown action rule {self.action_rule!r}")
+            raise ValueError(
+                f"eval.action_rule: unknown action rule {self.action_rule!r} "
+                "(argmax or stochastic)"
+            )
 
     @property
     def id_seeds(self) -> range:
@@ -175,7 +186,7 @@ def _split_returns(
     sampled = eval_cfg.action_rule == "stochastic"
     episodes = eval_cfg.episodes_per_seed
     students = [params for members, _ in cohorts.values() for params in members]
-    maps = gridenv.Maps(gridenv.generate_maps(env_config, seeds))
+    maps = gridenv.generate_maps(env_config, seeds)
     planner = expert.solve_maps(maps, gamma)[1].astype(np.int8)
     policies = _student_tables(students, maps, sampled)
     planner_returns = _walk(maps, maps.start, np.zeros(len(seeds), dtype=np.int64), planner)
@@ -193,9 +204,7 @@ def _split_returns(
             for seed in seeds
             for e in range(episodes)
         ]
-        by_index = np.array(
-            [derive_stream(root_seed, label).state for label in labels], dtype=np.uint64
-        ).reshape(width, per_student, 4)
+        by_index = derive_states(root_seed, labels).reshape(width, per_student, 4)
         member = [i for members, _ in cohorts.values() for i in range(len(members))]
         states = np.ascontiguousarray(by_index[member].reshape(-1, 4).T)
     returns = _walk(maps, cell, offset, policies.reshape(-1, *policies.shape[3:]), states)

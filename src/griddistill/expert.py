@@ -85,7 +85,7 @@ def _q(maps: gridenv.Maps, gamma: float, values: np.ndarray) -> np.ndarray:
 
 def value_iteration(spec: GridSpec, gamma: float = 0.99, tol: float = 1e-8) -> ValueTable:
     """One map's ValueTable: the block of one of `solve_maps`."""
-    values, greedy, residual = solve_maps(gridenv.Maps([spec]), gamma, tol)
+    values, greedy, residual = solve_maps(gridenv.Maps.of(spec), gamma, tol)
     return ValueTable(
         spec=spec, gamma=gamma, values=values, greedy_action=greedy, residual=float(residual[0])
     )
@@ -149,11 +149,14 @@ def collect_rollouts(
     if episodes < 1:
         return []
     used = list(dict.fromkeys(seeds[:episodes]))  # the seeds episodes visit, in order
-    specs = gridenv.generate_maps(config, used)
-    values, greedy, residual = solve_maps(gridenv.Maps(specs), gamma)
-    by_map = (len(specs), -1)
-    solved = zip(specs, values.reshape(by_map), greedy.reshape(by_map), residual)
-    tables = {spec.seed: ValueTable(spec, gamma, v, g, float(r)) for spec, v, g, r in solved}
+    maps = gridenv.generate_maps(config, used)
+    values, greedy, residual = solve_maps(maps, gamma)
+    by_map = (len(used), -1)
+    solved = zip(values.reshape(by_map), greedy.reshape(by_map), residual)
+    tables = {
+        seed: ValueTable(maps.spec(m), gamma, v, g, float(r))
+        for m, (seed, (v, g, r)) in enumerate(zip(used, solved))
+    }
     out = []
     for i in range(episodes):
         table = tables[seeds[i % len(seeds)]]

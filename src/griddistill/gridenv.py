@@ -8,24 +8,31 @@ channel a row-major grid_n x grid_n block.
 
 Each map carries its MDP over flat row-major cells (`GridSpec.next_cell`,
 `GridSpec.reward`), and collection, evaluation and the planner all read
-those tables. Maps are made as a block: `generate_maps` draws every seed's
-first layout in one multi-stream lane pass, and `Maps` stacks a block's
-tables over global cells, which the planner sweeps all at once and
-evaluation walks all of a split's episodes over. `Maps.observations` gives
-the cell observations of a run of its maps, which evaluation forwards 8
-maps at a time: a whole split's stack would add ~10 MB of peak RSS (see
-`evaluate._CHUNK`). `generate` is the block of one. `run_episode` walks
-one map's tables one episode at a time, cell by cell, for collection.
-`GridState`, `initial_state`, `step` and `observe` are the reference
-semantics the tables are tested against.
+those tables. Maps are made as a block: `generate_maps` keeps every seed's
+stream state as a column of one uint64 array and draws all the pending
+maps' layouts at once in rounds, lane-wise, retrying only the maps whose
+goal one frontier sweep over the round's tables finds unreachable. It
+returns a `Maps`, which stacks the block's tables over global cells; the
+planner sweeps them all at once and evaluation walks all of a split's
+episodes over them. `Maps.observations` gives the cell observations of a
+run of its maps, which evaluation forwards 8 maps at a time: a whole
+split's stack would add ~10 MB of peak RSS (see `evaluate._CHUNK`).
+`Maps.spec(m)` gives one map as a GridSpec with its tables sliced from the
+block, for the callers that walk one map (collection's rollouts,
+`generate`); a GridSpec built from its fields alone takes the tables of its
+block of one, `Maps.of`. `run_episode` walks one map's tables one episode
+at a time, cell by cell, for collection. `GridState`, `initial_state`,
+`step` and `observe` are the reference semantics the tables are tested
+against.
 """
 
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
-from .rng import derive_stream, next_uniform_arrays
+from .rng import _uniforms, derive_states, next_int_lanes, next_u64_lanes
+from .rng import derive_stream  # noqa: F401 -- a name perfbench's tracer rebinds
 
 ACTIONS = ("UP", "DOWN", "LEFT", "RIGHT", "STAY")
 ACTION_MOVES = ((-1, 0), (1, 0), (0, -1), (0, 1), (0, 0))
@@ -75,8 +82,10 @@ class GridSpec:
     """One seed's map, frozen, with its MDP over flat cells s = r * grid_n + c:
     `next_cell[a, s]` is the cell action a leads to from s, and `reward[a, s]`
     what step() pays for that move, both read-only (N_ACTIONS, grid_n^2)
-    arrays. They are derived from the other fields, and `walls` is a numpy
-    array, so equality and hashing are written out below."""
+    arrays. They are derived from the other fields: by `Maps.spec` from the
+    block the map was made in, or else as the map's block of one,
+    `Maps.of(spec)`. `walls` is a numpy array, so equality and hashing are
+    written out below."""
 
     seed: int
     config: EnvConfig
@@ -86,23 +95,13 @@ class GridSpec:
     start: tuple
     next_cell: np.ndarray = field(init=False, repr=False)  # int64
     reward: np.ndarray = field(init=False, repr=False)  # float64
+    tables: InitVar[tuple | None] = None  # (next_cell, reward), from the map's block
 
-    def __post_init__(self):
-        cfg = self.config
-        n = cfg.grid_n
-        blocked = np.ones((n + 2, n + 2), dtype=bool)  # walls inside a ring of boundary
-        blocked[1:-1, 1:-1] = self.walls
-        cells = np.arange(n * n).reshape(n, n)
-        next_cell = np.array([
-            np.where(blocked[1 + dr : n + 1 + dr, 1 + dc : n + 1 + dc], cells, cells + dr * n + dc)
-            for dr, dc in ACTION_MOVES
-        ]).reshape(N_ACTIONS, n * n)
-        hazard = np.zeros(n * n, dtype=bool)
-        hazard[[r * n + c for r, c in self.hazards]] = True
-        reward = np.full(next_cell.shape, float(cfg.step_reward))
-        reward[hazard[next_cell]] += cfg.hazard_reward
-        reward[next_cell == self.goal[0] * n + self.goal[1]] = cfg.goal_reward
-        for name, table in (("next_cell", next_cell), ("reward", reward)):
+    def __post_init__(self, tables):
+        if tables is None:
+            maps = Maps.of(self)
+            tables = maps.next.T, maps.reward.T
+        for name, table in zip(("next_cell", "reward"), tables):
             table.flags.writeable = False
             object.__setattr__(self, name, table)
 
@@ -129,64 +128,123 @@ class GridState:
     terminated: bool
 
 
+def _next_cells(config: EnvConfig, walls: np.ndarray) -> np.ndarray:
+    """(maps, cells, N_ACTIONS) int64: the cell each action leads to from each
+    cell of each map, given its walls (maps, cells) as bools; a move into a
+    wall or the boundary (a ring of walls) stays put."""
+    n, count = config.grid_n, len(walls)
+    blocked = np.ones((count, n + 2, n + 2), dtype=bool)
+    blocked[:, 1:-1, 1:-1] = walls.reshape(count, n, n)
+    opened = ~np.stack(
+        [blocked[:, 1 + dr : n + 1 + dr, 1 + dc : n + 1 + dc] for dr, dc in ACTION_MOVES], axis=-1
+    )
+    table = np.empty((count, n * n, N_ACTIONS), dtype=np.int64)
+    np.multiply(opened.reshape(table.shape), [dr * n + dc for dr, dc in ACTION_MOVES], out=table)
+    table += np.arange(n * n)[:, None]
+    return table
+
+
+def _reach(next_cell: np.ndarray, cells) -> np.ndarray:
+    """Bool mask over the rows of the (cells, N_ACTIONS) table `next_cell`
+    of those some action sequence reaches from any of `cells`: one
+    breadth-first frontier sweep over the whole table, so over every map of
+    a block at once."""
+    seen = np.zeros(len(next_cell), dtype=bool)
+    frontier = np.asarray(cells)
+    seen[frontier] = True
+    while len(frontier):
+        fresh = np.zeros_like(seen)
+        fresh[next_cell[frontier]] = True
+        fresh &= ~seen
+        seen |= fresh
+        frontier = np.flatnonzero(fresh)
+    return seen
+
+
 def reachable(spec: GridSpec, cell: int) -> np.ndarray:
     """Bool mask over flat cells of those some action sequence reaches from
-    `cell`: a breadth-first search over `spec.next_cell`."""
-    successors = spec.next_cell.T.tolist()
-    seen = [False] * len(successors)
-    queue = [cell]
-    for s in queue:  # the queue grows while it is read
-        if not seen[s]:
-            seen[s] = True
-            queue.extend(successors[s])
-    return np.array(seen)
+    `cell` on this map."""
+    return _reach(spec.next_cell.T, [cell])
 
 
-def generate_maps(config: EnvConfig, seeds) -> list:
-    """The GridSpec of each seed, in order: Bernoulli walls, then start, goal
-    and hazards drawn uniformly among free cells without collision, the
+def _nth_free(free: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """Per row of the bool (maps, cells) array `free`, the cell of its
+    index-th True, counted from 0 in row-major order."""
+    return (np.cumsum(free, axis=1) > index[:, None]).argmax(axis=1)
+
+
+def _draw_layouts(config: EnvConfig, states: np.ndarray) -> tuple:
+    """One layout attempt on each stream column of `states`, stepped in
+    place: Bernoulli walls from grid_n^2 uniforms, then, on the lanes with
+    at least 2 + hazard_count free cells, start, goal and hazards in that
+    order, each a next_int index into the free cells not yet taken, in
+    row-major order; the other lanes draw nothing more. Returns which lanes
+    drew their cells and, over those lanes, (walls, hazards, goal, start):
+    bool (lanes, cells) masks and local cells."""
+    cells = config.grid_n ** 2
+    walls = (_uniforms(next_u64_lanes(states, cells)) < config.wall_density).T
+    count = cells - walls.sum(axis=1)
+    drawn = count >= 2 + config.hazard_count
+    walls, count, lanes = walls[drawn], count[drawn], states[:, drawn]
+    free = ~walls
+    rows = np.arange(len(free))
+    picks = []
+    for j in range(2 + config.hazard_count):  # start, goal, then the hazards
+        cell = _nth_free(free, next_int_lanes(lanes, count - j).astype(np.int64))
+        free[rows, cell] = False
+        picks.append(cell)
+    states[:, drawn] = lanes
+    hazards = np.zeros_like(walls)
+    for cell in picks[2:]:
+        hazards[rows, cell] = True
+    return drawn, (walls, hazards, picks[1], picks[0])
+
+
+def generate_maps(config: EnvConfig, seeds) -> "Maps":
+    """The block of maps of `seeds`, in order: Bernoulli walls, then start,
+    goal and hazards drawn uniformly among free cells without collision, the
     whole layout retried until the goal is reachable (<= 100 tries). Each
-    seed reads only its own stream; the first layout's grid_n^2 uniforms of
-    all the seeds come from one multi-stream lane pass, and retries and the
-    start, goal and hazard draws continue on each seed's stream, so a map
-    reads exactly the words it would alone. Raises GenerationError naming
-    the first seed with no reachable layout."""
-    streams = [derive_stream(seed, "env:gen") for seed in seeds]
-    first = next_uniform_arrays(streams, config.grid_n ** 2)
-    return [_layout(config, seed, stream, u) for seed, stream, u in zip(seeds, streams, first)]
-
-
-def _layout(config: EnvConfig, seed: int, stream, uniforms: np.ndarray) -> GridSpec:
-    """One seed's map from its first layout's uniforms, drawing the rest of
-    what it needs from its stream."""
-    n = config.grid_n
-    for attempt in range(100):
-        if attempt:
-            uniforms = stream.next_uniform_array(n * n)
-        walls = (uniforms < config.wall_density).reshape(n, n)
-        free = [divmod(int(s), n) for s in np.flatnonzero(~walls)]
-        if len(free) < 2 + config.hazard_count:
-            continue
-        start = free[stream.next_int(len(free))]
-        candidates = [cell for cell in free if cell != start]
-        goal = candidates[stream.next_int(len(candidates))]
-        candidates = [cell for cell in candidates if cell != goal]
-        hazards = [
-            candidates.pop(stream.next_int(len(candidates))) for _ in range(config.hazard_count)
-        ]
-        walls.flags.writeable = False
-        spec = GridSpec(seed, config, walls, frozenset(hazards), goal, start)
-        if reachable(spec, start[0] * n + start[1])[goal[0] * n + goal[1]]:
-            return spec
-    raise GenerationError(
-        f"no reachable layout in 100 attempts for seed {seed} (config too dense?)"
-    )
+    seed reads only its own `env:gen` stream, word for word as one map drawn
+    alone would. The streams' states sit as the columns of one (4, M) uint64
+    array, and each round draws a layout on every pending column at once
+    (`_draw_layouts`) and checks its reachability with one frontier sweep;
+    the maps whose goal is unreachable draw again in the next round. Raises
+    GenerationError naming the first seed with no reachable layout."""
+    seeds = list(seeds)
+    cells = config.grid_n ** 2
+    walls = np.zeros((len(seeds), cells), dtype=bool)
+    hazards = np.zeros_like(walls)
+    goal = np.zeros(len(seeds), dtype=np.int64)
+    start = np.zeros_like(goal)
+    pending = np.arange(len(seeds))
+    states = np.ascontiguousarray(derive_states(seeds, "env:gen").T)
+    for _ in range(100):
+        if not len(pending):
+            break
+        drawn, layout = _draw_layouts(config, states)
+        lane_walls, _, lane_goal, lane_start = layout
+        lanes = np.flatnonzero(drawn)
+        base = np.arange(len(lanes)) * cells
+        table = _next_cells(config, lane_walls) + base[:, None, None]
+        reached = _reach(table.reshape(-1, N_ACTIONS), base + lane_start)[base + lane_goal]
+        done = lanes[reached]
+        for out, value in zip((walls, hazards, goal, start), layout):
+            out[pending[done]] = value[reached]
+        retry = np.ones(len(pending), dtype=bool)
+        retry[done] = False
+        pending, states = pending[retry], states[:, retry]
+    if len(pending):
+        raise GenerationError(
+            f"no reachable layout in 100 attempts for seed {seeds[pending[0]]} "
+            "(config too dense?)"
+        )
+    return Maps(config, seeds, walls, hazards, goal, start)
 
 
 def generate(config: EnvConfig, seed: int) -> GridSpec:
     """Deterministic map for (config, seed): the block of one of
     `generate_maps`."""
-    return generate_maps(config, [seed])[0]
+    return generate_maps(config, [seed]).spec(0)
 
 
 class Maps:
@@ -195,24 +253,57 @@ class Maps:
     action a leads to from g, `reward[g, a]` what that move pays, `goal[g]`
     whether g is its map's goal, `start[m]` map m's start cell and
     `static[m]` the goal, wall and hazard channels of its observations, as
-    bools. It keeps no GridSpec, so a block's specs can be freed once it is
-    built."""
+    bools. Built from each map's walls and hazards (bool (maps, cells)) and
+    its goal and start cells; `spec(m)` gives one map as a GridSpec."""
 
-    def __init__(self, specs: list):
-        config = specs[0].config
-        n = config.grid_n
-        self.cells = n * n
+    def __init__(self, config: EnvConfig, seeds, walls, hazards, goal, start):
+        count = len(walls)
+        self.config = config
+        self.seeds = list(seeds)
+        self.cells = config.grid_n ** 2
         self.horizon = config.horizon
-        base = np.arange(len(specs)) * self.cells
-        tables = np.stack([spec.next_cell.T for spec in specs])  # (maps, cells, actions)
-        tables += base[:, None, None]
-        self.next = tables.reshape(-1, N_ACTIONS)
-        self.reward = np.stack([spec.reward.T for spec in specs]).reshape(-1, N_ACTIONS)
+        base = np.arange(count) * self.cells
+        table = _next_cells(config, walls)
+        table += base[:, None, None]
+        self.next = table.reshape(-1, N_ACTIONS)
         self.goal = np.zeros(len(self.next), dtype=bool)
-        self.goal[base + [spec.goal[0] * n + spec.goal[1] for spec in specs]] = True
-        self.start = base + [spec.start[0] * n + spec.start[1] for spec in specs]
-        static = [observe(initial_state(spec))[self.cells :] > 0 for spec in specs]
-        self.static = np.stack(static)
+        self.goal[base + goal] = True
+        self.start = base + start
+        enter = np.full(len(self.next), float(config.step_reward))  # what a move onto g pays
+        enter[hazards.ravel()] += config.hazard_reward
+        enter[self.goal] = config.goal_reward
+        self.reward = enter[self.next]
+        self.static = np.concatenate(
+            [self.goal.reshape(count, self.cells), walls, hazards], axis=1
+        )
+
+    @classmethod
+    def of(cls, spec: GridSpec) -> "Maps":
+        """The block of one map."""
+        n = spec.config.grid_n
+        hazards = np.zeros((1, n * n), dtype=bool)
+        hazards[0, [r * n + c for r, c in spec.hazards]] = True
+        goal, start = spec.goal[0] * n + spec.goal[1], spec.start[0] * n + spec.start[1]
+        walls = np.reshape(spec.walls, (1, -1))
+        return cls(spec.config, [spec.seed], walls, hazards, [goal], [start])
+
+    def spec(self, m: int) -> GridSpec:
+        """Map m as a GridSpec, for the callers that walk one map, its tables
+        sliced from the block's."""
+        n, base = self.config.grid_n, m * self.cells
+        goal, walls, hazards = self.static[m].reshape(3, self.cells)
+        walls = walls.reshape(n, n).copy()
+        walls.flags.writeable = False
+        rows = slice(base, base + self.cells)
+        return GridSpec(
+            self.seeds[m],
+            self.config,
+            walls,
+            frozenset(divmod(int(c), n) for c in np.flatnonzero(hazards)),
+            divmod(int(np.flatnonzero(goal)[0]), n),
+            divmod(int(self.start[m]) - base, n),
+            ((self.next[rows] - base).T, self.reward[rows].T.copy()),
+        )
 
     def observations(self, lo: int, hi: int) -> np.ndarray:
         """Every cell's observation on maps lo .. hi - 1, (maps, cells,

@@ -25,14 +25,19 @@ draw. The lane starts fill by doubling (round r jumps the first n = 2^r
 starts D * n steps on into the next n), then all lanes of all the streams
 step D times at once as uint64 vectors, scrambled and written out in
 stream order a few steps at a time. Smaller draws step the scalar loop.
-`next_u64_arrays`, `next_uniform_arrays` and `next_int_arrays` draw from
-several streams in one pass, for a consumer that reads many streams alike;
-a stream's own bulk draw is their one-stream case. `LaneCursor` reads a
-stream ahead one large pass at a time, for a consumer that makes many
-mid-sized draws and never reads the stream afterwards.
-`next_uniform_lanes` takes one uniform from each of many streams whose
-states sit side by side as uint64 columns, for a consumer that walks many
-streams in lockstep.
+`next_u64_arrays` and `next_int_arrays` draw from several streams in one
+pass, for a consumer that reads many streams alike; a stream's own bulk
+draw is their one-stream case. `LaneCursor` reads a stream ahead one large
+pass at a time, for a consumer that makes many mid-sized draws and never
+reads the stream afterwards.
+
+For a consumer that walks many streams in lockstep, their states sit side
+by side as the columns of a (4, L) uint64 array. `derive_states` derives
+a block of them in one vectorised FNV-1a + SplitMix64 pass, each the bytes
+that `derive_stream`, the scalar reference, gives. `next_u64_lanes`,
+`next_uniform_lanes` and `next_int_lanes` draw from every column at once,
+the last with its own bound per column and each rejected word redrawn on
+its own column only.
 """
 
 import math
@@ -260,14 +265,44 @@ def _uniforms(words: np.ndarray) -> np.ndarray:
     return (words >> np.uint64(11)).astype(np.float64) * _INV_2_53
 
 
-def next_uniform_lanes(states: np.ndarray) -> np.ndarray:
-    """One next_uniform() on each of many streams at once: column l of the
-    (4, L) uint64 array `states` is the state of stream l. Returns the L
-    uniforms and steps every column once, in place."""
-    words = states[1].copy()
+def next_u64_lanes(states: np.ndarray, k: int = 1) -> np.ndarray:
+    """k next_u64() calls on each of many streams at once: column l of the
+    (4, L) uint64 array `states` is the state of stream l. Returns the (k, L)
+    words, row j the j-th word of every stream, and steps every column k
+    times, in place."""
+    words = np.empty((k, states.shape[1]), dtype=np.uint64)
+    scratch = np.empty((2, states.shape[1]), dtype=np.uint64)
+    for row in words:
+        row[:] = states[1]
+        _step_u64(*states, *scratch)
     _scramble(words)
-    _step_u64(*states, *np.empty((2, states.shape[1]), dtype=np.uint64))
-    return _uniforms(words)
+    return words
+
+
+def next_uniform_lanes(states: np.ndarray) -> np.ndarray:
+    """One next_uniform() on each stream column of `states`, as
+    `next_u64_lanes`: the L uniforms."""
+    return _uniforms(next_u64_lanes(states)[0])
+
+
+def next_int_lanes(states: np.ndarray, n) -> np.ndarray:
+    """One next_int(n[l]) on each stream column l of `states`, as
+    `next_u64_lanes`, with n an integer array (or one integer) of bounds in
+    [1, 2**64): the L draws as uint64. A lane whose word is rejected redraws
+    on its own column only, as next_int does, until it accepts."""
+    n = np.asarray(n)
+    if n.dtype.kind not in "iu" or (n < 1).any():
+        raise ValueError(f"next_int needs integer n >= 1, got {n}")
+    n = np.broadcast_to(n.astype(np.uint64), states.shape[1:])
+    limit = -((-n) % n)  # _accept_limit mod 2**64: 0 (n a power of 2) accepts every word
+    words = next_u64_lanes(states)[0]
+    redraw = np.flatnonzero((words >= limit) & (limit != 0))
+    while len(redraw):
+        lanes = states[:, redraw]
+        words[redraw] = next_u64_lanes(lanes)[0]
+        states[:, redraw] = lanes
+        redraw = redraw[words[redraw] >= limit[redraw]]
+    return words % n
 
 
 def _accept_limit(n: int) -> int:
@@ -329,12 +364,6 @@ def next_u64_arrays(streams: list, k: int) -> np.ndarray:
     return out
 
 
-def next_uniform_arrays(streams: list, k: int) -> np.ndarray:
-    """k uniforms in [0, 1) from each of the streams, as an (S, k) float64
-    array whose row i is streams[i].next_uniform_array(k)."""
-    return _uniforms(next_u64_arrays(streams, k))
-
-
 def next_int_arrays(streams: list, n: int, k: int) -> np.ndarray:
     """k draws from [0, n) from each of the streams, as an (S, k) int64
     array whose row i is streams[i].next_int_array(n, k)."""
@@ -385,6 +414,61 @@ class LaneCursor:
     def next_int_array(self, n: int, k: int) -> np.ndarray:
         """k draws from [0, n), as RngStream.next_int_array."""
         return _int_array(self.next_u64_array, n, k)
+
+
+_SM_GAMMA, _SM_MUL1, _SM_MUL2 = (
+    np.uint64(c) for c in (0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB)
+)
+_U27, _U30, _U31 = (np.uint64(c) for c in (27, 30, 31))
+
+
+def _fnv1a64_array(data: list) -> np.ndarray:
+    """fnv1a64 of each byte string in `data`, as a uint64 array: the strings
+    sit as the rows of one zero-padded byte matrix, and each hash takes the
+    bytes of its row up to the row's length, one column at a time."""
+    lengths = np.array([len(b) for b in data], dtype=np.intp)
+    inside = np.arange(lengths.max(initial=0)) < lengths[:, None]
+    octets = np.zeros(inside.shape, dtype=np.uint64)
+    octets[inside] = np.frombuffer(b"".join(data), dtype=np.uint8)
+    h = np.full(len(data), _FNV_OFFSET, dtype=np.uint64)
+    x = np.empty_like(h)
+    prime = np.uint64(_FNV_PRIME)
+    for column, live in zip(octets.T, inside.T):
+        np.bitwise_xor(h, column, out=x)
+        np.multiply(x, prime, out=x)
+        np.copyto(h, x, where=live)
+    return h
+
+
+def derive_states(roots, labels) -> np.ndarray:
+    """The state `derive_stream(root, label)` starts from, for every pair of
+    `roots` (integers) and `labels` (nonempty strings), each a scalar or an
+    array-like and broadcast against each other: a (*shape, 4) uint64 array
+    whose [..., w] is state word w. FNV-1a runs over all the labels' UTF-8
+    bytes at once, a byte column at a time, and SplitMix64 over uint64
+    vectors, so each state is the bytes `derive_stream` gives."""
+    roots = np.asarray(roots, dtype=object)
+    labels = np.asarray(labels, dtype=object)
+    data = [label.encode("utf-8") for label in labels.ravel()]
+    if not all(data):
+        raise ValueError("stream label must be nonempty")
+    words = np.array([int(r) & _MASK64 for r in roots.ravel()], dtype=np.uint64)
+    root, label = np.broadcast_arrays(
+        words.reshape(roots.shape), _fnv1a64_array(data).reshape(labels.shape)
+    )
+    sm = np.bitwise_xor(root.reshape(-1), label.reshape(-1))
+    out = np.empty((len(sm), 4), dtype=np.uint64)
+    z = np.empty_like(sm)
+    for w in range(4):  # splitmix64, vectorised
+        sm += _SM_GAMMA
+        np.right_shift(sm, _U30, out=z)
+        z ^= sm
+        z *= _SM_MUL1
+        z ^= z >> _U27
+        z *= _SM_MUL2
+        z ^= z >> _U31
+        out[:, w] = z
+    return out.reshape(*root.shape, 4)
 
 
 def derive_stream(root_seed: int, label: str) -> RngStream:

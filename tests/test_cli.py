@@ -69,6 +69,22 @@ class TestConfig:
             cli.config_from_dict({"eval": section})
 
     @pytest.mark.parametrize(
+        "section, field",
+        [
+            ({"action_rule": "sampled"}, "action_rule"),
+            ({"id_seed_count": 20, "ood_seed_start": 10}, "id_seed_"),
+            ({"episodes_per_seed": 0}, "episodes_per_seed"),
+            ({"id_seed_count": 0}, "id_seed_count"),
+            ({"ood_seed_count": -3}, "ood_seed_count"),
+            ({"id_seed_count": 3.0}, "id_seed_count"),
+            ({"ood_seed_start": "10000"}, "ood_seed_start"),
+        ],
+    )
+    def test_eval_errors_name_the_dotted_field(self, section, field):
+        with pytest.raises(ValueError, match=rf"^eval\.{field}"):
+            cli.config_from_dict({"eval": section})
+
+    @pytest.mark.parametrize(
         "percentiles, reason",
         [
             ([10.5], r"percentiles \[10.5\] are not integers in \[1, 100\]"),

@@ -36,7 +36,7 @@ def walk_one_map(tables, spec, streams=None):
     """Lockstep returns on one map, one lane per (cells, N_ACTIONS) policy
     table in `tables`: argmax lanes without `streams`, else lane l samples
     its table from streams[l]."""
-    maps = gridenv.Maps([spec])
+    maps = gridenv.Maps.of(spec)
     lanes = len(tables)
     offset = np.arange(lanes) * maps.cells
     if streams is None:
@@ -214,14 +214,14 @@ class TestStudentTables:
     @pytest.mark.parametrize("count", [1, 7, 8, 9, 17])
     def test_chunks_match_per_map_forward(self, count, action_rule):
         env = EnvConfig()
-        specs = gridenv.generate_maps(env, range(10_000, 10_000 + count))
+        maps = gridenv.generate_maps(env, range(10_000, 10_000 + count))
         shape = NetShape(in_dim=env.obs_dim)
         students = [tinynet.init_params(shape, derive_stream(i, "chunks")) for i in range(2)]
         sampled = action_rule == "stochastic"
-        got = evaluate._student_tables(students, gridenv.Maps(specs), sampled)
+        got = evaluate._student_tables(students, maps, sampled)
         assert got.shape[:2] == (2, count)
         for params, tables in zip(students, got):
-            for spec, table in zip(specs, tables):
+            for spec, table in zip(map(maps.spec, range(count)), tables):
                 probs = tinynet.forward(params, gridenv.cell_observations(spec))
                 want = np.cumsum(probs, axis=1) if sampled else probs.argmax(axis=1)
                 assert table.tobytes() == want.astype(table.dtype).tobytes(), spec.seed

@@ -4,7 +4,7 @@ import pytest
 from griddistill import gridenv
 from griddistill.gridenv import EnvConfig, GridSpec
 
-from helpers import generate_reference
+from helpers import generate_reference, maps_reference
 
 
 def make_spec(walls, start, goal, hazards=(), config=None):
@@ -77,9 +77,9 @@ class TestGenerate:
         assert len({(sp.start, sp.goal) for sp in specs}) > 1
 
     def test_default_seeds_all_reachable(self):
-        cfg = EnvConfig()
+        maps = gridenv.generate_maps(EnvConfig(), range(200))
         for seed in range(200):
-            spec = gridenv.generate(cfg, seed)
+            spec = maps.spec(seed)
             assert bfs_path_exists(spec.walls, spec.start, spec.goal), f"seed {seed}"
             assert spec.start != spec.goal
             assert not spec.walls[spec.start]
@@ -92,16 +92,23 @@ class TestGenerate:
             gridenv.generate(EnvConfig(grid_n=2, wall_density=0.0, hazard_count=10), 0)
 
 
-def assert_same_maps(block, refs):
-    assert len(block) == len(refs)
-    for spec, ref in zip(block, refs):
+def assert_same_maps(maps, refs):
+    """The block's tables equal the block stacked one reference spec at a
+    time, byte for byte, and each of its maps is its reference spec."""
+    assert len(maps.start) == len(refs) and maps.seeds == [ref.seed for ref in refs]
+    for name, want in zip(("next", "reward", "goal", "start", "static"), maps_reference(refs)):
+        got = getattr(maps, name)
+        assert (got.dtype, got.shape) == (want.dtype, want.shape), name
+        assert got.tobytes() == want.tobytes(), name
+    for m, ref in enumerate(refs):
+        spec = maps.spec(m)
         assert spec == ref, ref.seed
         assert spec.next_cell.tobytes() == ref.next_cell.tobytes(), ref.seed
         assert spec.reward.tobytes() == ref.reward.tobytes(), ref.seed
 
 
 class TestGenerateMaps:
-    """generate_maps draws a block's first layouts in one lane pass; the
+    """generate_maps draws every map of a block in lane-wise rounds; the
     per-seed generation it replaced (tests/helpers.py) and the block of one
     are the references."""
 
@@ -110,27 +117,58 @@ class TestGenerateMaps:
         seeds = [*range(200), *range(10000, 10100)]
         refs, layouts = zip(*(generate_reference(cfg, seed) for seed in seeds))
         assert_same_maps(gridenv.generate_maps(cfg, seeds), refs)
-        assert_same_maps([gridenv.generate(cfg, seed) for seed in seeds], refs)
+        for seed, ref in zip(seeds, refs):
+            spec = gridenv.generate(cfg, seed)
+            assert spec == ref, seed
+            assert spec.next_cell.tobytes() == ref.next_cell.tobytes(), seed
+            assert spec.reward.tobytes() == ref.reward.tobytes(), seed
         # 17 of these seeds retry their layout, two of them twice
         assert sum(n > 1 for n in layouts) == 17 and max(layouts) == 3
 
     @pytest.mark.parametrize("count", range(1, 10))
     def test_block_sizes_across_the_lane_pass_threshold(self, count):
-        # 7 maps x 36 words = 252 take the scalar path and 8 x 36 = 288 a
-        # lane pass; every block ends on seed 34, which draws three layouts
+        # blocks of 1 to 9 maps (7 x 36 words once took the scalar path and
+        # 8 x 36 a lane pass); every block ends on seed 34, which draws
+        # three layouts
         cfg = EnvConfig()
         seeds = range(35 - count, 35)
         refs = [generate_reference(cfg, seed)[0] for seed in seeds]
         assert_same_maps(gridenv.generate_maps(cfg, seeds), refs)
 
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            # 3 of 9 cells or fewer free fail the 2 + 3 needed, so many
+            # layouts draw no start, goal or hazards before their retry
+            EnvConfig(grid_n=3, wall_density=0.5, hazard_count=3),
+            EnvConfig(grid_n=8, wall_density=0.3, hazard_count=4),
+            EnvConfig(grid_n=4, horizon=8),
+        ],
+    )
+    def test_matches_per_seed_generation_on_other_configs(self, cfg):
+        refs, layouts = zip(*(generate_reference(cfg, seed) for seed in range(60)))
+        assert_same_maps(gridenv.generate_maps(cfg, range(60)), refs)
+        assert max(layouts) > 1
+
     def test_overdense_block_names_the_seed(self):
-        # 64 maps x 4 words take a lane pass
         cfg = EnvConfig(grid_n=2, wall_density=0.0, hazard_count=10)
         with pytest.raises(gridenv.GenerationError, match="for seed 7 "):
             gridenv.generate_maps(cfg, range(7, 71))
 
     def test_empty_block(self):
-        assert gridenv.generate_maps(EnvConfig(), []) == []
+        maps = gridenv.generate_maps(EnvConfig(), [])
+        assert maps.seeds == [] and maps.start.shape == (0,)
+        assert maps.next.shape == (0, gridenv.N_ACTIONS) and maps.static.shape == (0, 108)
+
+    def test_block_of_one_spec_is_that_spec(self):
+        spec = make_spec(
+            [[0, 1, 0], [0, 0, 0], [0, 0, 0]], start=(1, 1), goal=(2, 2), hazards=[(1, 2)]
+        )
+        maps = gridenv.Maps.of(spec)
+        assert maps.spec(0) == spec
+        block = (maps.next, maps.reward, maps.goal, maps.start, maps.static)
+        for got, want in zip(block, maps_reference([spec])):
+            assert got.tobytes() == want.tobytes()
 
 
 class TestStep:
@@ -269,9 +307,9 @@ class TestTables:
                     assert spec.reward[a, r * n + c] == reward
 
     def test_generated_id_and_ood_maps_match_step(self):
-        cfg = EnvConfig()
-        for seed in [*range(200), *range(10000, 10100)]:
-            self.assert_tables_match_step(gridenv.generate(cfg, seed))
+        maps = gridenv.generate_maps(EnvConfig(), [*range(200), *range(10000, 10100)])
+        for m in range(len(maps.start)):
+            self.assert_tables_match_step(maps.spec(m))
 
     def test_hand_map_boundary_wall_hazard_goal(self):
         spec = make_spec(
@@ -295,8 +333,9 @@ class TestReachable:
     def test_matches_independent_search_on_id_and_ood_maps(self):
         cfg = EnvConfig()
         n = cfg.grid_n
-        for seed in [*range(200), *range(10000, 10100)]:
-            spec = gridenv.generate(cfg, seed)
+        maps = gridenv.generate_maps(cfg, [*range(200), *range(10000, 10100)])
+        for m in range(len(maps.start)):
+            spec = maps.spec(m)
             mask = gridenv.reachable(spec, spec.start[0] * n + spec.start[1])
             for r in range(n):
                 for c in range(n):

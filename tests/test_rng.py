@@ -9,11 +9,13 @@ from griddistill.rng import (
     RngStream,
     _jump,
     _nibbles,
+    derive_states,
     derive_stream,
     fnv1a64,
     next_int_arrays,
+    next_int_lanes,
     next_u64_arrays,
-    next_uniform_arrays,
+    next_u64_lanes,
     next_uniform_lanes,
     splitmix64,
 )
@@ -150,10 +152,10 @@ def test_u64_arrays_match_each_stream_alone(streams, k):
     for row, stream, ref in zip(words, block, alone):
         assert np.array_equal(row, ref.next_u64_array(k)), stream.label
         assert stream.state == ref.state, stream.label
-    # then a map layout's 36 uniforms from each stream
-    uniforms = next_uniform_arrays(block, 36)
-    for row, stream, ref in zip(uniforms, block, alone):
-        assert np.array_equal(row, ref.next_uniform_array(36)), stream.label
+    # then 36 more words from each stream, fewer than 256 in all
+    words = next_u64_arrays(block, 36)
+    for row, stream, ref in zip(words, block, alone):
+        assert np.array_equal(row, ref.next_u64_array(36)), stream.label
         assert stream.state == ref.state, stream.label
 
 
@@ -186,6 +188,102 @@ def test_uniform_lanes_match_each_stream():
         keep = np.arange(len(live)) != step % len(live)
         live, states = live[keep], states[:, keep]
     assert next_uniform_lanes(np.empty((4, 0), dtype=np.uint64)).shape == (0,)
+
+
+def state_bytes(root, label) -> bytes:
+    return np.array(derive_stream(root, label).state, dtype=np.uint64).tobytes()
+
+
+# mixed lengths (1 to 26 bytes), non-ASCII labels, and roots that are
+# negative or at least 2**63, which derive_stream takes mod 2**64
+DERIVE_LABELS = ["a", "env:gen", "eval:OOD:12:10099:3", "é", "日本語ラベル", "rollout:0\x00x"]
+DERIVE_ROOTS = [0, 42, -1, -(1 << 70) - 5, 1 << 63, (1 << 64) - 1, (1 << 64) + 7]
+
+
+@pytest.mark.parametrize("root", DERIVE_ROOTS)
+def test_derive_states_one_root_over_many_labels(root):
+    states = derive_states(root, DERIVE_LABELS)
+    assert states.dtype == np.uint64 and states.shape == (len(DERIVE_LABELS), 4)
+    for row, label in zip(states, DERIVE_LABELS):
+        assert row.tobytes() == state_bytes(root, label), label
+
+
+@pytest.mark.parametrize("label", DERIVE_LABELS)
+def test_derive_states_many_roots_over_one_label(label):
+    states = derive_states(DERIVE_ROOTS, label)
+    assert states.shape == (len(DERIVE_ROOTS), 4)
+    assert states.tobytes() == b"".join(state_bytes(root, label) for root in DERIVE_ROOTS)
+
+
+def test_derive_states_broadcast_shapes():
+    roots = np.array(DERIVE_ROOTS[:3], dtype=object)[:, None]
+    states = derive_states(roots, DERIVE_LABELS)
+    assert states.shape == (3, len(DERIVE_LABELS), 4)
+    want = [state_bytes(r, label) for r in DERIVE_ROOTS[:3] for label in DERIVE_LABELS]
+    assert states.tobytes() == b"".join(want)
+    assert derive_states(5, "x").tobytes() == state_bytes(5, "x")
+    assert derive_states(range(4), "env:gen").shape == (4, 4)
+    assert derive_states([], "env:gen").shape == (0, 4)
+
+
+@pytest.mark.parametrize("labels", ["", ["a", ""], [""]])
+def test_derive_states_empty_label_rejected(labels):
+    with pytest.raises(ValueError, match="nonempty"):
+        derive_states(3, labels)
+
+
+def lane_states(streams) -> np.ndarray:
+    return np.array([s.state for s in streams], dtype=np.uint64).T.copy()
+
+
+def test_u64_lanes_match_each_stream():
+    refs = [derive_stream(seed, "env:gen") for seed in range(9)]
+    states = derive_states(range(9), "env:gen").T.copy()
+    for k in (36, 1, 0, 5):
+        words = next_u64_lanes(states, k)
+        assert words.dtype == np.uint64 and words.shape == (k, 9)
+        assert words.T.tolist() == [[ref.next_u64() for _ in range(k)] for ref in refs]
+        assert [tuple(int(w) for w in col) for col in states.T] == [ref.state for ref in refs]
+
+
+@pytest.mark.parametrize(
+    "bounds",
+    [
+        # 2**64 mod n = 2**63 - 1: about half of all words are rejected
+        [(1 << 63) + 1] * 40,
+        # a power of two accepts every word
+        [1 << 40] * 40,
+        [1, 2, 7, 36, 1 << 63, (1 << 63) + 1, (1 << 64) - 1, 3 << 62] * 5,
+    ],
+)
+def test_int_lanes_match_next_int(bounds):
+    streams = [derive_stream(seed, "lanes") for seed in range(len(bounds))]
+    refs = [derive_stream(seed, "lanes") for seed in range(len(bounds))]
+    states = lane_states(streams)
+    n = np.array(bounds, dtype=np.uint64)
+    words = 0
+    for _ in range(6):
+        before = [ref.state for ref in refs]
+        got = next_int_lanes(states, n)
+        assert got.dtype == np.uint64
+        assert got.tolist() == [ref.next_int(b) for ref, b in zip(refs, bounds)]
+        assert [tuple(int(w) for w in col) for col in states.T] == [ref.state for ref in refs]
+        for ref, state in zip(refs, before):  # words each lane read for its draw
+            probe = RngStream(state, "probe")
+            while probe.state != ref.state:
+                probe.next_u64()
+                words += 1
+    if bounds[0] == 1 << 40:
+        assert words == 6 * len(bounds)  # one word per draw
+    elif bounds[0] == (1 << 63) + 1:
+        assert words > 1.5 * 6 * len(bounds)  # about two words per draw
+
+
+def test_int_lanes_bad_bounds_rejected():
+    states = lane_states([derive_stream(1, "bad")])
+    for n in (0, [0], -3, [2.0], [1 << 64]):
+        with pytest.raises(ValueError, match="next_int needs integer n >= 1"):
+            next_int_lanes(states, n)
 
 
 def test_lane_cursor_matches_stream_over_distill_reads():
