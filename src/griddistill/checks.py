@@ -158,10 +158,11 @@ def best_return_search(spec: GridSpec, horizon: int) -> float:
 
 
 def greedy_rollout_return(spec: GridSpec, gamma: float = 0.99) -> float:
-    table = expert.value_iteration(spec, gamma=gamma)
-    policy = expert.ExpertPolicy(table=table, epsilon=0.0)
-    episode = expert.rollout(policy, spec, derive_stream(0, "selfcheck:greedy"))
-    return sum(s[3] for s in episode.steps)
+    """The return of one walk of the planner's greedy table on the map."""
+    maps = gridenv.Maps.of(spec)
+    greedy = expert.solve_maps(maps, gamma)[1]
+    steps = maps.walk(maps.start, np.zeros(1, dtype=np.int64), greedy)
+    return sum(float(reward[0]) for _, _, _, _, reward, _ in steps)
 
 
 def check_planner(n_specs: int = 20, root_seed: int = 4242) -> int:

@@ -162,24 +162,27 @@ def _method_dir(config: ExperimentConfig, method: str) -> str:
 
 def cmd_collect(config: ExperimentConfig) -> None:
     os.makedirs(config.output_dir, exist_ok=True)
-    episodes = expert.collect_rollouts(
+    meta = {
+        "env": dataclasses.asdict(config.env),
+        "seeds": config.collect.seeds(),
+        "episode_count": config.collect.episodes,
+        "root_seed": config.root_seed,
+        "epsilons": config.collect.epsilons,
+    }
+    ds = expert.collect(
         config.env,
         config.collect.seeds(),
         config.collect.episodes,
         config.collect.epsilons,
         root_seed=config.root_seed,
         gamma=config.collect.gamma,
+        meta=meta,
     )
-    meta = {
-        "env": dataclasses.asdict(config.env),
-        "seeds": config.collect.seeds(),
-        "episode_count": len(episodes),
-        "root_seed": config.root_seed,
-        "epsilons": config.collect.epsilons,
-    }
-    ds = datasets.from_episodes(episodes, meta)
     datasets.save(ds, _offline_path(config))
-    print(f"collected {len(episodes)} episodes, {len(ds)} transitions -> {_offline_path(config)}")
+    print(
+        f"collected {config.collect.episodes} episodes, {len(ds)} transitions "
+        f"-> {_offline_path(config)}"
+    )
 
 
 def cmd_distill(config: ExperimentConfig) -> None:

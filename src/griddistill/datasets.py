@@ -11,10 +11,12 @@ each episode one contiguous run of rows in t order:
 - `g_t`, the return from step t, and `g_0`, the episode's return from its
   first step, repeated on every row (float64).
 
-Returns are undiscounted within-episode sums; the planner's discount never
-leaks into the data. Percentile filtering operates on whole episodes ranked
-by their start return g_0, because the filter weight is constant across an
-episode.
+Collection builds the columns from a lockstep walk's step records
+(`from_walk`). Returns are undiscounted within-episode sums, every
+episode's summed from its last step back, all episodes a step at a time;
+the planner's discount never leaks into the data. Percentile filtering
+operates on whole episodes ranked by their start return g_0, because the
+filter weight is constant across an episode.
 
 `load` keeps the last dataset it parsed, keyed by the exact bytes of the
 file and its sidecar, so a process that loads one `offline.jsonl` content
@@ -84,23 +86,54 @@ def _from_rows(rows: list, meta: dict) -> OfflineDataset:
     return OfflineDataset(**cols, meta=meta)
 
 
-def compute_returns(rewards) -> np.ndarray:
-    """One episode's undiscounted returns g_t = reward_t + g_(t+1): a
-    reversed running sum, bit-equal to the backward loop from g = 0.0
-    (adding that 0.0 turns a -0.0 sum into 0.0, as the loop does)."""
-    if len(rewards) == 0:
+def compute_returns(rewards, lengths=None) -> np.ndarray:
+    """Undiscounted returns g_t = reward_t + g_(t+1) of episodes laid back
+    to back in `rewards`, episode k `lengths[k]` steps long (by default one
+    episode of them all). Every episode is summed from its last step back
+    from 0.0, all of them a step at a time, so each is bit-equal to the
+    backward loop from g = 0.0 (which turns a -0.0 sum into 0.0)."""
+    rewards = np.asarray(rewards, dtype=np.float64)
+    lengths = np.array([len(rewards)] if lengths is None else lengths, dtype=np.int64)
+    if (lengths < 1).any():
         raise ValueError("episode must be nonempty")
-    return np.cumsum(np.asarray(rewards, dtype=np.float64)[::-1])[::-1] + 0.0
+    end = np.cumsum(lengths)  # one past each episode's last row
+    g = np.zeros(len(lengths))
+    out = np.empty(len(rewards))
+    for back in range(lengths.max(initial=0)):
+        live = lengths > back
+        rows = end[live] - 1 - back
+        g[live] += rewards[rows]
+        out[rows] = g[live]
+    return out
 
 
-def from_episodes(episodes: list, meta: dict) -> OfflineDataset:
-    """Assemble an OfflineDataset from expert Episodes, ids 0..n-1."""
-    rows = []
-    for i, ep in enumerate(episodes):
-        g = compute_returns([step[3] for step in ep.steps])
-        for t, (obs, action, next_obs, reward, done) in enumerate(ep.steps):
-            rows.append((i, t, ep.seed, obs, action, next_obs, reward, done, g[t], g[0]))
-    return _from_rows(rows, meta)
+def from_walk(steps: list, seeds, observe, meta: dict) -> OfflineDataset:
+    """The dataset of a lockstep walk (`gridenv.Maps.walk`), lane l as
+    episode l on seed `seeds[l]`: `steps` holds each step's records (lane,
+    cell, action, next cell, reward, done), arrays over the lanes that took
+    it, and `observe(cells)` gives the observation rows of cells. Rows go
+    episode by episode, each in step order."""
+    if not steps:
+        return _from_rows([], meta)
+    records = [np.concatenate(field) for field in zip(*steps)]
+    order = np.argsort(records[0], kind="stable")  # each lane's records stay in step order
+    lane, cell, action, next_cell, reward, done = (field[order] for field in records)
+    lengths = np.bincount(lane)  # every lane takes at least one step
+    first = np.repeat(np.cumsum(lengths) - lengths, lengths)  # each row's episode start
+    g_t = compute_returns(reward, lengths)
+    return OfflineDataset(
+        episode_id=lane,
+        t=np.arange(len(lane)) - first,
+        seed=np.array(seeds, dtype=object)[lane],
+        obs=observe(cell),
+        action=action.astype(np.int64),
+        next_obs=observe(next_cell),
+        reward=reward,
+        done=done,
+        g_t=g_t,
+        g_0=g_t[first],
+        meta=meta,
+    )
 
 
 @dataclass
@@ -141,26 +174,42 @@ def sample_batch(ds: OfflineDataset, batch: int, rng: RngStream) -> tuple[np.nda
     return ds.obs[idx], ds.action[idx]
 
 
-def _fmt(x: float) -> str:
-    """The text of one float in every artifact: `%.17g`, 17 significant
-    digits, which round-trip any float64 exactly. An integral float is
-    written without a decimal point (1.0 as 1, 1e16 as 10000000000000000).
-    Negative zero is written -0.0, since JSON reads -0 as the integer 0."""
-    text = format(float(x), ".17g")
-    return "-0.0" if text == "-0" else text
-
-
 def _fmt_array(values) -> str:
-    """A 1-D array as a JSON list of `_fmt` tokens, formatted by one
-    C-level `%` over the whole array. Negative zero is mended afterwards:
-    `%.17g` writes it -0, and no other token can be -0 followed by a comma
-    or the closing bracket, since exponents have at least two digits
-    (1e-05). Raises ValueError for an array that is not 1-D."""
+    """A 1-D array as a JSON list of the text every artifact writes a float
+    as: `%.17g`, 17 significant digits, which round-trip any float64
+    exactly. An integral float is written without a decimal point (1.0 as
+    1, 1e16 as 10000000000000000), and negative zero as -0.0, since JSON
+    reads -0 as the integer 0. One C-level `%` formats the whole array, and
+    negative zero is mended afterwards: `%.17g` writes it -0, and no other
+    token can be -0 followed by a comma or the closing bracket, since
+    exponents have at least two digits (1e-05). Raises ValueError for an
+    array that is not 1-D."""
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 1:
         raise ValueError(f"expected a 1-D array, got shape {values.shape}")
     text = ("[" + ",".join(("%.17g",) * len(values)) + "]") % tuple(values.tolist())
     return text.replace("-0,", "-0.0,").replace("-0]", "-0.0]")
+
+
+_ONE = np.float64(1.0).view(np.uint64)
+
+
+def _fmt_rows(matrix) -> list:
+    """Each row of a 2-D array as `_fmt_array` writes it. When every entry
+    is exactly 0.0 or 1.0, with no -0.0 (one-hot observations), every row
+    is "[" then its entries' digits joined by commas then "]", so all the
+    rows are built at once as one byte table and cut apart; any other
+    matrix is written row by row by `_fmt_array`."""
+    matrix = np.ascontiguousarray(matrix, dtype=np.float64)
+    bits = matrix.view(np.uint64)
+    if matrix.ndim != 2 or not matrix.shape[1] or not ((bits == 0) | (bits == _ONE)).all():
+        return [_fmt_array(row) for row in matrix]
+    rows, width = len(matrix), 2 * matrix.shape[1] + 1
+    table = np.full((rows, width), ord(","), dtype=np.uint8)
+    table[:, 0], table[:, -1] = ord("["), ord("]")
+    np.add(matrix, ord("0"), out=table[:, 1::2], casting="unsafe")
+    text = table.tobytes().decode("ascii")
+    return [text[i : i + width] for i in range(0, rows * width, width)]
 
 
 def _meta_path(path: str) -> str:
@@ -185,25 +234,30 @@ def write_atomic(path: str):
         raise
 
 
+# one line of the JSON Lines body, fields in COLUMNS order
+_LINE = "{" + ",".join(f'"{name}":%s' for name in COLUMNS) + "}\n"
+
+# rows `save` formats at a time: holding every row's text at once (~2,700
+# small strings for the default collection) raised the distill-soft
+# benchmark's peak RSS by ~0.3 MB, and blocks of 32 rows cost no more time
+_SAVE_ROWS = 32
+
+
 def save(ds: OfflineDataset, path: str) -> None:
     """JSON Lines body (one transition per line) plus a <name>.meta.json
-    sidecar holding the meta record and the row count."""
-    columns = [getattr(ds, name) for name in COLUMNS]
+    sidecar holding the meta record and the row count. Each block of
+    _SAVE_ROWS rows is formatted a column at a time: integers as Python
+    ints, floats by `_fmt_array` (vectors by `_fmt_rows`) and `done` as
+    true/false."""
     with write_atomic(path) as fh:
-        for episode_id, t, seed, obs, action, next_obs, reward, done, g_t, g_0 in zip(*columns):
-            parts = [
-                f'"episode_id":{episode_id}',
-                f'"t":{t}',
-                f'"seed":{seed}',
-                f'"obs":{_fmt_array(obs)}',
-                f'"action":{action}',
-                f'"next_obs":{_fmt_array(next_obs)}',
-                f'"reward":{_fmt(reward)}',
-                f'"done":{"true" if done else "false"}',
-                f'"g_t":{_fmt(g_t)}',
-                f'"g_0":{_fmt(g_0)}',
-            ]
-            fh.write("{" + ",".join(parts) + "}\n")
+        for lo in range(0, len(ds), _SAVE_ROWS):
+            block = {name: getattr(ds, name)[lo : lo + _SAVE_ROWS] for name in COLUMNS}
+            text = {name: block[name].tolist() for name in ("episode_id", "t", "seed", "action")}
+            text.update(obs=_fmt_rows(block["obs"]), next_obs=_fmt_rows(block["next_obs"]))
+            for name in ("reward", "g_t", "g_0"):
+                text[name] = _fmt_array(block[name])[1:-1].split(",")
+            text["done"] = ["true" if done else "false" for done in block["done"].tolist()]
+            fh.writelines(_LINE % row for row in zip(*(text[name] for name in COLUMNS)))
     meta = dict(ds.meta)
     meta["rows"] = len(ds)
     with write_atomic(_meta_path(path)) as fh:

@@ -12,7 +12,8 @@ keeps the stacks' memory small; `_CHUNK` gives the measured RSS); what the
 walk reads of each table is kept: its argmax action per cell, or its
 cumulative action probabilities under the `stochastic` rule. Then every
 (student, map, episode) lane of the split walks in lockstep over the
-maps' stacked transition tables, and the planner walks one lane per map.
+maps' stacked transition tables, on the walker collection also uses
+(`gridenv.Maps.walk`), and the planner walks one lane per map.
 Students act by argmax by default, so cohort comparisons reflect training
 rather than action-sampling noise; the `stochastic` rule samples instead,
 each lane from its episode's own stream, whose states for the whole split
@@ -31,7 +32,7 @@ import numpy as np
 from . import expert, gridenv, tinynet
 from .datasets import write_atomic
 from .gridenv import N_ACTIONS, EnvConfig
-from .rng import derive_states, next_uniform_lanes
+from .rng import derive_states
 from .rng import derive_stream  # noqa: F401 -- a name perfbench's tracer rebinds
 
 METHOD_ORDER = ("expert", "bc10", "bc25", "bc40", "bc100", "synthetic")
@@ -133,38 +134,13 @@ def _student_tables(students: list, maps: gridenv.Maps, sampled: bool) -> np.nda
     return tables
 
 
-def _walk(
-    maps: gridenv.Maps, cell: np.ndarray, offset: np.ndarray, policy: np.ndarray, states=None
-) -> np.ndarray:
-    """Every lane's undiscounted return, all lanes stepped together over the
-    stacked tables of `maps`. Lane l starts on global cell `cell[l]` and
-    reads policy row `offset[l] + g` on cell g. Without `states`, `policy`
-    holds one action per row (the argmax rule). With them, its rows are
-    cumulative action probabilities and lane l samples from stream
-    `states[:, l]`: the first action a with u < row[a], else the last, as a
-    running sum of the probabilities would pick. Returns add each reward in
-    step order from 0.0, so they equal sum() over the episode's rewards. A
-    lane ends on its goal or at the horizon."""
+def _returns(maps: gridenv.Maps, cell, offset, policy, states=None) -> np.ndarray:
+    """Every lane's undiscounted return on `maps.walk(cell, offset, policy,
+    states)`: each reward added in step order from 0.0, so the returns
+    equal sum() over the episode's rewards."""
     returns = np.zeros(len(cell))
-    lane = np.arange(len(cell))
-    next_cell, reward = maps.next.ravel(), maps.reward.ravel()
-    for _ in range(maps.horizon):
-        if not len(lane):
-            break
-        row = offset + cell
-        if states is None:
-            action = policy[row]
-        else:
-            u = next_uniform_lanes(states)
-            action = np.minimum((policy[row] <= u[:, None]).sum(axis=1), N_ACTIONS - 1)
-        move = cell * N_ACTIONS + action
-        cell = next_cell[move]
-        returns[lane] += reward[move]
-        live = ~maps.goal[cell]
-        if not live.all():
-            lane, cell, offset = lane[live], cell[live], offset[live]
-            if states is not None:
-                states = states[:, live]
+    for lane, _, _, _, reward, _ in maps.walk(cell, offset, policy, states):
+        returns[lane] += reward
     return returns
 
 
@@ -189,7 +165,7 @@ def _split_returns(
     maps = gridenv.generate_maps(env_config, seeds)
     planner = expert.solve_maps(maps, gamma)[1].astype(np.int8)
     policies = _student_tables(students, maps, sampled)
-    planner_returns = _walk(maps, maps.start, np.zeros(len(seeds), dtype=np.int64), planner)
+    planner_returns = _returns(maps, maps.start, np.zeros(len(seeds), dtype=np.int64), planner)
     per_student = len(seeds) * episodes  # one student's lanes: by map, then episode
     cell = np.tile(np.repeat(maps.start, episodes), len(students))
     offset = np.repeat(np.arange(len(students)) * (len(seeds) * maps.cells), per_student)
@@ -207,7 +183,7 @@ def _split_returns(
         by_index = derive_states(root_seed, labels).reshape(width, per_student, 4)
         member = [i for members, _ in cohorts.values() for i in range(len(members))]
         states = np.ascontiguousarray(by_index[member].reshape(-1, 4).T)
-    returns = _walk(maps, cell, offset, policies.reshape(-1, *policies.shape[3:]), states)
+    returns = _returns(maps, cell, offset, policies.reshape(-1, *policies.shape[3:]), states)
     return np.repeat(planner_returns, episodes), returns.reshape(len(students), per_student)
 
 

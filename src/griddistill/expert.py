@@ -5,35 +5,21 @@ Solving each seed's deterministic MDP exactly sidesteps expert training
 entirely; the epsilon mixture cycled across episodes manufactures the
 return spread that percentile filtering needs to be a meaningful baseline.
 The planner solves a block of maps in one elementwise sweep over their
-stacked tables (`solve_maps`); collection generates and solves all of its
-maps as one block, then rolls its episodes out one by one.
+stacked tables (`solve_maps`). Collection generates and solves all of its
+maps as one block, then walks all of its episodes in lockstep, one lane
+each, on the walker evaluation uses (`gridenv.Maps.walk`), and the walk's
+step records become the offline dataset's columns (`collect`).
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import gridenv
-from .gridenv import N_ACTIONS, EnvConfig, GridSpec
-from .rng import RngStream, derive_stream
+from .datasets import OfflineDataset, from_walk
+from .gridenv import EnvConfig
+from .rng import derive_states
+from .rng import derive_stream  # noqa: F401 -- a name perfbench's tracer rebinds
 
 _STAY = gridenv.ACTIONS.index("STAY")
-
-
-@dataclass(frozen=True)
-class ValueTable:
-    """Converged state values and greedy action per cell (flat row-major).
-
-    The goal cell is absorbing with value 0: its reward is collected on
-    entry, after which the episode is over. Greedy ties break toward the
-    lowest action index.
-    """
-
-    spec: GridSpec
-    gamma: float
-    values: np.ndarray  # (n*n,) float64
-    greedy_action: np.ndarray  # (n*n,) int64
-    residual: float
 
 
 def solve_maps(maps: gridenv.Maps, gamma: float = 0.99, tol: float = 1e-8) -> tuple:
@@ -83,84 +69,38 @@ def _q(maps: gridenv.Maps, gamma: float, values: np.ndarray) -> np.ndarray:
     return q
 
 
-def value_iteration(spec: GridSpec, gamma: float = 0.99, tol: float = 1e-8) -> ValueTable:
-    """One map's ValueTable: the block of one of `solve_maps`."""
-    values, greedy, residual = solve_maps(gridenv.Maps.of(spec), gamma, tol)
-    return ValueTable(
-        spec=spec, gamma=gamma, values=values, greedy_action=greedy, residual=float(residual[0])
-    )
-
-
-@dataclass(frozen=True)
-class ExpertPolicy:
-    """epsilon-greedy wrapper: (1 - eps) on the greedy action plus eps/|A|
-    spread over every action."""
-
-    table: ValueTable
-    epsilon: float = 0.0
-
-    def __post_init__(self):
-        if not (0.0 <= self.epsilon <= 1.0):
-            raise ValueError("epsilon must be in [0, 1]")
-
-
-def act(policy: ExpertPolicy, cell: int, rng: RngStream) -> int:
-    """Sample from the epsilon-greedy distribution on flat cell `cell`."""
-    if rng.next_uniform() < policy.epsilon:
-        return rng.next_int(N_ACTIONS)
-    return int(policy.table.greedy_action[cell])
-
-
-@dataclass
-class Episode:
-    """One rollout: per-step (obs, action, next_obs, reward, done) tuples."""
-
-    seed: int
-    epsilon: float
-    steps: list
-
-
-def rollout(policy: ExpertPolicy, spec: GridSpec, rng: RngStream) -> Episode:
-    obs = gridenv.cell_observations(spec)
-    steps = gridenv.run_episode(spec, lambda cell: act(policy, cell, rng))
-    return Episode(
-        seed=spec.seed,
-        epsilon=policy.epsilon,
-        steps=[(obs[s], a, obs[s2], r, d) for s, a, s2, r, d in steps],
-    )
-
-
-def collect_rollouts(
+def collect(
     config: EnvConfig,
     seeds: list,
     episodes: int,
     epsilons: list,
     root_seed: int,
     gamma: float = 0.99,
-) -> list:
-    """Collect `episodes` expert episodes, round-robin over `seeds`, cycling
-    epsilon through `epsilons`. The maps the episodes visit are generated
-    and solved as one block first. Episode i rolls with its own derived
-    stream so collection order never affects the data."""
+    meta: dict | None = None,
+) -> OfflineDataset:
+    """`episodes` planner episodes as an offline dataset with ids 0 ..
+    episodes - 1: episode i plays seeds[i % len(seeds)], epsilon-greedy at
+    epsilons[i % len(epsilons)] ((1 - eps) on the greedy action plus eps/|A|
+    spread over every action), and draws from its own stream `rollout:i`,
+    so collection order never affects the data. The maps the episodes
+    visit are generated and solved as one block, and every episode is a
+    lane of one lockstep walk over them (`Maps.walk`): each step a lane
+    draws one uniform, and one next_int(N_ACTIONS) when the uniform is
+    below its epsilon. The walk's step records are the dataset's rows."""
     if not seeds:
         raise ValueError("need at least one seed")
     if not epsilons:
         raise ValueError("need at least one epsilon")
-    if episodes < 1:
-        return []
-    used = list(dict.fromkeys(seeds[:episodes]))  # the seeds episodes visit, in order
+    if not all(0.0 <= eps <= 1.0 for eps in epsilons):
+        raise ValueError("epsilon must be in [0, 1]")
+    lanes = range(max(episodes, 0))
+    used = list(dict.fromkeys(seeds[: len(lanes)]))  # the seeds episodes visit, in order
     maps = gridenv.generate_maps(config, used)
-    values, greedy, residual = solve_maps(maps, gamma)
-    by_map = (len(used), -1)
-    solved = zip(values.reshape(by_map), greedy.reshape(by_map), residual)
-    tables = {
-        seed: ValueTable(maps.spec(m), gamma, v, g, float(r))
-        for m, (seed, (v, g, r)) in enumerate(zip(used, solved))
-    }
-    out = []
-    for i in range(episodes):
-        table = tables[seeds[i % len(seeds)]]
-        policy = ExpertPolicy(table=table, epsilon=epsilons[i % len(epsilons)])
-        stream = derive_stream(root_seed, f"rollout:{i}")
-        out.append(rollout(policy, table.spec, stream))
-    return out
+    greedy = solve_maps(maps, gamma)[1]
+    index = {seed: m for m, seed in enumerate(used)}
+    lane_seeds = [seeds[i % len(seeds)] for i in lanes]
+    start = maps.start[np.array([index[seed] for seed in lane_seeds], dtype=np.int64)]
+    states = derive_states(root_seed, [f"rollout:{i}" for i in lanes]).T.copy()
+    epsilon = np.array([epsilons[i % len(epsilons)] for i in lanes], dtype=np.float64)
+    steps = list(maps.walk(start, np.zeros_like(start), greedy, states, epsilon))
+    return from_walk(steps, lane_seeds, maps.observe, {} if meta is None else meta)

@@ -13,17 +13,17 @@ stream state as a column of one uint64 array and draws all the pending
 maps' layouts at once in rounds, lane-wise, retrying only the maps whose
 goal one frontier sweep over the round's tables finds unreachable. It
 returns a `Maps`, which stacks the block's tables over global cells; the
-planner sweeps them all at once and evaluation walks all of a split's
-episodes over them. `Maps.observations` gives the cell observations of a
-run of its maps, which evaluation forwards 8 maps at a time: a whole
-split's stack would add ~10 MB of peak RSS (see `evaluate._CHUNK`).
-`Maps.spec(m)` gives one map as a GridSpec with its tables sliced from the
-block, for the callers that walk one map (collection's rollouts,
-`generate`); a GridSpec built from its fields alone takes the tables of its
-block of one, `Maps.of`. `run_episode` walks one map's tables one episode
-at a time, cell by cell, for collection. `GridState`, `initial_state`,
-`step` and `observe` are the reference semantics the tables are tested
-against.
+planner sweeps them all at once, and `Maps.walk` steps many episodes over
+them in lockstep, one lane each: all of an eval split's episodes, or all
+of collection's. `Maps.observe` gives the observation rows of any global
+cells (collection's dataset rows), and `Maps.observations` those of every
+cell of a run of maps, which evaluation forwards 8 maps at a time: a
+whole split's stack would add ~10 MB of peak RSS (see
+`evaluate._CHUNK`). `Maps.spec(m)` gives one map as a GridSpec with its
+tables sliced from the block (`generate`); a GridSpec built from its
+fields alone takes the tables of its block of one, `Maps.of`.
+`GridState`, `initial_state`, `step` and `observe` are the reference
+semantics the tables and the walk are tested against.
 """
 
 import numbers
@@ -31,7 +31,7 @@ from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
-from .rng import _uniforms, derive_states, next_int_lanes, next_u64_lanes
+from .rng import _uniforms, derive_states, next_int_lanes, next_u64_lanes, next_uniform_lanes
 from .rng import derive_stream  # noqa: F401 -- a name perfbench's tracer rebinds
 
 ACTIONS = ("UP", "DOWN", "LEFT", "RIGHT", "STAY")
@@ -305,10 +305,72 @@ class Maps:
             ((self.next[rows] - base).T, self.reward[rows].T.copy()),
         )
 
+    def observe(self, cells) -> np.ndarray:
+        """The observation of the agent on each of the global cells `cells`,
+        (len(cells), obs_dim), as observe() gives it: a one-hot agent
+        channel, then its map's goal, wall and hazard channels."""
+        maps, local = np.divmod(cells, self.cells)
+        obs = np.zeros((len(cells), 4 * self.cells))
+        obs[np.arange(len(cells)), local] = 1.0
+        obs[:, self.cells :] = self.static[maps]
+        return obs
+
     def observations(self, lo: int, hi: int) -> np.ndarray:
-        """Every cell's observation on maps lo .. hi - 1, (maps, cells,
-        obs_dim), as `cell_observations` gives each."""
-        return _observations(self.static[lo:hi])
+        """Every cell's observation on maps lo .. hi - 1 (hi clipped to the
+        block), (maps, cells, obs_dim)."""
+        hi = min(hi, len(self.start))
+        obs = self.observe(np.arange(lo * self.cells, hi * self.cells))
+        return obs.reshape(hi - lo, self.cells, -1)
+
+    def walk(self, cell, offset, policy, states=None, epsilon=None):
+        """Steps many episodes together over the block's tables, one lane
+        each, and yields every step's records, (lane, cell, action, next
+        cell, reward, done), each an array over the lanes still walking, in
+        lane order. Lane l starts on global cell `cell[l]` and reads policy
+        row `offset[l] + g` on cell g; it ends on its map's goal or at the
+        horizon. How a lane acts:
+
+        - without `states`, `policy` holds one action per row;
+        - with `states` alone, its rows are cumulative action probabilities,
+          and lane l samples from stream `states[:, l]`: one uniform u, then
+          the first action a with u < row[a], else the last, as a running
+          sum of the probabilities would pick;
+        - with `states` and `epsilon`, `policy` holds greedy actions and
+          lane l is epsilon[l]-greedy: one uniform u, and if u < epsilon[l]
+          one next_int(N_ACTIONS) for its action, else the greedy one.
+
+        `states` (4, L) is stepped in place until the first lane ends and
+        copied from then on, so the caller reads nothing back from it."""
+        lane = np.arange(len(cell))
+        next_cell, reward = self.next.ravel(), self.reward.ravel()
+        for t in range(1, self.horizon + 1):
+            if not len(lane):
+                return
+            row = offset + cell
+            if states is None:
+                action = policy[row]
+            elif epsilon is None:
+                u = next_uniform_lanes(states)
+                action = np.minimum((policy[row] <= u[:, None]).sum(axis=1), N_ACTIONS - 1)
+            else:
+                action = policy[row]
+                noisy = np.flatnonzero(next_uniform_lanes(states) < epsilon)
+                if len(noisy):
+                    drawn = states[:, noisy]
+                    action[noisy] = next_int_lanes(drawn, N_ACTIONS)
+                    states[:, noisy] = drawn
+            move = cell * N_ACTIONS + action
+            after = next_cell[move]
+            done = self.goal[after] if t < self.horizon else np.ones(len(lane), dtype=bool)
+            yield lane, cell, action, after, reward[move], done
+            cell = after
+            if done.any():
+                live = ~done
+                lane, cell, offset = lane[live], cell[live], offset[live]
+                if states is not None:
+                    states = states[:, live]
+                if epsilon is not None:
+                    epsilon = epsilon[live]
 
 
 def initial_state(spec: GridSpec) -> GridState:
@@ -356,42 +418,3 @@ def observe(state: GridState) -> np.ndarray:
     for r, c in state.spec.hazards:
         obs[3 * cell + r * n + c] = 1.0
     return obs
-
-
-def _observations(static: np.ndarray) -> np.ndarray:
-    """(maps, cells, obs_dim) from each map's goal, wall and hazard channels
-    (maps, 3 * cells), as 0/1 values or bools: the agent channel of row c is
-    one-hot on c."""
-    cells = static.shape[1] // 3
-    obs = np.empty((len(static), cells, 4 * cells))
-    obs[:, :, :cells] = np.eye(cells)
-    obs[:, :, cells:] = static[:, None, :]
-    return obs
-
-
-def cell_observations(spec: GridSpec) -> np.ndarray:
-    """Every cell's observation on this map, (grid_n^2, obs_dim): row
-    r * grid_n + c is observe() with the agent on (r, c). Wall rows are
-    included although the agent never stands there."""
-    cells = spec.config.grid_n ** 2
-    return _observations(observe(initial_state(spec))[None, cells:])[0]
-
-
-def run_episode(spec: GridSpec, choose) -> list:
-    """The episode loop over flat cells: from the start, take `choose(cell)`
-    through the map's tables until the goal or the horizon, as step() does
-    (with its ValueError for an action outside [0, N_ACTIONS)). Returns the
-    (cell, action, next_cell, reward, done) steps in order."""
-    n, horizon = spec.config.grid_n, spec.config.horizon
-    goal, cell = spec.goal[0] * n + spec.goal[1], spec.start[0] * n + spec.start[1]
-    steps = []
-    for t in range(1, horizon + 1):
-        action = choose(cell)
-        if not (0 <= action < N_ACTIONS):
-            raise ValueError(f"action index {action} out of range")
-        next_cell, reward = int(spec.next_cell[action, cell]), float(spec.reward[action, cell])
-        steps.append((cell, action, next_cell, reward, next_cell == goal or t == horizon))
-        if next_cell == goal:
-            break
-        cell = next_cell
-    return steps

@@ -82,7 +82,11 @@ _U5, _U7, _U9, _U17, _U19, _U45, _U57 = (np.uint64(c) for c in (5, 7, 9, 17, 19,
 def _step_u64(s0, s1, s2, s3, t, u) -> None:
     """One xoshiro256** state update on uint64 vectors, in place; t and u
     are scratch vectors of the same length. Explicit ufunc calls on prebuilt
-    uint64 constants: on short lane vectors the per-call cost dominates."""
+    uint64 constants: on short lane vectors the per-call cost dominates.
+    Pairing the four word XORs into two calls on (2, L) row pairs, seven
+    calls in all, measured slower (numpy 2.4, 2 cores): the second pair,
+    rows 0-1 ^= rows 3-2, runs with a negative row stride, and the two 2-D
+    calls cost more than the four 1-D ones."""
     np.left_shift(s1, _U17, out=t)
     np.bitwise_xor(s2, s0, out=s2)
     np.bitwise_xor(s3, s1, out=s3)

@@ -9,7 +9,7 @@ import pytest
 from griddistill import cli, datasets, expert, gridenv, tinynet
 from griddistill import distill as dst
 from griddistill.rng import derive_stream
-from helpers import episode_ids
+from helpers import episode_ids, value_iteration
 
 SMALL_CONFIG = {
     "env": {"grid_n": 4, "hazard_count": 1, "horizon": 12},
@@ -231,7 +231,7 @@ class TestCollect:
         assert len(episode_ids(ds)) == 1
         # replay the planner greedily and compare the stored actions
         spec = gridenv.generate(gridenv.EnvConfig(), 0)
-        table = expert.value_iteration(spec)
+        table = value_iteration(spec)
         state = gridenv.initial_state(spec)
         n = spec.config.grid_n
         for action in ds.action.tolist():
@@ -416,7 +416,6 @@ class TestEvalCmd:
 
         monkeypatch.setattr(gridenv, "generate_maps", counting_generate_maps)
         monkeypatch.setattr(gridenv, "generate", lambda *a: pytest.fail("per-map generate"))
-        monkeypatch.setattr(expert, "value_iteration", lambda *a, **k: pytest.fail("per-map"))
         monkeypatch.setattr(expert, "solve_maps", counting_solve_maps)
         run_cli(["--config", config_path, "--out", str(out), "eval"])
         seeds = [0, 1, 2, 10_000, 10_001]  # SMALL_CONFIG's ID and OOD seeds

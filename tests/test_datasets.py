@@ -8,10 +8,9 @@ import pytest
 
 from griddistill import cli, datasets, expert
 from griddistill.datasets import SchemaError
-from griddistill.expert import Episode
 from griddistill.gridenv import EnvConfig
 from griddistill.rng import derive_stream
-from helpers import episode_g0, episode_ids
+from helpers import Episode, episode_g0, episode_ids, from_episodes
 
 
 def toy_steps(rewards, tag=0):
@@ -28,11 +27,11 @@ def toy_dataset(episode_rewards, meta=None):
         Episode(seed=eid, epsilon=0.0, steps=toy_steps(rewards, tag=eid))
         for eid, rewards in enumerate(episode_rewards)
     ]
-    return datasets.from_episodes(episodes, meta=meta or {"root_seed": 0})
+    return from_episodes(episodes, meta=meta or {"root_seed": 0})
 
 
 def empty_dataset():
-    return datasets.from_episodes([], meta={})
+    return from_episodes([], meta={})
 
 
 def assert_same_columns(a, b):
@@ -55,10 +54,7 @@ def backward_returns(rewards):
 @pytest.fixture(scope="module")
 def seed42_collection():
     """The default collection of `run-all --seed 42`."""
-    episodes = expert.collect_rollouts(
-        EnvConfig(), list(range(200)), 100, [0.0, 0.1, 0.3], root_seed=42
-    )
-    return episodes, datasets.from_episodes(episodes, meta={})
+    return expert.collect(EnvConfig(), list(range(200)), 100, [0.0, 0.1, 0.3], root_seed=42)
 
 
 class TestComputeReturns:
@@ -78,8 +74,7 @@ class TestComputeReturns:
 
     def test_g0_matches_forward_sum_on_collection(self):
         cfg = EnvConfig()
-        episodes = expert.collect_rollouts(cfg, list(range(20)), 100, [0.0, 0.1, 0.3], root_seed=3)
-        ds = datasets.from_episodes(episodes, meta={})
+        ds = expert.collect(cfg, list(range(20)), 100, [0.0, 0.1, 0.3], root_seed=3)
         for eid in episode_ids(ds):
             rows = ds.episode_id == eid
             forward = 0.0
@@ -88,19 +83,31 @@ class TestComputeReturns:
             assert ds.g_0[rows][0] == pytest.approx(forward, abs=1e-12)
 
     def test_bit_equal_to_backward_loop_on_collection(self, seed42_collection):
-        episodes, ds = seed42_collection
+        ds = seed42_collection
         g_t, g_0 = [], []
-        for ep in episodes:
-            g = backward_returns([step[3] for step in ep.steps])
+        for eid in episode_ids(ds):
+            g = backward_returns(ds.reward[ds.episode_id == eid].tolist())
             g_t += g
             g_0 += [g[0]] * len(g)
         assert ds.g_t.tobytes() == np.array(g_t).tobytes()
         assert ds.g_0.tobytes() == np.array(g_0).tobytes()
 
+    SIGNED_ZEROS = ([-0.0], [1.0, -0.0], [-0.0, -0.0], [0.1, 0.2, -0.3], [-1.0, 1.0, -0.0])
+
     def test_bit_equal_to_backward_loop_on_signed_zeros(self):
-        for rewards in ([-0.0], [1.0, -0.0], [-0.0, -0.0], [0.1, 0.2, -0.3], [-1.0, 1.0, -0.0]):
+        for rewards in self.SIGNED_ZEROS:
             got = datasets.compute_returns(rewards)
             assert got.tobytes() == np.array(backward_returns(rewards)).tobytes(), rewards
+
+    def test_episodes_back_to_back_equal_each_alone(self):
+        # one pass over episodes of different lengths, each summed alone
+        rng = derive_stream(4, "returns")
+        episodes = [*self.SIGNED_ZEROS, [2.5], [(rng.next_uniform() - 0.5) * 10 for _ in range(40)]]
+        got = datasets.compute_returns(sum(episodes, []), [len(e) for e in episodes])
+        want = [g for rewards in episodes for g in backward_returns(rewards)]
+        assert got.tobytes() == np.array(want).tobytes()
+        with pytest.raises(ValueError):
+            datasets.compute_returns([1.0, 2.0], [2, 0])
 
 
 class TestPercentileFilter:
@@ -153,7 +160,7 @@ class TestPercentileFilter:
     @pytest.mark.parametrize("x", [1, 10, 25, 33.3, 40, 99, 100])
     def test_matches_sort_reference(self, seed42_collection, x):
         # a real collection (with many tied returns) and a tie-heavy toy set
-        _, real = seed42_collection
+        real = seed42_collection
         toy = toy_dataset([[float(g % 3)] for g in range(17)])
         for ds in (real, toy):
             g0 = {}
@@ -274,6 +281,49 @@ class TestFmtArray:
             datasets._fmt_array(np.float64(1.0))
 
 
+class TestFmtRows:
+    """save writes a matrix of exact 0.0/1.0 entries through one byte
+    table; `_fmt_array` per row is the reference, and every other matrix
+    keeps it."""
+
+    def one_hot(self):
+        rng = derive_stream(15, "fmt-rows")
+        matrix = np.zeros((50, 144))
+        matrix[np.arange(50), rng.next_int_array(144, 50)] = 1.0
+        matrix[:, 36:] = rng.next_int_array(2, 50 * 108).reshape(50, 108)
+        return matrix
+
+    def one_negative_zero(self):
+        matrix = self.one_hot()
+        matrix[3, 40] = -0.0
+        return matrix
+
+    @pytest.mark.parametrize(
+        "case", ["one-hot", "one-negative-zero", "non-binary", "no-rows", "no-columns"]
+    )
+    def test_equals_per_row_fmt_array(self, case):
+        matrix = {
+            "one-hot": self.one_hot,
+            "one-negative-zero": self.one_negative_zero,
+            "non-binary": lambda: self.one_hot() * 2.0 - 0.5,
+            "no-rows": lambda: np.zeros((0, 144)),
+            "no-columns": lambda: np.zeros((3, 0)),
+        }[case]()
+        got = datasets._fmt_rows(matrix)
+        assert got == [datasets._fmt_array(row) for row in matrix]
+        if case == "one-negative-zero":
+            assert ["-0.0" in row for row in got] == [i == 3 for i in range(50)]
+
+    def test_one_hot_rows_are_digits_and_commas(self):
+        matrix = self.one_hot()
+        assert datasets._fmt_rows(matrix)[0] == "[" + ",".join(
+            "1" if v else "0" for v in matrix[0]
+        ) + "]"
+        assert datasets._fmt_rows(matrix[:, ::3]) == [
+            datasets._fmt_array(row) for row in matrix[:, ::3]
+        ]  # a strided view
+
+
 class TestSaveLoad:
     def test_round_trip(self, tmp_path):
         ds = toy_dataset([[1.0, -0.1], [0.3]], meta={"root_seed": 5, "note": "x"})
@@ -286,7 +336,7 @@ class TestSaveLoad:
     def test_round_trip_awkward_floats(self, tmp_path):
         obs = np.array([0.1 + 0.2, 1e-17, -0.0])
         step = (obs, 4, obs, -0.30000000000000004, True)
-        ds = datasets.from_episodes([Episode(seed=2**63 + 7, epsilon=0.0, steps=[step])], meta={})
+        ds = from_episodes([Episode(seed=2**63 + 7, epsilon=0.0, steps=[step])], meta={})
         path = str(tmp_path / "f.jsonl")
         datasets.save(ds, path)
         loaded = datasets.load(path)
@@ -297,7 +347,7 @@ class TestSaveLoad:
     def test_negative_zero_round_trips(self, tmp_path):
         obs = np.array([-0.0, 0.0])
         step = (obs, 0, -obs, -0.0, True)
-        ds = datasets.from_episodes([Episode(seed=0, epsilon=0.0, steps=[step])], meta={})
+        ds = from_episodes([Episode(seed=0, epsilon=0.0, steps=[step])], meta={})
         path = str(tmp_path / "z.jsonl")
         datasets.save(ds, path)
         loaded = datasets.load(path)
@@ -477,8 +527,7 @@ class TestSaveLoad:
 
     def test_meta_row_count_matches_lines(self, tmp_path):
         cfg = EnvConfig()
-        episodes = expert.collect_rollouts(cfg, list(range(5)), 20, [0.0, 0.3], root_seed=8)
-        ds = datasets.from_episodes(episodes, meta={"root_seed": 8})
+        ds = expert.collect(cfg, list(range(5)), 20, [0.0, 0.3], root_seed=8, meta={"root_seed": 8})
         path = str(tmp_path / "c.jsonl")
         datasets.save(ds, path)
         meta = json.load(open(str(tmp_path / "c.meta.json")))
@@ -491,6 +540,33 @@ class TestSaveLoad:
         datasets.save(ds, p1)
         datasets.save(ds, p2)
         assert open(p1, "rb").read() == open(p2, "rb").read()
+
+    def test_lines_equal_per_row_formatting_across_blocks(self, tmp_path):
+        # 80 rows: save formats 32 at a time, and the one-hot observation
+        # blocks take the byte table while the block holding 0.5 does not
+        rng = derive_stream(16, "save-blocks")
+        obs = np.zeros((80, 8))
+        obs[np.arange(80), rng.next_int_array(8, 80)] = 1.0
+        obs[50, 3] = 0.5
+        steps = [
+            (obs[i], i % 5, obs[(i + 1) % 80], rng.next_uniform() - 0.5, i % 10 == 9)
+            for i in range(80)
+        ]
+        episodes = [
+            Episode(seed=2**63 + k, epsilon=0.0, steps=steps[k * 10 : k * 10 + 10])
+            for k in range(8)
+        ]
+        ds = from_episodes(episodes, meta={})
+        path = tmp_path / "blocks.jsonl"
+        datasets.save(ds, str(path))
+        want = [
+            f'{{"episode_id":{e},"t":{t},"seed":{seed},"obs":{reference_fmt_array(o)},'
+            f'"action":{a},"next_obs":{reference_fmt_array(n)},'
+            f'"reward":{reference_fmt_array([r])[1:-1]},"done":{"true" if d else "false"},'
+            f'"g_t":{reference_fmt_array([g])[1:-1]},"g_0":{reference_fmt_array([g0])[1:-1]}}}'
+            for e, t, seed, o, a, n, r, d, g, g0 in zip(*(getattr(ds, c) for c in datasets.COLUMNS))
+        ]
+        assert len(ds) == 80 and path.read_text().splitlines() == want
 
     def test_interleaved_episodes_raise_naming_the_episode(self, tmp_path):
         ds = toy_dataset([[1.0, 2.0], [3.0, 4.0]])
@@ -529,9 +605,8 @@ class TestSaveLoad:
         # random single-field corruptions of a real collection: load raises
         # exactly what the per-episode loop below raises, or nothing when it
         # raises nothing
-        episodes = expert.collect_rollouts(EnvConfig(), list(range(6)), 12, [0.0, 0.3], root_seed=9)
         path = str(tmp_path / "c.jsonl")
-        datasets.save(datasets.from_episodes(episodes, meta={}), path)
+        datasets.save(expert.collect(EnvConfig(), list(range(6)), 12, [0.0, 0.3], 9), path)
         clean = [json.loads(line) for line in open(path)]
         rng = derive_stream(10, "corrupt")
         for case in range(200):
@@ -619,9 +694,9 @@ def rewrite(path, old, new):
 class TestLoadMemo:
     @pytest.fixture()
     def saved(self, tmp_path):
-        episodes = expert.collect_rollouts(EnvConfig(), list(range(4)), 8, [0.0, 0.3], root_seed=6)
+        ds = expert.collect(EnvConfig(), list(range(4)), 8, [0.0, 0.3], 6, meta={"root_seed": 6})
         path = str(tmp_path / "offline.jsonl")
-        datasets.save(datasets.from_episodes(episodes, meta={"root_seed": 6}), path)
+        datasets.save(ds, path)
         return path
 
     def test_repeated_load_equals_a_fresh_parse(self, saved, parses, monkeypatch):

@@ -5,20 +5,19 @@ import pytest
 
 from griddistill import checks, datasets, expert, tinynet
 from griddistill import distill as dst
-from griddistill.expert import Episode
 from griddistill.gridenv import EnvConfig
 from griddistill.optim import SgdMomentum
 from griddistill.rng import derive_stream
 from griddistill.tinynet import NetShape
 
+from helpers import Episode, from_episodes
 from test_datasets import toy_dataset
 
 
 @pytest.fixture(scope="module")
 def small_collection():
     cfg = EnvConfig()
-    episodes = expert.collect_rollouts(cfg, list(range(20)), 40, [0.0, 0.1, 0.3], root_seed=17)
-    return datasets.from_episodes(episodes, meta={"root_seed": 17})
+    return expert.collect(cfg, list(range(20)), 40, [0.0, 0.1, 0.3], 17, meta={"root_seed": 17})
 
 
 def constant_dataset(n_rows=8, in_dim=6):
@@ -26,7 +25,7 @@ def constant_dataset(n_rows=8, in_dim=6):
     obs = np.zeros(in_dim)
     obs[1] = 1.0
     episodes = [Episode(seed=0, epsilon=0.0, steps=[(obs, 2, obs, 1.0, True)])] * n_rows
-    return datasets.from_episodes(episodes, meta={})
+    return from_episodes(episodes, meta={})
 
 
 class TestInitSynthetic:
@@ -65,7 +64,7 @@ class TestInitSynthetic:
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
-            dst.init_synthetic(datasets.from_episodes([], {}), 5, False, derive_stream(0, "i"))
+            dst.init_synthetic(from_episodes([], {}), 5, False, derive_stream(0, "i"))
 
     def test_learn_labels_initial_logits(self):
         ds = toy_dataset([[1.0], [2.0]])

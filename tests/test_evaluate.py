@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from griddistill import evaluate, expert, gridenv, tinynet
+from griddistill import evaluate, gridenv, tinynet
 from griddistill.evaluate import EvalConfig, EvalReport
 from griddistill.gridenv import EnvConfig
 from griddistill.rng import RngStream, derive_stream
 from griddistill.tinynet import NetShape, PolicyParams
 
+from helpers import ExpertPolicy, cell_observations, rollout, value_iteration
 from test_gridenv import make_spec
 
 
@@ -44,13 +45,13 @@ def walk_one_map(tables, spec, streams=None):
     else:
         policy = np.concatenate([np.cumsum(t, axis=1) for t in tables])
         states = np.array([rng.state for rng in streams], dtype=np.uint64).T.copy()
-    return evaluate._walk(maps, np.repeat(maps.start, lanes), offset, policy, states)
+    return evaluate._returns(maps, np.repeat(maps.start, lanes), offset, policy, states)
 
 
 def student_return(params, spec, rng=None):
     """One episode of a student's policy table, walked as a single lane:
     argmax without a stream, sampled with one."""
-    table = tinynet.forward(params, gridenv.cell_observations(spec))
+    table = tinynet.forward(params, cell_observations(spec))
     (ret,) = walk_one_map([table], spec, None if rng is None else [rng])
     return ret
 
@@ -95,7 +96,7 @@ class TestRunPolicy:
 
         exact = expected_return(spec.start, 0)
         n = 10_000
-        table = tinynet.forward(params, gridenv.cell_observations(spec))
+        table = tinynet.forward(params, cell_observations(spec))
         # every episode one lane of a single lockstep walk
         returns = walk_one_map([table] * n, spec, [derive_stream(i, "mc") for i in range(n)])
         sem = returns.std() / np.sqrt(n)
@@ -201,8 +202,8 @@ class TestPolicyTableEquivalence:
         assert students.shape == (0, len(self.SEEDS))
         for m, seed in enumerate(self.SEEDS):
             spec = gridenv.generate(env, seed)
-            policy = expert.ExpertPolicy(table=expert.value_iteration(spec), epsilon=0.0)
-            episode = expert.rollout(policy, spec, derive_stream(seed, "eq:planner"))
+            policy = ExpertPolicy(table=value_iteration(spec), epsilon=0.0)
+            episode = rollout(policy, spec, derive_stream(seed, "eq:planner"))
             assert planner[m] == sum(s[3] for s in episode.steps)
 
 
@@ -222,7 +223,7 @@ class TestStudentTables:
         assert got.shape[:2] == (2, count)
         for params, tables in zip(students, got):
             for spec, table in zip(map(maps.spec, range(count)), tables):
-                probs = tinynet.forward(params, gridenv.cell_observations(spec))
+                probs = tinynet.forward(params, cell_observations(spec))
                 want = np.cumsum(probs, axis=1) if sampled else probs.argmax(axis=1)
                 assert table.tobytes() == want.astype(table.dtype).tobytes(), spec.seed
 
@@ -364,9 +365,9 @@ class TestEvaluateExpert:
         direct = []
         for seed in seeds:
             spec = gridenv.generate(env, seed)
-            table = expert.value_iteration(spec)
-            ep = expert.rollout(
-                expert.ExpertPolicy(table=table, epsilon=0.0),
+            table = value_iteration(spec)
+            ep = rollout(
+                ExpertPolicy(table=table, epsilon=0.0),
                 spec,
                 derive_stream(5, f"eval-expert:ID:{seed}:0"),
             )

@@ -4,7 +4,7 @@ import pytest
 from griddistill import gridenv
 from griddistill.gridenv import EnvConfig, GridSpec
 
-from helpers import generate_reference, maps_reference
+from helpers import generate_reference, maps_reference, run_episode
 
 
 def make_spec(walls, start, goal, hazards=(), config=None):
@@ -279,15 +279,21 @@ class TestObserve:
 
 class TestCellObservations:
     def test_rows_match_observe_on_every_cell(self):
-        for seed in range(20):
-            spec = gridenv.generate(EnvConfig(), seed)
-            table = gridenv.cell_observations(spec)
-            n = spec.config.grid_n
-            assert table.shape == (n * n, spec.config.obs_dim)
+        # the block's rows, all cells of all maps, and any cells picked
+        maps = gridenv.generate_maps(EnvConfig(), range(20))
+        table = maps.observations(0, 20)
+        n = maps.config.grid_n
+        assert table.shape == (20, n * n, maps.config.obs_dim)
+        assert maps.observations(16, 24).tobytes() == table[16:].tobytes()  # clipped
+        picked = np.array([5, 700, 0, 719, 5])
+        assert maps.observe(picked).tobytes() == table.reshape(-1, 144)[picked].tobytes()
+        for m in range(20):
+            spec = maps.spec(m)
             for r in range(n):
                 for c in range(n):
                     state = gridenv.GridState(spec=spec, agent=(r, c), t=0, terminated=False)
-                    assert np.array_equal(table[r * n + c], gridenv.observe(state))
+                    want = gridenv.observe(state)
+                    assert table[m, r * n + c].tobytes() == want.tobytes()
 
 
 class TestTables:
@@ -348,6 +354,9 @@ class TestReachable:
 
 
 class TestRunEpisode:
+    """The per-episode loop of tests/helpers.py, the reference the lockstep
+    walk is held to."""
+
     def test_steps_chain_and_end_on_done(self):
         spec = gridenv.generate(EnvConfig(), 11)
         n = spec.config.grid_n
@@ -357,7 +366,7 @@ class TestRunEpisode:
             seen.append(cell)
             return 3
 
-        steps = gridenv.run_episode(spec, choose)
+        steps = run_episode(spec, choose)
         assert [s[0] for s in steps] == seen
         assert steps[0][0] == spec.start[0] * n + spec.start[1]
         for (_, _, nxt, _, _), (cell, _, _, _, _) in zip(steps, steps[1:]):
@@ -369,4 +378,33 @@ class TestRunEpisode:
     def test_out_of_range_action_raises(self, action):
         spec = gridenv.generate(EnvConfig(), 11)
         with pytest.raises(ValueError, match="out of range"):
-            gridenv.run_episode(spec, lambda cell: action)
+            run_episode(spec, lambda cell: action)
+
+
+class TestWalk:
+    """Maps.walk steps many episodes in lockstep; each lane's records are
+    that episode's steps as the one-episode loop takes them."""
+
+    @pytest.mark.parametrize("horizon", [40, 3])
+    def test_lanes_equal_the_episode_loop(self, horizon):
+        # lane k plays action k % 5 forever on map k % 7; the short horizon
+        # ends most lanes at the horizon rather than on the goal
+        config = EnvConfig(horizon=horizon)
+        maps = gridenv.generate_maps(config, range(7))
+        lanes = 35
+        index = np.arange(lanes)
+        offset = (index % 5) * len(maps.next)
+        policy = np.repeat(np.arange(5), len(maps.next))  # row a * len(next) + g holds a
+        records = list(maps.walk(maps.start[index % 7], offset, policy))
+        assert len(records) <= horizon
+        for k in range(lanes):
+            got = [
+                tuple(field[lane == k][0].item() for field in rest)
+                for lane, *rest in records
+                if (lane == k).any()
+            ]
+            base = (k % 7) * maps.cells
+            want = run_episode(maps.spec(k % 7), lambda c, a=k % 5: a)
+            assert got == [(s + base, a, s2 + base, r, d) for s, a, s2, r, d in want], k
+        if horizon == 3:
+            assert len(records) == 3 and len(records[-1][0]) > 0

@@ -14,8 +14,7 @@ from test_distill import constant_dataset
 @pytest.fixture(scope="module")
 def tiny_collection():
     cfg = EnvConfig()
-    episodes = expert.collect_rollouts(cfg, list(range(8)), 16, [0.0, 0.3], root_seed=23)
-    return datasets.from_episodes(episodes, meta={"root_seed": 23})
+    return expert.collect(cfg, list(range(8)), 16, [0.0, 0.3], 23, meta={"root_seed": 23})
 
 
 def columns(ds):
