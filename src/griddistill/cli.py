@@ -1,30 +1,31 @@
 """Command-line pipeline: collect -> distill -> train -> eval, driven by a
 JSON experiment config with full-default fallback.
 
-Flag precedence is flags > config file > built-in defaults. Every command
-writes config.echo.json with the fully resolved configuration so runs are
-self-describing, and every output lands under the configured output
-directory.
+Flag precedence is flags > config file > built-in defaults. The flags are
+merged into the file's JSON and the config is built from it in one pass,
+`config_from_dict`, before anything is written. That pass checks every
+section, nested ones (`student.bc`) the same way as top-level ones: each
+must be a JSON object without unknown keys, and each field is checked for
+type and bounds by its section (`fields`). Every error message starts with
+the dotted field name, e.g. `collect.episodes 2.5 is not an integer >= 1`.
+Every command writes config.echo.json with the fully resolved
+configuration so runs are self-describing, and every output lands under
+the configured output directory.
 """
 
 import argparse
 import dataclasses
 import json
-import numbers
 import os
 import sys
 from dataclasses import dataclass, field
 
-from . import checks, datasets, evaluate, expert, tinynet
+from . import checks, datasets, evaluate, expert, fields, tinynet
 from .distill import DistillConfig, distill, load_synthetic, save_synthetic
 from .evaluate import EvalConfig
 from .gridenv import EnvConfig
 from .rng import derive_stream
 from .trainer import TrainConfig, train_cohort
-
-
-def _is_real(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 @dataclass
@@ -36,21 +37,15 @@ class CollectConfig:
     gamma: float = 0.99
 
     def __post_init__(self):
-        for name in ("episodes", "seed_start", "seed_count"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"collect.{name} {value!r} is not an integer")
-        if self.episodes < 1:
-            raise ValueError("collect.episodes must be >= 1")
-        if self.seed_count < 1:
-            raise ValueError("collect.seed_count must be >= 1")
+        fields.integer("episodes", self.episodes, 1)
+        fields.integer("seed_start", self.seed_start)
+        fields.integer("seed_count", self.seed_count, 1)
         if not isinstance(self.epsilons, list) or not self.epsilons:
-            raise ValueError("collect.epsilons needs at least one epsilon")
-        bad = [e for e in self.epsilons if not (_is_real(e) and 0.0 <= e <= 1.0)]
+            raise ValueError("epsilons needs at least one epsilon")
+        bad = [e for e in self.epsilons if not (fields.is_real(e) and 0.0 <= e <= 1.0)]
         if bad:
-            raise ValueError(f"collect.epsilons {bad} are not in [0, 1]")
-        if not (_is_real(self.gamma) and 0.0 < self.gamma < 1.0):
-            raise ValueError(f"collect.gamma {self.gamma!r} is not in (0, 1)")
+            raise ValueError(f"epsilons {bad} are not in [0, 1]")
+        fields.real("gamma", self.gamma, 0, 1, low_open=True)
 
     def seeds(self) -> list:
         return list(range(self.seed_start, self.seed_start + self.seed_count))
@@ -63,11 +58,7 @@ class StudentConfig:
     synthetic: TrainConfig = field(default_factory=TrainConfig.for_synthetic)
 
     def __post_init__(self):
-        n = self.n_students
-        if isinstance(n, bool) or not isinstance(n, numbers.Integral):
-            raise ValueError(f"student.n_students {n!r} is not an integer")
-        if n < 1:
-            raise ValueError("student.n_students must be >= 1")
+        fields.integer("n_students", self.n_students, 1)
 
 
 @dataclass
@@ -82,14 +73,15 @@ class ExperimentConfig:
     output_dir: str = "out"
 
     def __post_init__(self):
-        seed = self.root_seed
-        if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
-            raise ValueError(f"root_seed {seed!r} is not an integer")
+        fields.integer("root_seed", self.root_seed)
+        if not isinstance(self.percentiles, list):
+            raise ValueError(f"percentiles {self.percentiles!r} is not a list")
         bad = [x for x in self.percentiles if isinstance(x, bool) or x not in range(1, 101)]
         if bad:
             raise ValueError(f"percentiles {bad} are not integers in [1, 100]")
         if len(set(self.percentiles)) != len(self.percentiles):
             raise ValueError(f"percentiles {self.percentiles} repeat a value")
+        fields.text("output_dir", self.output_dir)
 
     def methods(self) -> list:
         return [f"bc{int(x)}" for x in self.percentiles] + ["synthetic"]
@@ -98,46 +90,32 @@ class ExperimentConfig:
         return tinynet.NetShape(in_dim=self.env.obs_dim)
 
 
-_SECTIONS = {
-    "env": EnvConfig,
-    "collect": CollectConfig,
-    "distill": DistillConfig,
-    "student": StudentConfig,
-    "eval": EvalConfig,
-}
-
-
-def _build_section(cls, data: dict):
-    known = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(data) - known
+def _build_section(cls, data, path: str):
+    """Build `cls` from `data`, the JSON object at `path` ("" at the top,
+    else dotted with a trailing dot: "student.bc."). A field that is itself
+    a section is built from its own object the same way, and every error
+    message starts with `path`."""
+    where = path.rstrip(".") or "config"
+    if not isinstance(data, dict):
+        raise ValueError(f"{where} {data!r} is not a JSON object")
+    types = {f.name: f.type for f in dataclasses.fields(cls)}
+    unknown = sorted(set(data) - types.keys())
     if unknown:
-        raise ValueError(f"unknown keys for {cls.__name__}: {sorted(unknown)}")
-    kwargs = dict(data)
-    if cls is StudentConfig:
-        for key in ("bc", "synthetic"):
-            if key in kwargs:
-                try:
-                    kwargs[key] = TrainConfig(**kwargs[key])
-                except ValueError as exc:
-                    raise ValueError(f"student.{key}.{exc}") from None
-    return cls(**kwargs)
+        raise ValueError(f"{where} has unknown keys {unknown}")
+    kwargs = {
+        key: _build_section(types[key], value, f"{path}{key}.")
+        if dataclasses.is_dataclass(types[key])
+        else value
+        for key, value in data.items()
+    }
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise ValueError(f"{path}{exc}") from None
 
 
-def config_from_dict(data: dict) -> ExperimentConfig:
-    kwargs = {}
-    for key, value in data.items():
-        if key in _SECTIONS:
-            kwargs[key] = _build_section(_SECTIONS[key], value)
-        elif key in ("root_seed", "percentiles", "output_dir"):
-            kwargs[key] = value
-        else:
-            raise ValueError(f"unknown config key: {key}")
-    return ExperimentConfig(**kwargs)
-
-
-def load_config(path: str) -> ExperimentConfig:
-    with open(path) as fh:
-        return config_from_dict(json.load(fh))
+def config_from_dict(data) -> ExperimentConfig:
+    return _build_section(ExperimentConfig, data, "")
 
 
 def write_echo(config: ExperimentConfig) -> None:
@@ -274,10 +252,7 @@ def _load_cohort(config: ExperimentConfig, method: str):
             f"{meta_path}: expected an object with n_students and dataset_size"
         )
     for key, least in (("n_students", 1), ("dataset_size", 0)):
-        if type(meta[key]) is not int or meta[key] < least:
-            raise datasets.SchemaError(
-                f"{meta_path}: {key} {meta[key]!r} is not an integer >= {least}"
-            )
+        fields.integer(f"{meta_path}: {key}", meta[key], least, datasets.SchemaError)
     shape = config.net_shape()
     cohort = []
     for i in range(meta["n_students"]):
@@ -371,13 +346,12 @@ def _parse_epsilons(text: str) -> list:
 
 
 def resolve_config(args) -> ExperimentConfig:
-    """The config file (or the defaults) with the flags applied; each
-    section touched by a flag is rebuilt, so it passes its load checks."""
-    config = load_config(args.config) if args.config else ExperimentConfig()
-    if args.seed is not None:
-        config.root_seed = args.seed
-    if args.out is not None:
-        config.output_dir = args.out
+    """The config file's JSON (or none) with the flags merged in, built in
+    one `config_from_dict` pass, so flag values pass the same checks."""
+    data = {}
+    if args.config:
+        with open(args.config) as fh:
+            data = json.load(fh)
     collect, distill = {}, {}
     if getattr(args, "episodes", None) is not None:
         collect["episodes"] = args.episodes
@@ -393,9 +367,14 @@ def resolve_config(args) -> ExperimentConfig:
         distill["learn_labels"] = True
     if getattr(args, "balanced_init", None):
         distill["balanced_init"] = True
-    config.collect = dataclasses.replace(config.collect, **collect)
-    config.distill = dataclasses.replace(config.distill, **distill)
-    return config
+    if isinstance(data, dict):  # if not, config_from_dict names it
+        for key, value in (("root_seed", args.seed), ("output_dir", args.out)):
+            if value is not None:
+                data[key] = value
+        for key, flags in (("collect", collect), ("distill", distill)):
+            if flags and isinstance(data.setdefault(key, {}), dict):
+                data[key].update(flags)
+    return config_from_dict(data)
 
 
 def main(argv=None) -> int:

@@ -33,6 +33,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import fields
 from .gridenv import N_ACTIONS
 from .rng import RngStream
 
@@ -395,8 +396,7 @@ def load(path: str) -> OfflineDataset:
     if "rows" not in meta:
         raise SchemaError(f"{meta_path}: missing row count")
     expected_rows = meta.pop("rows")
-    if type(expected_rows) is not int or expected_rows < 0:
-        raise SchemaError(f"{meta_path}: rows {expected_rows!r} is not an integer >= 0")
+    fields.integer(f"{meta_path}: rows", expected_rows, 0, SchemaError)
     with open(path, "rb") as fh:
         body = fh.read()
     if _last is None or _last[:2] != (sidecar, body):

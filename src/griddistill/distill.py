@@ -10,13 +10,11 @@ one-hot manifold.
 """
 
 import json
-import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import datasets, tinynet
+from . import datasets, fields, tinynet
 from .gridenv import N_ACTIONS
 from .optim import SgdMomentum
 from .rng import LaneCursor, RngStream
@@ -36,30 +34,14 @@ class DistillConfig:
     balanced_init: bool = False
 
     def __post_init__(self):
-        for name, least in (
-            ("epochs", 0),
-            ("inits_per_epoch", 1),
-            ("real_batch", 1),
-            ("synthetic_size", 1),
-        ):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"distill.{name} {value!r} is not an integer")
-            if value < least:
-                raise ValueError(f"distill.{name} must be >= {least}")
-        for name in ("learn_labels", "balanced_init"):
-            value = getattr(self, name)
-            if not isinstance(value, bool):
-                raise ValueError(f"distill.{name} {value!r} is not a boolean")
-        lr, momentum = self.lr, self.momentum
-        if not _is_real(lr) or not (math.isfinite(lr) and lr > 0):
-            raise ValueError(f"distill.lr {lr!r} is not a finite number > 0")
-        if not _is_real(momentum) or not 0 <= momentum < 1:
-            raise ValueError(f"distill.momentum {momentum!r} is not a finite number in [0, 1)")
-
-
-def _is_real(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+        fields.integer("epochs", self.epochs, 0)
+        fields.integer("inits_per_epoch", self.inits_per_epoch, 1)
+        fields.integer("real_batch", self.real_batch, 1)
+        fields.integer("synthetic_size", self.synthetic_size, 1)
+        fields.boolean("learn_labels", self.learn_labels)
+        fields.boolean("balanced_init", self.balanced_init)
+        fields.real("lr", self.lr, 0, low_open=True)
+        fields.real("momentum", self.momentum, 0, 1)
 
 
 @dataclass
@@ -216,7 +198,7 @@ def load_synthetic(path: str) -> SyntheticDataset:
         try:
             obj = json.load(fh)
         except json.JSONDecodeError as exc:
-            raise datasets.SchemaError(f"{path}: malformed JSON ({exc})") from exc
+            raise datasets.SchemaError(f"{path}: malformed JSON ({exc.msg})") from exc
     if not isinstance(obj, dict) or not {"xs", "labels"} <= obj.keys():
         raise datasets.SchemaError(f"{path}: expected an object with xs and labels")
     xs = _as_array(obj, "xs", np.float64, path)

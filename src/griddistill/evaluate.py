@@ -23,13 +23,12 @@ per-student statistics; the CSV holds the pooled numbers, the markdown
 tables the per-student ones.
 """
 
-import numbers
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import expert, gridenv, tinynet
+from . import expert, fields, gridenv, tinynet
 from .datasets import write_atomic
 from .gridenv import N_ACTIONS, EnvConfig
 from .rng import derive_states
@@ -50,33 +49,17 @@ class EvalConfig:
     action_rule: str = "argmax"  # or "stochastic"
 
     def __post_init__(self):
-        for name in (
-            "id_seed_start",
-            "id_seed_count",
-            "ood_seed_start",
-            "ood_seed_count",
-            "episodes_per_seed",
-        ):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"eval.{name} {value!r} is not an integer")
-        for name in ("id_seed_count", "ood_seed_count"):
-            if getattr(self, name) < 1:
-                raise ValueError(
-                    f"eval.{name} must be >= 1: each eval split needs at least one seed"
-                )
+        fields.integer("id_seed_start", self.id_seed_start)
+        fields.integer("id_seed_count", self.id_seed_count, 1)
+        fields.integer("ood_seed_start", self.ood_seed_start)
+        fields.integer("ood_seed_count", self.ood_seed_count, 1)
+        fields.integer("episodes_per_seed", self.episodes_per_seed, 1)
+        fields.choice("action_rule", self.action_rule, ("argmax", "stochastic"))
         id_seeds, ood_seeds = self.id_seeds, self.ood_seeds
         if id_seeds.start < ood_seeds.stop and ood_seeds.start < id_seeds.stop:
             raise ValueError(
-                f"eval.id_seed_* [{id_seeds.start}, {id_seeds.stop}) and eval.ood_seed_* "
+                f"id_seed_* [{id_seeds.start}, {id_seeds.stop}) and ood_seed_* "
                 f"[{ood_seeds.start}, {ood_seeds.stop}): ID and OOD seed sets must be disjoint"
-            )
-        if self.episodes_per_seed < 1:
-            raise ValueError("eval.episodes_per_seed must be >= 1")
-        if self.action_rule not in ("argmax", "stochastic"):
-            raise ValueError(
-                f"eval.action_rule: unknown action rule {self.action_rule!r} "
-                "(argmax or stochastic)"
             )
 
     @property

@@ -26,11 +26,11 @@ fields alone takes the tables of its block of one, `Maps.of`.
 semantics the tables and the walk are tested against.
 """
 
-import numbers
 from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
+from . import fields
 from .rng import _uniforms, derive_states, next_int_lanes, next_u64_lanes, next_uniform_lanes
 from .rng import derive_stream  # noqa: F401 -- a name perfbench's tracer rebinds
 
@@ -41,10 +41,6 @@ N_ACTIONS = 5
 
 class GenerationError(Exception):
     """No reachable layout found; the config is too dense."""
-
-
-def _is_real(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -58,19 +54,12 @@ class EnvConfig:
     goal_reward: float = 10.0
 
     def __post_init__(self):
-        for name, least in (("grid_n", 2), ("hazard_count", 0), ("horizon", 1)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"env.{name} {value!r} is not an integer")
-            if value < least:
-                raise ValueError(f"env.{name} must be >= {least}")
-        density = self.wall_density
-        if not _is_real(density) or not 0.0 <= density < 1.0:
-            raise ValueError(f"env.wall_density {density!r} is not in [0, 1)")
+        fields.integer("grid_n", self.grid_n, 2)
+        fields.integer("hazard_count", self.hazard_count, 0)
+        fields.integer("horizon", self.horizon, 1)
+        fields.real("wall_density", self.wall_density, 0, 1)
         for name in ("step_reward", "hazard_reward", "goal_reward"):
-            value = getattr(self, name)
-            if not _is_real(value) or not np.isfinite(value):
-                raise ValueError(f"env.{name} {value!r} is not a finite number")
+            fields.real(name, getattr(self, name))
 
     @property
     def obs_dim(self) -> int:

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import fields
 from .datasets import SchemaError, _fmt_array, write_atomic
 from .rng import RngStream
 
@@ -317,8 +318,7 @@ def load_checkpoint(path: str) -> PolicyParams:
     except (KeyError, TypeError) as exc:
         raise SchemaError(f"{path}: expected shape {{in, hidden, out}} and theta") from exc
     for key, dim in dims.items():
-        if type(dim) is not int or dim < 1:
-            raise SchemaError(f"{path}: shape {key} {dim!r} is not an integer >= 1")
+        fields.integer(f"{path}: shape {key}", dim, 1, SchemaError)
     shape = NetShape(*dims.values())
     try:
         return PolicyParams(theta=np.asarray(theta, dtype=np.float64), shape=shape)

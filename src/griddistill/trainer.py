@@ -21,13 +21,11 @@ product is the same BLAS call per row as on that row alone, so each
 student's bytes equal those of `train_student` on its stream.
 """
 
-import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import tinynet
+from . import fields, tinynet
 from .optim import Adam
 from .rng import RngStream, derive_stream, next_int_arrays
 
@@ -47,19 +45,9 @@ class TrainConfig:
     lr: float = 5e-3
 
     def __post_init__(self):
-        for name in ("steps", "batch"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} {value!r} is not an integer")
-        if self.steps < 0:
-            raise ValueError("steps must be >= 0")
-        if self.batch < 1:
-            raise ValueError("batch must be >= 1")
-        lr = self.lr
-        if isinstance(lr, bool) or not isinstance(lr, numbers.Real) or not (
-            math.isfinite(lr) and lr > 0
-        ):
-            raise ValueError(f"lr {lr!r} is not a finite number > 0")
+        fields.integer("steps", self.steps, 0)
+        fields.integer("batch", self.batch, 1)
+        fields.real("lr", self.lr, 0, low_open=True)
 
     @classmethod
     def for_real(cls):

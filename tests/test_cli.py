@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import os
+import pathlib
 import re
 import subprocess
 import sys
@@ -24,6 +26,25 @@ SMALL_CONFIG = {
     "eval": {"id_seed_count": 3, "ood_seed_count": 2},
     "root_seed": 5,
 }
+
+
+DATA = pathlib.Path(__file__).parent / "data"
+
+
+def _leaf_fields(cls=cli.ExperimentConfig, prefix=""):
+    """(dotted name, annotated type) of every field of every config
+    section, nested sections included."""
+    for f in dataclasses.fields(cls):
+        if dataclasses.is_dataclass(f.type):
+            yield from _leaf_fields(f.type, f"{prefix}{f.name}.")
+        else:
+            yield f"{prefix}{f.name}", f.type
+
+
+_WRONG_TYPES = {int: [True, 2.5, "4"], float: [True, "1", float("nan")], bool: [1], str: [5]}
+_WRONG_TYPE_CASES = [
+    (name, value) for name, kind in _leaf_fields() for value in _WRONG_TYPES.get(kind, [])
+]
 
 
 def write_small_config(tmp_path):
@@ -51,11 +72,11 @@ class TestConfig:
     @pytest.mark.parametrize(
         "section, reason",
         [
-            ({"action_rule": "sampled"}, "unknown action rule 'sampled'"),
+            ({"action_rule": "sampled"}, "action_rule 'sampled' is not one of 'argmax', 'stochastic'"),
             ({"id_seed_count": 20, "ood_seed_start": 10}, "must be disjoint"),
             ({"episodes_per_seed": 0}, "episodes_per_seed must be >= 1"),
-            ({"id_seed_count": 0}, "each eval split needs at least one seed"),
-            ({"ood_seed_count": -3}, "each eval split needs at least one seed"),
+            ({"id_seed_count": 0}, "id_seed_count must be >= 1, not 0"),
+            ({"ood_seed_count": -3}, "ood_seed_count must be >= 1, not -3"),
             ({"episodes_per_seed": 2.0}, r"episodes_per_seed 2.0 is not an integer"),
             ({"episodes_per_seed": True}, r"episodes_per_seed True is not an integer"),
             ({"id_seed_start": 0.5}, r"id_seed_start 0.5 is not an integer"),
@@ -106,8 +127,8 @@ class TestConfig:
         "data, reason",
         [
             ({"student": {"n_students": 0}}, "student.n_students must be >= 1"),
-            ({"collect": {"gamma": 1.0}}, r"collect.gamma 1.0 is not in \(0, 1\)"),
-            ({"collect": {"gamma": 0}}, r"collect.gamma 0 is not in \(0, 1\)"),
+            ({"collect": {"gamma": 1.0}}, r"collect.gamma 1.0 is not a finite number in \(0, 1\)"),
+            ({"collect": {"gamma": 0}}, r"collect.gamma 0 is not a finite number in \(0, 1\)"),
             ({"collect": {"seed_count": 0}}, "collect.seed_count must be >= 1"),
             ({"collect": {"epsilons": []}}, "collect.epsilons needs at least one epsilon"),
             ({"collect": {"epsilons": [0.0, 1.5]}}, r"collect.epsilons \[1.5\] are not in \[0, 1\]"),
@@ -146,8 +167,18 @@ class TestConfig:
             ({"collect": {"seed_start": "0"}}, r"collect.seed_start '0' is not an integer"),
             ({"collect": {"seed_count": True}}, r"collect.seed_count True is not an integer"),
             ({"collect": {"epsilons": [True]}}, r"collect.epsilons \[True\] are not in \[0, 1\]"),
-            ({"collect": {"gamma": "0.9"}}, r"collect.gamma '0.9' is not in \(0, 1\)"),
-            ({"env": {"wall_density": "0.2"}}, r"env.wall_density '0.2' is not in \[0, 1\)"),
+            ({"collect": {"gamma": "0.9"}}, r"collect.gamma '0.9' is not a finite number in \(0, 1\)"),
+            ({"env": {"wall_density": "0.2"}}, r"env.wall_density '0.2' is not a finite number in \[0, 1\)"),
+            ([], r"^config \[\] is not a JSON object$"),
+            ({"env": None}, r"^env None is not a JSON object$"),
+            ({"env": [1, 2]}, r"^env \[1, 2\] is not a JSON object$"),
+            ({"student": {"bc": 5}}, r"^student.bc 5 is not a JSON object$"),
+            ({"student": {"bc": {"stepz": 2}}}, r"^student.bc has unknown keys \['stepz'\]$"),
+            ({"percentiles": 10}, r"^percentiles 10 is not a list$"),
+            ({"output_dir": 5}, r"^output_dir 5 is not a nonempty string$"),
+            ({"output_dir": ""}, r"^output_dir '' is not a nonempty string$"),
+            ({"env": {"goal_reward": 10**400}}, r"^env.goal_reward 10{400} is not a finite number$"),
+            ({"distill": {"lr": -(10**400)}}, r"^distill.lr -10{400} is not a finite number > 0$"),
         ],
     )
     def test_bad_collect_and_student_values_rejected_at_load(self, data, reason):
@@ -169,6 +200,27 @@ class TestConfig:
         with pytest.raises(ValueError, match=reason):
             run_cli(["--out", str(out), *flags])
         assert not out.exists()
+
+    @pytest.mark.parametrize("name, value", _WRONG_TYPE_CASES)
+    def test_every_field_rejects_a_wrong_type_naming_it(self, name, value):
+        data = value
+        for key in reversed(name.split(".")):
+            data = {key: data}
+        with pytest.raises(ValueError, match=f"^{re.escape(name)} {re.escape(repr(value))} is not "):
+            cli.config_from_dict(data)
+
+    def test_wrong_type_cases_reach_every_section(self):
+        names = {name for name, _ in _WRONG_TYPE_CASES}
+        assert {"root_seed", "env.step_reward", "distill.inits_per_epoch", "student.bc.steps",
+                "student.synthetic.lr", "collect.gamma", "eval.episodes_per_seed"} <= names
+
+    @pytest.mark.parametrize("name", sorted(p.name for p in DATA.glob("*.config.json")))
+    def test_config_file_round_trips_through_its_echo(self, tmp_path, name):
+        config = cli.config_from_dict(json.loads((DATA / name).read_text()))
+        config.output_dir = str(tmp_path / "out")
+        cli.write_echo(config)
+        echo = json.loads((tmp_path / "out" / "config.echo.json").read_text())
+        assert cli.config_from_dict(echo) == config
 
     def test_integer_valued_percentiles_accepted(self):
         config = cli.config_from_dict({"percentiles": [1, 40.0, 100]})
@@ -198,8 +250,6 @@ class TestConfig:
 
 
 def _as_dict(config):
-    import dataclasses
-
     return dataclasses.asdict(config)
 
 
@@ -380,7 +430,10 @@ class TestEvalCmd:
         meta = json.loads(meta_path.read_text())
         meta[key] = value
         meta_path.write_text(json.dumps(meta))
-        message = f"{key} {re.escape(repr(value))} is not an integer >= {least}"
+        if type(value) is int:
+            message = f"{key} must be >= {least}, not {value}"
+        else:
+            message = f"{key} {re.escape(repr(value))} is not an integer >= {least}"
         with pytest.raises(datasets.SchemaError, match=f"^{re.escape(str(meta_path))}: {message}"):
             run_cli(["--config", config_path, "--out", str(out), "eval"])
 

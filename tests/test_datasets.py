@@ -521,7 +521,10 @@ class TestSaveLoad:
         meta["rows"] = bad_rows(len(ds))
         with open(meta_path, "w") as fh:
             json.dump(meta, fh)
-        reason = re.escape(f"rows {meta['rows']!r} is not an integer >= 0")
+        if type(meta["rows"]) is int:
+            reason = re.escape(f"rows must be >= 0, not {meta['rows']}")
+        else:
+            reason = re.escape(f"rows {meta['rows']!r} is not an integer >= 0")
         with pytest.raises(SchemaError, match=f"^{re.escape(meta_path)}: {reason}$"):
             datasets.load(path)
 

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -258,7 +259,7 @@ class TestSyntheticFile:
         body = open(path).read()
         with open(path, "w") as fh:
             fh.write(body[: len(body) // 2])
-        with pytest.raises(datasets.SchemaError):
+        with pytest.raises(datasets.SchemaError, match=rf"^{re.escape(path)}: malformed JSON \("):
             dst.load_synthetic(path)
 
     def test_bytes_deterministic(self, small_collection, tmp_path):

@@ -393,7 +393,8 @@ class TestEvalConfig:
 
     @pytest.mark.parametrize("counts", [(0, 1), (1, 0), (-2, 1)])
     def test_split_without_seeds_rejected(self, counts):
-        with pytest.raises(ValueError, match="at least one seed"):
+        name, value = ("id_seed_count", counts[0]) if counts[0] < 1 else ("ood_seed_count", counts[1])
+        with pytest.raises(ValueError, match=f"^{name} must be >= 1, not {value}$"):
             EvalConfig(id_seed_count=counts[0], ood_seed_count=counts[1])
 
     def test_bad_action_rule_rejected(self):

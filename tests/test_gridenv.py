@@ -45,15 +45,15 @@ class TestConfig:
             EnvConfig(horizon=0)
         with pytest.raises(ValueError):
             EnvConfig(wall_density=1.0)
-        with pytest.raises(ValueError, match=r"env.grid_n 6.0 is not an integer"):
+        with pytest.raises(ValueError, match=r"^grid_n 6.0 is not an integer >= 2$"):
             EnvConfig(grid_n=6.0)
-        with pytest.raises(ValueError, match=r"env.hazard_count 1.5 is not an integer"):
+        with pytest.raises(ValueError, match=r"^hazard_count 1.5 is not an integer >= 0$"):
             EnvConfig(hazard_count=1.5)
-        with pytest.raises(ValueError, match=r"env.horizon True is not an integer"):
+        with pytest.raises(ValueError, match=r"^horizon True is not an integer >= 1$"):
             EnvConfig(horizon=True)
-        with pytest.raises(ValueError, match=r"env.wall_density '0.2' is not in \[0, 1\)"):
+        with pytest.raises(ValueError, match=r"^wall_density '0.2' is not a finite number in \[0, 1\)$"):
             EnvConfig(wall_density="0.2")
-        with pytest.raises(ValueError, match=r"env.goal_reward nan is not a finite number"):
+        with pytest.raises(ValueError, match=r"^goal_reward nan is not a finite number$"):
             EnvConfig(goal_reward=float("nan"))
 
 

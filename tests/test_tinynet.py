@@ -453,6 +453,9 @@ class TestCheckpoint:
         obj["shape"][key] = value
         with open(path, "w") as fh:
             json.dump(obj, fh)
-        reason = f"shape {key} {re.escape(repr(value))} is not an integer >= 1"
+        if type(value) is int:
+            reason = f"shape {key} must be >= 1, not {value}"
+        else:
+            reason = f"shape {key} {re.escape(repr(value))} is not an integer >= 1"
         with pytest.raises(SchemaError, match=f"^{re.escape(path)}: {reason}"):
             tinynet.load_checkpoint(path)
