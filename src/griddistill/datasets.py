@@ -18,9 +18,16 @@ the planner's discount never leaks into the data. Percentile filtering
 operates on whole episodes ranked by their start return g_0, because the
 filter weight is constant across an episode.
 
-`load` keeps the last dataset it parsed, keyed by the exact bytes of the
-file and its sidecar, so a process that loads one `offline.jsonl` content
-again (every BC cohort of a run-all) parses it once. Loaded columns are
+Every artifact loader (`load`, `tinynet.load_checkpoint`,
+`distill.load_synthetic`) reads its file once, as bytes, and goes through
+one per-path memo (`memoized`): what this process last wrote or parsed at
+that path, keyed by the length and built-in `hash()` of the file's bytes
+(and of its sidecar's). A load of bytes with the same lengths and hashes
+returns the memoized value without parsing. The savers that hold the
+whole text they write (`tinynet.save_checkpoint`,
+`distill.save_synthetic`) prime the memo with a read-only copy of what
+they wrote (`prime`), so a run-all parses no checkpoint and no synthetic
+set it wrote itself, and parses `offline.jsonl` once. Loaded arrays are
 read-only.
 """
 
@@ -328,9 +335,52 @@ def _text(data: bytes) -> io.TextIOWrapper:
     return io.TextIOWrapper(io.BytesIO(data))
 
 
+def parse_json(path: str, data: bytes):
+    """The JSON value in `data`, the bytes of the file at `path`, read as
+    `json.load(open(path))` reads it; SchemaError naming the path if the
+    JSON is malformed."""
+    try:
+        return json.load(_text(data))
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"{path}: malformed JSON ({exc.msg})") from exc
+
+
+# what this process last wrote or parsed at each path: (the length and
+# hash() of each file's bytes it came from, the value they hold)
+_memo = {}
+
+
+def _key(files: tuple) -> tuple:
+    return tuple((len(data), hash(data)) for data in files)
+
+
+def memoized(path: str, files: tuple, parse):
+    """The value of `files`, the bytes just read for `path` (its own, then
+    its sidecar's if it has one): the memo's, when what this process last
+    wrote or parsed there has the same lengths and hash(), else `parse()`,
+    kept for the next load. A parse that raises keeps nothing."""
+    key = _key(files)
+    entry = _memo.get(path)
+    if entry is None or entry[0] != key:
+        entry = _memo[path] = (key, parse())
+    return entry[1]
+
+
+def prime(path: str, text: str, value) -> None:
+    """Memoize `value()` at `path` as the value of `text`, just written
+    there, so the next load skips the parse. `value` builds it with the
+    loader's own checks; if it raises SchemaError, nothing is kept and the
+    next load parses the file (and raises). Bytes on disk other than
+    `text.encode()` (another encoding or newline) just miss."""
+    try:
+        _memo[path] = (_key((text.encode(),)), value())
+    except SchemaError:
+        _memo.pop(path, None)
+
+
 def _parse_rows(body: bytes, expected_rows: int) -> OfflineDataset:
-    """The dataset in a JSON Lines body, validated, with an empty meta;
-    SchemaError as in `load`."""
+    """The dataset in a JSON Lines body, validated, with an empty meta and
+    read-only columns; SchemaError as in `load`."""
     rows = []
     dim = None
     for lineno, line in enumerate(_text(body)):
@@ -357,11 +407,9 @@ def _parse_rows(body: bytes, expected_rows: int) -> OfflineDataset:
         raise SchemaError(f"row count mismatch: meta says {expected_rows}, file has {len(rows)}")
     ds = _from_rows(rows, {})
     _validate_episodes(ds)
+    for name in COLUMNS:
+        getattr(ds, name).flags.writeable = False
     return ds
-
-
-# the last dataset `load` parsed: (sidecar bytes, body bytes, dataset)
-_last = None
 
 
 def load(path: str) -> OfflineDataset:
@@ -374,23 +422,20 @@ def load(path: str) -> OfflineDataset:
     row-count mismatch, an episode split over several runs of rows, or
     broken return consistency.
 
-    Each file is read once, as bytes. The last dataset parsed is kept
-    with the bytes it came from, and a load of files holding exactly
-    those bytes returns it without parsing, so repeated loads of one
-    content (distill and every BC cohort of a run-all) parse it once per
-    process. The columns are read-only on every return, hit or miss, and
-    each call returns its own OfflineDataset with its own `meta`. A
-    failed load keeps nothing."""
-    global _last
+    Each file is read once, as bytes, and the dataset is memoized at
+    `path` (`memoized`) under the body's and the sidecar's bytes,
+    so repeated loads of one content (distill and every BC cohort of a
+    run-all) parse it once per process. `save` writes a block at a time
+    and does not prime the memo, so the first load after it parses. The
+    columns are read-only on every return, hit or miss, and each call
+    returns its own OfflineDataset with its own `meta`. A failed load
+    keeps nothing."""
     meta_path = _meta_path(path)
     if not os.path.exists(meta_path):
         raise SchemaError(f"missing meta sidecar {meta_path}")
     with open(meta_path, "rb") as fh:
         sidecar = fh.read()
-    try:
-        meta = json.load(_text(sidecar))
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{meta_path}: malformed JSON ({exc.msg})") from exc
+    meta = parse_json(meta_path, sidecar)
     if not isinstance(meta, dict):
         raise SchemaError(f"{meta_path}: not a JSON object")
     if "rows" not in meta:
@@ -399,9 +444,5 @@ def load(path: str) -> OfflineDataset:
     fields.integer(f"{meta_path}: rows", expected_rows, 0, SchemaError)
     with open(path, "rb") as fh:
         body = fh.read()
-    if _last is None or _last[:2] != (sidecar, body):
-        ds = _parse_rows(body, expected_rows)
-        for name in COLUMNS:
-            getattr(ds, name).flags.writeable = False
-        _last = (sidecar, body, ds)
-    return replace(_last[2], meta=meta)
+    ds = memoized(path, (body, sidecar), lambda: _parse_rows(body, expected_rows))
+    return replace(ds, meta=meta)

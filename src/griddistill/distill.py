@@ -9,8 +9,9 @@ reals; they start as copies of real observations but are free to leave the
 one-hot manifold.
 """
 
+import copy
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -169,17 +170,25 @@ def distill(
 
 def save_synthetic(syn: SyntheticDataset, path: str) -> None:
     """JSON file {xs, labels, label_logits?, provenance} with exact decimal
-    floats, byte-stable across runs."""
-    rows = ",".join(datasets._fmt_array(row) for row in syn.xs)
-    labels = ",".join(str(int(a)) for a in syn.labels)
+    floats, byte-stable across runs. The memo is primed with a read-only
+    copy of what was written (`datasets.prime`), so the next load of the
+    file skips the parse."""
+    # what the written JSON decodes to, for `prime`
+    obj = {"xs": list(syn.xs), "labels": [int(a) for a in syn.labels]}
+    rows = ",".join(datasets._fmt_array(row) for row in obj["xs"])
+    labels = ",".join(map(str, obj["labels"]))
     parts = [f'"xs":[{rows}]', f'"labels":[{labels}]']
     if syn.label_logits is not None:
-        lrows = ",".join(datasets._fmt_array(row) for row in syn.label_logits)
+        obj["label_logits"] = list(syn.label_logits)
+        lrows = ",".join(datasets._fmt_array(row) for row in obj["label_logits"])
         parts.append(f'"label_logits":[{lrows}]')
     prov = json.dumps(syn.provenance, sort_keys=True, separators=(",", ":"))
+    obj["provenance"] = json.loads(prov)
     parts.append(f'"provenance":{prov}')
+    text = "{" + ",".join(parts) + "}\n"
     with datasets.write_atomic(path) as fh:
-        fh.write("{" + ",".join(parts) + "}\n")
+        fh.write(text)
+    datasets.prime(path, text, lambda: _synthetic(path, obj))
 
 
 def _as_array(obj: dict, key: str, dtype, path: str) -> np.ndarray:
@@ -189,16 +198,9 @@ def _as_array(obj: dict, key: str, dtype, path: str) -> np.ndarray:
         raise datasets.SchemaError(f"{path}: {key} is not a rectangular numeric array") from exc
 
 
-def load_synthetic(path: str) -> SyntheticDataset:
-    """Load a saved synthetic set, validated at the file boundary: raises
-    SchemaError unless xs is a finite 2-D matrix, labels hold one action in
-    [0, N_ACTIONS) per row, and label_logits, when present, are finite
-    (rows, N_ACTIONS)."""
-    with open(path) as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise datasets.SchemaError(f"{path}: malformed JSON ({exc.msg})") from exc
+def _synthetic(path: str, obj) -> SyntheticDataset:
+    """The synthetic set in `obj`, a decoded synthetic file, validated,
+    with read-only arrays of its own; SchemaError as in `load_synthetic`."""
     if not isinstance(obj, dict) or not {"xs", "labels"} <= obj.keys():
         raise datasets.SchemaError(f"{path}: expected an object with xs and labels")
     xs = _as_array(obj, "xs", np.float64, path)
@@ -216,9 +218,33 @@ def load_synthetic(path: str) -> SyntheticDataset:
         logits = _as_array(obj, "label_logits", np.float64, path)
         if logits.shape != (len(xs), N_ACTIONS) or not np.isfinite(logits).all():
             raise datasets.SchemaError(f"{path}: label_logits must be a finite (rows, 5) matrix")
-    return SyntheticDataset(
+    syn = SyntheticDataset(
         xs=xs,
         labels=labels.astype(np.int64),
         label_logits=logits,
         provenance=obj.get("provenance", {}),
     )
+    for array in (syn.xs, syn.labels, syn.label_logits):
+        if array is not None:
+            array.flags.writeable = False
+    return syn
+
+
+def load_synthetic(path: str) -> SyntheticDataset:
+    """Load a saved synthetic set, validated at the file boundary: raises
+    SchemaError unless xs is a finite 2-D matrix, labels hold one action in
+    [0, N_ACTIONS) per row, and label_logits, when present, are finite
+    (rows, N_ACTIONS).
+
+    The file is read once, as bytes, through the memo
+    (`datasets.memoized`): bytes this process last wrote or parsed at
+    `path` return their set without a parse. Each call returns its own
+    SyntheticDataset, with its own copy of the provenance; the arrays are
+    shared and read-only on every return, hit or miss. A failed load keeps
+    nothing."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    syn = datasets.memoized(
+        path, (data,), lambda: _synthetic(path, datasets.parse_json(path, data))
+    )
+    return replace(syn, provenance=copy.deepcopy(syn.provenance))

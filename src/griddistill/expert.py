@@ -26,9 +26,10 @@ def solve_maps(maps: gridenv.Maps, gamma: float = 0.99, tol: float = 1e-8) -> tu
     """Stationary infinite-horizon value iteration on every map of the
     block at once: (values, greedy actions) over the block's global cells
     and each map's final Bellman residual. Every sweep is elementwise over
-    the stacked tables, so each map's values are the bytes it would get
-    swept alone. A map is frozen at the sweep where its own residual over
-    its cells first drops to `tol`; the others sweep on.
+    the stacked tables of the maps still live, so each map's values are the
+    bytes it would get swept alone. A map is frozen at the sweep where its
+    own residual over its cells first drops to `tol`, and later sweeps
+    skip it.
 
     Every cell starts at its stay-forever value reward[STAY] / (1 - gamma),
     the goal at 0. A move's reward depends only on the cell it lands on, so
@@ -47,25 +48,32 @@ def solve_maps(maps: gridenv.Maps, gamma: float = 0.99, tol: float = 1e-8) -> tu
     count = len(maps.start)
     values = maps.reward[:, _STAY] / (1.0 - gamma)
     values[maps.goal] = 0.0
+    # per-map views (map, cell[, action]) of the block's tables and values
+    shape = (count, maps.cells, gridenv.N_ACTIONS)
+    next_cell, reward = maps.next.reshape(shape), maps.reward.reshape(shape)
+    goal, by_map = maps.goal.reshape(shape[:2]), values.reshape(shape[:2])
     residual = np.full(count, np.inf)
-    live = np.ones(count, dtype=bool)
-    while live.any():
-        new_values = _q(maps, gamma, values).max(axis=1)
-        new_values[maps.goal] = 0.0
-        change = np.abs(new_values - values).reshape(count, maps.cells).max(axis=1)
-        residual[live] = change[live]
-        values = np.where(np.repeat(live, maps.cells), new_values, values)
-        live &= residual > tol
-    return values, _q(maps, gamma, values).argmax(axis=1), residual
+    live = np.arange(count)  # the maps still sweeping, and their tables:
+    live_next, live_reward, live_goal = next_cell, reward, goal  # gathered as maps freeze
+    while len(live):
+        new_values = _q(live_next, live_reward, gamma, values).max(axis=2)
+        new_values[live_goal] = 0.0
+        residual[live] = np.abs(new_values - by_map[live]).max(axis=1)
+        by_map[live] = new_values
+        sweeping = residual[live] > tol
+        if not sweeping.all():
+            live = live[sweeping]
+            live_next, live_reward, live_goal = next_cell[live], reward[live], goal[live]
+    return values, _q(maps.next, maps.reward, gamma, values).argmax(axis=1), residual
 
 
-def _q(maps: gridenv.Maps, gamma: float, values: np.ndarray) -> np.ndarray:
-    """reward + gamma * values[next] on every global cell and action, in
-    one buffer; IEEE products and sums commute, so these are the bytes of
-    that expression."""
-    q = values[maps.next]
+def _q(next_cell: np.ndarray, reward: np.ndarray, gamma: float, values: np.ndarray) -> np.ndarray:
+    """reward + gamma * values[next_cell] on the given cells and actions,
+    in one buffer; IEEE products and sums commute, so these are the bytes
+    of that expression."""
+    q = values[next_cell]
     q *= gamma
-    q += maps.reward
+    q += reward
     return q
 
 

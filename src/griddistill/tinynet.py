@@ -12,13 +12,12 @@ indices (int vector) or soft distributions over actions (rows on the
 simplex).
 """
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import fields
+from . import datasets, fields
 from .datasets import SchemaError, _fmt_array, write_atomic
 from .rng import RngStream
 
@@ -292,26 +291,21 @@ def matching_grad_wrt_examples(
 
 def save_checkpoint(params: PolicyParams, path: str) -> None:
     """JSON checkpoint {shape: {in, hidden, out}, theta: [...]} with
-    round-trip-exact decimal floats."""
-    theta = _fmt_array(params.theta)
+    round-trip-exact decimal floats. The memo is primed with a read-only
+    copy of what was written (`datasets.prime`), so the next load of the
+    file skips the parse."""
     s = params.shape
-    body = (
-        '{"shape":{"in":%d,"hidden":%d,"out":%d},"theta":%s}'
-        % (s.in_dim, s.hidden, s.out_dim, theta)
-    )
+    dims = {"in": s.in_dim, "hidden": s.hidden, "out": s.out_dim}
+    theta = _fmt_array(params.theta)
+    text = '{"shape":{"in":%d,"hidden":%d,"out":%d},"theta":%s}\n' % (*dims.values(), theta)
     with write_atomic(path) as fh:
-        fh.write(body + "\n")
+        fh.write(text)
+    datasets.prime(path, text, lambda: _checkpoint(path, {"shape": dims, "theta": params.theta}))
 
 
-def load_checkpoint(path: str) -> PolicyParams:
-    """Raises SchemaError naming the path for malformed JSON, a missing
-    shape/theta key, a shape dimension that is not a JSON integer >= 1 (a
-    bool is not one), or a theta that is not param_count finite floats."""
-    with open(path) as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"{path}: malformed JSON ({exc.msg})") from exc
+def _checkpoint(path: str, obj) -> PolicyParams:
+    """The checkpoint in `obj`, a decoded checkpoint file, validated, with
+    its own read-only theta; SchemaError as in `load_checkpoint`."""
     try:
         dims = {key: obj["shape"][key] for key in ("in", "hidden", "out")}
         theta = obj["theta"]
@@ -321,6 +315,24 @@ def load_checkpoint(path: str) -> PolicyParams:
         fields.integer(f"{path}: shape {key}", dim, 1, SchemaError)
     shape = NetShape(*dims.values())
     try:
-        return PolicyParams(theta=np.asarray(theta, dtype=np.float64), shape=shape)
+        params = PolicyParams(theta=np.array(theta, dtype=np.float64), shape=shape)
     except (TypeError, ValueError) as exc:
         raise SchemaError(f"{path}: {exc}") from exc
+    params.theta.flags.writeable = False
+    return params
+
+
+def load_checkpoint(path: str) -> PolicyParams:
+    """Raises SchemaError naming the path for malformed JSON, a missing
+    shape/theta key, a shape dimension that is not a JSON integer >= 1 (a
+    bool is not one), or a theta that is not param_count finite floats.
+
+    The file is read once, as bytes, through the memo
+    (`datasets.memoized`): bytes this process last wrote or parsed at
+    `path` return their checkpoint without a parse. theta is read-only on
+    every return, hit or miss. A failed load keeps nothing."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    return datasets.memoized(
+        path, (data,), lambda: _checkpoint(path, datasets.parse_json(path, data))
+    )

@@ -2,7 +2,7 @@ import time
 
 import pytest
 
-from griddistill import cli
+from griddistill import cli, datasets
 
 
 @pytest.fixture(scope="session")
@@ -15,3 +15,11 @@ def base_run(tmp_path_factory):
     elapsed = time.monotonic() - start
     assert rc == 0
     return {"out": out, "elapsed": elapsed}
+
+
+@pytest.fixture()
+def unmemoized(monkeypatch):
+    """Every load in the test parses its file: loads bypass the memo, and
+    the memo the test's saves prime is an empty one of its own."""
+    monkeypatch.setattr(datasets, "_memo", {})
+    monkeypatch.setattr(datasets, "memoized", lambda path, files, parse: parse())

@@ -126,6 +126,31 @@ def value_iteration_reference(spec, gamma=0.99, tol=1e-8):
     return values, greedy, residual, sweeps
 
 
+def solve_maps_reference(maps, gamma=0.99, tol=1e-8):
+    """Every map of the block swept at once until each map's residual drops
+    to tol, every sweep over every map's cells, a frozen map's values kept
+    by `np.where`: the full-block sweep that `expert.solve_maps` sweeping
+    only the live maps replaced. Returns (values, greedy actions,
+    residuals)."""
+    count = len(maps.start)
+
+    def q(values):
+        return values[maps.next] * gamma + maps.reward
+
+    values = maps.reward[:, _STAY] / (1.0 - gamma)
+    values[maps.goal] = 0.0
+    residual = np.full(count, np.inf)
+    live = np.ones(count, dtype=bool)
+    while live.any():
+        new_values = q(values).max(axis=1)
+        new_values[maps.goal] = 0.0
+        change = np.abs(new_values - values).reshape(count, maps.cells).max(axis=1)
+        residual[live] = change[live]
+        values = np.where(np.repeat(live, maps.cells), new_values, values)
+        live &= residual > tol
+    return values, q(values).argmax(axis=1), residual
+
+
 def cell_observations(spec):
     """Every cell's observation on one map, (grid_n^2, obs_dim): row
     r * grid_n + c is observe() with the agent on (r, c), wall cells

@@ -2,11 +2,15 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
+from typing import Callable, NamedTuple
 
 import numpy as np
 import pytest
 
-from griddistill import cli, datasets, expert
+import griddistill
+from griddistill import cli, datasets, distill, expert, tinynet
 from griddistill.datasets import SchemaError
 from griddistill.gridenv import EnvConfig
 from griddistill.rng import derive_stream
@@ -661,7 +665,7 @@ def reference_validate(rows):
 def parses(monkeypatch):
     """The body parses `load` starts from here on, from an empty memo,
     failed ones included; each entry is the body it parses."""
-    monkeypatch.setattr(datasets, "_last", None)
+    monkeypatch.setattr(datasets, "_memo", {})
     parse, calls = datasets._parse_rows, []
 
     def counting(body, *args):
@@ -669,6 +673,22 @@ def parses(monkeypatch):
         return parse(body, *args)
 
     monkeypatch.setattr(datasets, "_parse_rows", counting)
+    return calls
+
+
+@pytest.fixture()
+def json_parses(monkeypatch):
+    """The paths `parse_json` decodes from here on, from an empty memo,
+    failed decodes included: every parse of a checkpoint, a synthetic set
+    or a dataset sidecar."""
+    monkeypatch.setattr(datasets, "_memo", {})
+    parse, calls = datasets.parse_json, []
+
+    def counting(path, data):
+        calls.append(path)
+        return parse(path, data)
+
+    monkeypatch.setattr(datasets, "parse_json", counting)
     return calls
 
 
@@ -706,7 +726,7 @@ class TestLoadMemo:
         first = datasets.load(saved)
         again = datasets.load(saved)
         assert len(parses) == 1 and again is not first
-        monkeypatch.setattr(datasets, "_last", None)
+        monkeypatch.setattr(datasets, "_memo", {})
         fresh = datasets.load(saved)
         assert len(parses) == 2
         assert_same_bytes(again, fresh)
@@ -764,11 +784,203 @@ class TestLoadMemo:
         assert len(parses) == 3  # the good file, then the bad one twice
         assert_same_bytes(again, good)
 
-    def test_in_process_run_all_parses_the_offline_dataset_once(self, tmp_path, parses):
+    def test_in_process_run_all_parses_the_offline_dataset_once(
+        self, tmp_path, parses, json_parses
+    ):
         config = os.path.join(os.path.dirname(__file__), "data", "smoke.config.json")
         out = tmp_path / "out"
         assert cli.main(["--config", config, "--out", str(out), "run-all"]) == 0
         assert parses == [(out / "offline.jsonl").read_bytes()]
+        # no checkpoint and no synthetic set it wrote itself: only the
+        # dataset's sidecar, read on every load
+        assert set(json_parses) == {str(out / "offline.meta.json")}
+
+
+def make_checkpoint():
+    shape = tinynet.NetShape(in_dim=6, hidden=4, out_dim=5)
+    return tinynet.init_params(shape, derive_stream(77, "m"))
+
+
+def make_synthetic():
+    ds = expert.collect(EnvConfig(), list(range(4)), 8, [0.0, 0.3], 6, meta={"root_seed": 6})
+    syn = distill.init_synthetic(ds, 9, False, derive_stream(15, "m"), learn_labels=True)
+    syn.provenance = {"source": "6", "epochs": 0, "final_loss": None, "root_seed": 6}
+    return syn
+
+
+class Artifact(NamedTuple):
+    make: Callable
+    save: Callable
+    load: Callable
+    arrays: Callable  # the artifact's arrays by name, its first the file's first array
+    rest: Callable  # the part that is not an array
+
+
+ARTIFACTS = {
+    "checkpoint": Artifact(
+        make_checkpoint,
+        tinynet.save_checkpoint,
+        tinynet.load_checkpoint,
+        lambda params: {"theta": params.theta},
+        lambda params: params.shape,
+    ),
+    "synthetic": Artifact(
+        make_synthetic,
+        distill.save_synthetic,
+        distill.load_synthetic,
+        lambda syn: {"xs": syn.xs, "labels": syn.labels, "label_logits": syn.label_logits},
+        lambda syn: syn.provenance,
+    ),
+}
+
+
+def assert_same_artifact(kind, a, b):
+    """Equal arrays byte for byte, with equal dtypes and shapes, and an
+    equal shape or provenance."""
+    arrays_a, arrays_b = ARTIFACTS[kind].arrays(a), ARTIFACTS[kind].arrays(b)
+    for name, x in arrays_a.items():
+        y = arrays_b[name]
+        assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes(), name
+    assert ARTIFACTS[kind].rest(a) == ARTIFACTS[kind].rest(b)
+
+
+@pytest.mark.parametrize("kind", ARTIFACTS)
+class TestSaveHandsItsValueToTheNextLoad:
+    """`tinynet.save_checkpoint` and `distill.save_synthetic` prime the memo
+    with what they wrote; a fresh parse of the file is the reference."""
+
+    @pytest.fixture()
+    def saved(self, kind, tmp_path):
+        path = str(tmp_path / f"{kind}.json")
+        obj = ARTIFACTS[kind].make()
+        ARTIFACTS[kind].save(obj, path)
+        return obj, path
+
+    def fresh(self, kind, path, monkeypatch):
+        monkeypatch.setattr(datasets, "_memo", {})
+        return ARTIFACTS[kind].load(path)
+
+    def test_a_load_after_a_save_does_not_parse_and_equals_a_fresh_parse(
+        self, kind, json_parses, saved, monkeypatch
+    ):
+        obj, path = saved
+        handed = ARTIFACTS[kind].load(path)
+        assert json_parses == []
+        fresh = self.fresh(kind, path, monkeypatch)
+        assert json_parses == [path]
+        assert_same_artifact(kind, handed, fresh)
+        assert_same_artifact(kind, handed, obj)
+
+    @pytest.mark.parametrize("cut", ["one byte", "truncation"])
+    def test_a_file_changed_after_the_save_is_parsed(self, kind, cut, json_parses, saved):
+        obj, path = saved
+        artifact = ARTIFACTS[kind]
+        with open(path, "rb") as fh:
+            data = fh.read()
+        if cut == "truncation":
+            with open(path, "wb") as fh:
+                fh.write(data[: len(data) // 2])
+            with pytest.raises(SchemaError, match=f"^{re.escape(path)}: malformed JSON"):
+                artifact.load(path)
+        else:
+            # the first digit of the file's first array entry, one up
+            at = data.index(b"[") + re.search(rb"\d", data[data.index(b"[") :]).start()
+            with open(path, "wb") as fh:
+                fh.write(data[:at] + b"%d" % ((data[at] - ord("0") + 1) % 10) + data[at + 1 :])
+            name, before = next(iter(artifact.arrays(obj).items()))
+            changed = artifact.arrays(artifact.load(path))[name].ravel() != before.ravel()
+            assert changed.tolist() == [True] + [False] * (changed.size - 1)
+        assert json_parses == [path]
+
+    def test_a_non_finite_value_saved_still_fails_at_load(self, kind, json_parses, tmp_path):
+        artifact = ARTIFACTS[kind]
+        obj = artifact.make()
+        next(iter(artifact.arrays(obj).values())).ravel()[0] = np.nan  # past the constructor
+        path = str(tmp_path / f"{kind}.json")
+        artifact.save(obj, path)
+        for _ in range(2):
+            with pytest.raises(SchemaError, match=f"^{re.escape(path)}: "):
+                artifact.load(path)
+        assert json_parses == [path, path]
+        assert path not in datasets._memo
+
+    def test_mutating_the_saved_object_does_not_change_the_load(
+        self, kind, json_parses, saved, monkeypatch
+    ):
+        obj, path = saved
+        artifact = ARTIFACTS[kind]
+        kept = artifact.load(path)
+        for array in artifact.arrays(obj).values():
+            array.ravel()[:2] = array.ravel()[1::-1] + 1
+        if kind == "synthetic":
+            obj.provenance["epochs"] = 99
+        handed = artifact.load(path)
+        assert json_parses == []
+        fresh = self.fresh(kind, path, monkeypatch)
+        assert_same_artifact(kind, handed, fresh)
+        assert_same_artifact(kind, kept, fresh)
+        for name, array in artifact.arrays(obj).items():
+            assert array.tobytes() != artifact.arrays(fresh)[name].tobytes(), name
+
+    def test_arrays_are_read_only_hit_or_miss(self, kind, json_parses, saved, monkeypatch):
+        _, path = saved
+        artifact = ARTIFACTS[kind]
+        returns = [artifact.load(path), self.fresh(kind, path, monkeypatch), artifact.load(path)]
+        assert json_parses == [path]  # a hit on the save, a miss, a hit on the parse
+        for loaded in returns:
+            for array in artifact.arrays(loaded).values():
+                with pytest.raises(ValueError, match="read-only"):
+                    array[:1] = array[:1]
+
+    def test_a_failed_load_keeps_nothing(self, kind, json_parses, saved):
+        _, path = saved
+        bad = path + ".bad.json"
+        with open(path, "rb") as fh:
+            data = fh.read()
+        with open(bad, "wb") as fh:
+            fh.write(data.replace(b"[", b"{", 1))
+        for _ in range(2):
+            with pytest.raises(SchemaError, match=f"^{re.escape(bad)}: "):
+                ARTIFACTS[kind].load(bad)
+        assert json_parses == [bad, bad]
+        assert bad not in datasets._memo
+
+
+class TestSyntheticLoads:
+    def test_each_load_is_its_own_set_with_its_own_provenance(self, json_parses, tmp_path):
+        path = str(tmp_path / "synthetic.json")
+        distill.save_synthetic(make_synthetic(), path)
+        first = distill.load_synthetic(path)
+        first.provenance["epochs"] = 99
+        first.label_logits = None
+        again = distill.load_synthetic(path)
+        assert again is not first and again.xs is first.xs  # the arrays are shared
+        assert again.provenance == make_synthetic().provenance
+        assert again.label_logits is not None
+        assert json_parses == []
+
+
+def test_importing_the_package_loads_no_hashlib(tmp_path):
+    # the memo keys on the built-in hash(), not on a digest
+    src = os.path.dirname(os.path.dirname(griddistill.__file__))
+    code = (
+        "import sys, griddistill\n"
+        "from griddistill import tinynet\n"
+        "from griddistill.rng import derive_stream\n"
+        "params = tinynet.init_params(tinynet.NetShape(2, 2, 2), derive_stream(1, 'h'))\n"
+        "tinynet.save_checkpoint(params, sys.argv[1])\n"
+        "tinynet.load_checkpoint(sys.argv[1])\n"
+        "print(sorted({'_hashlib', 'hashlib'} & set(sys.modules)))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path / "c.json")],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
 
 
 class TestWriteAtomic:

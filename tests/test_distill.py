@@ -190,6 +190,7 @@ class TestDistill:
             assert after < before
 
 
+@pytest.mark.usefixtures("unmemoized")
 class TestSyntheticFile:
     def test_round_trip(self, small_collection, tmp_path):
         syn = dst.init_synthetic(small_collection, 9, False, derive_stream(15, "f"))

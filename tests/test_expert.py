@@ -6,7 +6,13 @@ from griddistill.checks import best_return_search, greedy_rollout_return
 from griddistill.gridenv import EnvConfig
 from griddistill.rng import derive_states, derive_stream
 
-from helpers import collect_rollouts, from_episodes, value_iteration, value_iteration_reference
+from helpers import (
+    collect_rollouts,
+    from_episodes,
+    solve_maps_reference,
+    value_iteration,
+    value_iteration_reference,
+)
 from test_gridenv import make_spec
 
 
@@ -83,6 +89,24 @@ class TestSolveMaps:
             assert table.values.tobytes() == ref_values.tobytes()
             assert table.greedy_action.tobytes() == ref_greedy.tobytes()
             assert table.residual == ref_residual
+
+
+    @pytest.mark.parametrize("gamma, tol", [(0.99, 1e-8), (0.9, 0.05)])
+    @pytest.mark.parametrize(
+        "config, seeds",
+        [
+            (EnvConfig(), range(200)),
+            (EnvConfig(), range(10000, 10100)),
+            (EnvConfig(grid_n=8, wall_density=0.3, hazard_count=4), range(100)),
+        ],
+        ids=["default-id", "default-ood", "8x8-dense"],
+    )
+    def test_live_map_sweeps_match_the_full_block_sweep(self, config, seeds, gamma, tol):
+        maps = gridenv.generate_maps(config, seeds)
+        got = expert.solve_maps(maps, gamma, tol)
+        want = solve_maps_reference(maps, gamma, tol)
+        for name, a, b in zip(("values", "greedy", "residual"), got, want):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
 
 def zero_start_value_iteration(spec, gamma=0.99, tol=1e-8):

@@ -384,6 +384,7 @@ class TestMatchingGrad:
             )
 
 
+@pytest.mark.usefixtures("unmemoized")
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
         shape = NetShape(in_dim=6, hidden=4, out_dim=5)
