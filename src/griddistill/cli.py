@@ -242,11 +242,8 @@ def _load_cohort(config: ExperimentConfig, method: str):
             f"no trained cohort for method '{method}' (expected {meta_path}); "
             f"run `train --method {method}` first"
         )
-    with open(meta_path) as fh:
-        try:
-            meta = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise datasets.SchemaError(f"{meta_path}: malformed JSON ({exc.msg})") from exc
+    with open(meta_path, "rb") as fh:
+        meta = datasets.parse_json(meta_path, fh.read())
     if not isinstance(meta, dict) or not {"n_students", "dataset_size"} <= meta.keys():
         raise datasets.SchemaError(
             f"{meta_path}: expected an object with n_students and dataset_size"

@@ -26,9 +26,9 @@ that path, keyed by the length and built-in `hash()` of the file's bytes
 returns the memoized value without parsing. The savers that hold the
 whole text they write (`tinynet.save_checkpoint`,
 `distill.save_synthetic`) prime the memo with a read-only copy of what
-they wrote (`prime`), so a run-all parses no checkpoint and no synthetic
-set it wrote itself, and parses `offline.jsonl` once. Loaded arrays are
-read-only.
+they wrote, or with the array itself when nothing can write it (`prime`),
+so a run-all parses no checkpoint and no synthetic set it wrote itself,
+and parses `offline.jsonl` once. Loaded arrays are read-only.
 """
 
 import contextlib

@@ -291,9 +291,10 @@ def matching_grad_wrt_examples(
 
 def save_checkpoint(params: PolicyParams, path: str) -> None:
     """JSON checkpoint {shape: {in, hidden, out}, theta: [...]} with
-    round-trip-exact decimal floats. The memo is primed with a read-only
-    copy of what was written (`datasets.prime`), so the next load of the
-    file skips the parse."""
+    round-trip-exact decimal floats. The memo is primed with what was
+    written (`datasets.prime`), so the next load of the file skips the
+    parse: a read-only copy of theta, or theta itself when nothing can
+    write it."""
     s = params.shape
     dims = {"in": s.in_dim, "hidden": s.hidden, "out": s.out_dim}
     theta = _fmt_array(params.theta)
@@ -303,9 +304,20 @@ def save_checkpoint(params: PolicyParams, path: str) -> None:
     datasets.prime(path, text, lambda: _checkpoint(path, {"shape": dims, "theta": params.theta}))
 
 
+def _read_only(a) -> bool:
+    """Nothing can write `a`: it and every array it views are read-only."""
+    while isinstance(a, np.ndarray):
+        if a.flags.writeable:
+            return False
+        a = a.base
+    return a is None
+
+
 def _checkpoint(path: str, obj) -> PolicyParams:
     """The checkpoint in `obj`, a decoded checkpoint file, validated, with
-    its own read-only theta; SchemaError as in `load_checkpoint`."""
+    a read-only theta: its own copy, or the given array itself when that is
+    float64 and `_read_only` already (a row of a trained cohort's frozen
+    block); SchemaError as in `load_checkpoint`."""
     try:
         dims = {key: obj["shape"][key] for key in ("in", "hidden", "out")}
         theta = obj["theta"]
@@ -315,7 +327,9 @@ def _checkpoint(path: str, obj) -> PolicyParams:
         fields.integer(f"{path}: shape {key}", dim, 1, SchemaError)
     shape = NetShape(*dims.values())
     try:
-        params = PolicyParams(theta=np.array(theta, dtype=np.float64), shape=shape)
+        if not (_read_only(theta) and theta.dtype == np.float64):
+            theta = np.array(theta, dtype=np.float64)
+        params = PolicyParams(theta=theta, shape=shape)
     except (TypeError, ValueError) as exc:
         raise SchemaError(f"{path}: {exc}") from exc
     params.theta.flags.writeable = False

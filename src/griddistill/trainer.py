@@ -92,7 +92,8 @@ def _train_block(rows, targets, cfg, shape, streams) -> list:
     gives init weights, then the index schedule, drawn for all students at
     once, at most `_DRAW_WORDS` words per draw (consecutive draws give the
     same indices as one). Inputs are checked once, here; the loop calls the
-    unchecked kernel that `tinynet.bc_grad` wraps."""
+    unchecked kernel that `tinynet.bc_grad` wraps. The students' thetas are
+    read-only rows of one block."""
     rows = np.asarray(rows, dtype=np.float64)
     n = len(rows)
     if n == 0:
@@ -121,4 +122,5 @@ def _train_block(rows, targets, cfg, shape, streams) -> list:
             else:
                 grad = tinynet._grad_kernel(theta, shape, rows[idx], labels[idx], uniform)
             theta = opt.step(theta, grad)
+    theta.flags.writeable = False  # a saved row is memoized as itself, not a copy
     return [tinynet.PolicyParams(theta=row, shape=shape) for row in theta]

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import griddistill
-from griddistill import cli, datasets, distill, expert, tinynet
+from griddistill import cli, datasets, distill, expert, tinynet, trainer
 from griddistill.datasets import SchemaError
 from griddistill.gridenv import EnvConfig
 from griddistill.rng import derive_stream
@@ -679,8 +679,8 @@ def parses(monkeypatch):
 @pytest.fixture()
 def json_parses(monkeypatch):
     """The paths `parse_json` decodes from here on, from an empty memo,
-    failed decodes included: every parse of a checkpoint, a synthetic set
-    or a dataset sidecar."""
+    failed decodes included: every parse of a checkpoint, a synthetic set,
+    a dataset sidecar or a cohort's meta.json."""
     monkeypatch.setattr(datasets, "_memo", {})
     parse, calls = datasets.parse_json, []
 
@@ -792,8 +792,12 @@ class TestLoadMemo:
         assert cli.main(["--config", config, "--out", str(out), "run-all"]) == 0
         assert parses == [(out / "offline.jsonl").read_bytes()]
         # no checkpoint and no synthetic set it wrote itself: only the
-        # dataset's sidecar, read on every load
-        assert set(json_parses) == {str(out / "offline.meta.json")}
+        # dataset's sidecar, read on every load, and each cohort's meta.json,
+        # which eval reads once and nothing memoizes
+        cohorts = ["bc40", "bc100", "synthetic"]
+        metas = [str(out / "checkpoints" / method / "meta.json") for method in cohorts]
+        assert set(json_parses) == {str(out / "offline.meta.json"), *metas}
+        assert sorted(json_parses.count(path) for path in metas) == [1, 1, 1]
 
 
 def make_checkpoint():
@@ -944,6 +948,34 @@ class TestSaveHandsItsValueToTheNextLoad:
                 ARTIFACTS[kind].load(bad)
         assert json_parses == [bad, bad]
         assert bad not in datasets._memo
+
+
+class TestCheckpointHandOver:
+    """A theta nothing can write is memoized as itself; any other is copied."""
+
+    def test_a_trained_students_theta_is_handed_over_as_it_is(self, json_parses, tmp_path):
+        shape = tinynet.NetShape(in_dim=6, hidden=4, out_dim=5)
+        rows = np.eye(6)
+        cfg = trainer.TrainConfig(steps=3, batch=4)
+        cohort = trainer.train_cohort(rows, np.arange(6) % 5, cfg, shape, 2, 5)
+        path = str(tmp_path / "student_1.json")
+        tinynet.save_checkpoint(cohort[1], path)
+        assert tinynet.load_checkpoint(path).theta is cohort[1].theta
+        assert json_parses == []
+        with pytest.raises(ValueError):
+            cohort[1].theta.flags.writeable = True
+
+    def test_a_read_only_view_of_a_writable_array_is_copied(self, json_parses, tmp_path):
+        params = make_checkpoint()
+        owner = params.theta.copy()
+        view = owner[:]
+        view.flags.writeable = False
+        path = str(tmp_path / "student.json")
+        tinynet.save_checkpoint(tinynet.PolicyParams(theta=view, shape=params.shape), path)
+        owner += 1.0
+        loaded = tinynet.load_checkpoint(path)
+        assert json_parses == []
+        assert loaded.theta.tobytes() == params.theta.tobytes()
 
 
 class TestSyntheticLoads:

@@ -1,10 +1,13 @@
 import json
+import os
+import pathlib
 import re
+import signal
 
 import numpy as np
 import pytest
 
-from griddistill import checks, datasets, expert, tinynet
+from griddistill import checks, cli, datasets, expert, tinynet
 from griddistill import distill as dst
 from griddistill.gridenv import EnvConfig
 from griddistill.optim import SgdMomentum
@@ -188,6 +191,174 @@ class TestDistill:
                 theta, g_real, flat.reshape(10, 144), syn.labels
             ).loss
             assert after < before
+
+
+def distilled(ds, cfg, shape, seed):
+    """distill's outputs, as bytes and the exact loss history."""
+    syn, history = dst.distill(ds, cfg, shape, derive_stream(seed, "d"))
+    logits = None if syn.label_logits is None else syn.label_logits.tobytes()
+    return syn.xs.tobytes(), syn.labels.tobytes(), logits, history
+
+
+@pytest.fixture()
+def inline(monkeypatch):
+    """distill runs its loop in this process, as on one CPU."""
+    monkeypatch.setattr(dst, "_helper_fits", lambda: False)
+
+
+@pytest.fixture()
+def own_helper(monkeypatch):
+    """distill takes the helper path, on a helper of the test's own, which
+    is closed after the test; the process's helper so far is closed first,
+    so the test's is this process's only child."""
+    monkeypatch.setattr(dst, "_helper_fits", lambda: True)
+    if dst._helper is not None:
+        dst._helper.close()
+    monkeypatch.setattr(dst, "_helper", None)
+    yield
+    if dst._helper is not None:
+        dst._helper.close()
+
+
+def no_fork():
+    raise AssertionError("forked a process")
+
+
+SMOKE_CONFIG = pathlib.Path(__file__).parent / "data" / "smoke.config.json"
+
+HELPER_CASES = {
+    "hard labels": (dst.DistillConfig(epochs=4, synthetic_size=12), NetShape(in_dim=144)),
+    "learned labels, balanced init": (
+        dst.DistillConfig(epochs=4, synthetic_size=10, learn_labels=True, balanced_init=True),
+        NetShape(in_dim=144),
+    ),
+    "one init per epoch": (
+        dst.DistillConfig(epochs=5, inits_per_epoch=1, synthetic_size=8),
+        NetShape(in_dim=144),
+    ),
+    "another shape": (dst.DistillConfig(epochs=3, synthetic_size=6), NetShape(in_dim=144, hidden=7)),
+}
+
+
+class TestHelper:
+    """The helper process gives the inline loop's bytes, and is forked
+    once, reused, replaced after a failure and reaped."""
+
+    @pytest.fixture(scope="class")
+    def expected(self, small_collection):
+        mp = pytest.MonkeyPatch()
+        mp.setattr(dst, "_helper_fits", lambda: False)
+        try:
+            return {
+                name: distilled(small_collection, cfg, shape, 20)
+                for name, (cfg, shape) in HELPER_CASES.items()
+            }
+        finally:
+            mp.undo()
+
+    @pytest.mark.parametrize(
+        "cpus, env, fits",
+        [
+            (1, {"OPENBLAS_NUM_THREADS": "1"}, False),
+            (2, {"OPENBLAS_NUM_THREADS": "1"}, True),
+            (2, {}, False),  # OpenBLAS runs one thread per CPU
+            (3, {"OPENBLAS_NUM_THREADS": "2"}, False),
+            (4, {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, True),
+            (2, {"GOTO_NUM_THREADS": "1", "OMP_NUM_THREADS": "2"}, True),
+            (2, {"OMP_NUM_THREADS": "1"}, True),
+            (2, {"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, True),
+            (2, {"OPENBLAS_NUM_THREADS": "x"}, False),
+        ],
+    )
+    def test_a_helper_fits_with_two_cpus_per_blas_thread(self, monkeypatch, cpus, env, fits):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+            monkeypatch.delenv(var, raising=False)
+        for var, value in env.items():
+            monkeypatch.setenv(var, value)
+        assert dst._helper_fits() is fits
+
+    @pytest.mark.usefixtures("own_helper")
+    def test_every_case_on_one_helper_gives_the_inline_bytes(self, small_collection, expected):
+        pids = set()
+        for name, (cfg, shape) in HELPER_CASES.items():
+            assert distilled(small_collection, cfg, shape, 20) == expected[name], name
+            pids.add(dst._helper.pid)
+        assert len(pids) == 1
+
+    @pytest.mark.usefixtures("inline")
+    def test_inline_path_forks_nothing(self, small_collection, expected, monkeypatch):
+        monkeypatch.setattr(os, "fork", no_fork)
+        cfg, shape = HELPER_CASES["hard labels"]
+        assert distilled(small_collection, cfg, shape, 20) == expected["hard labels"]
+
+    @pytest.mark.usefixtures("own_helper")
+    def test_zero_epochs_forks_nothing(self, small_collection, monkeypatch):
+        monkeypatch.setattr(os, "fork", no_fork)
+        syn, history = dst.distill(
+            small_collection, dst.DistillConfig(epochs=0, synthetic_size=5),
+            NetShape(in_dim=144), derive_stream(21, "d"),
+        )
+        assert history == [] and len(syn) == 5
+        assert dst._helper is None
+
+    @pytest.mark.usefixtures("own_helper")
+    def test_a_killed_helper_raises_and_the_next_call_forks_afresh(
+        self, small_collection, expected
+    ):
+        cfg, shape = HELPER_CASES["hard labels"]
+        distilled(small_collection, cfg, shape, 20)
+        killed = dst._helper.pid
+        os.kill(killed, signal.SIGKILL)
+        with pytest.raises(RuntimeError, match=rf"process {killed} ended with exit status -9 "):
+            distilled(small_collection, cfg, shape, 20)
+        assert dst._helper.closed
+        assert distilled(small_collection, cfg, shape, 20) == expected["hard labels"]
+        assert dst._helper.pid != killed
+
+    @pytest.mark.usefixtures("own_helper")
+    def test_a_failure_in_the_helper_is_raised_as_its_own(self, small_collection, monkeypatch):
+        def broken(*args, **kwargs):
+            raise FloatingPointError("matching gradient failed")
+
+        # patched before the helper is forked, so the helper runs it
+        monkeypatch.setattr(tinynet, "matching_grad_wrt_examples", broken)
+        cfg, shape = HELPER_CASES["hard labels"]
+        with pytest.raises(FloatingPointError, match="^matching gradient failed$"):
+            distilled(small_collection, cfg, shape, 20)
+        assert dst._helper.closed
+
+    def test_a_failed_distill_command_writes_nothing(self, tmp_path, monkeypatch, own_helper):
+        out = tmp_path / "out"
+        args = ["--config", str(SMOKE_CONFIG), "--out", str(out)]
+        cli.main([*args, "collect"])
+        before = sorted(os.listdir(out))
+
+        def broken(*args, **kwargs):
+            raise FloatingPointError("matching gradient failed")
+
+        monkeypatch.setattr(tinynet, "matching_grad_wrt_examples", broken)
+        with pytest.raises(FloatingPointError):
+            cli.main([*args, "distill"])
+        assert sorted(os.listdir(out)) == before
+
+    @pytest.mark.usefixtures("own_helper")
+    def test_a_forked_child_does_not_inherit_the_helper(self, small_collection):
+        cfg, shape = HELPER_CASES["one init per epoch"]
+        distilled(small_collection, cfg, shape, 20)
+        pid = os.fork()
+        if pid == 0:
+            os._exit(0 if dst._helper is None else 1)
+        assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
+        assert not dst._helper.closed
+
+    @pytest.mark.usefixtures("own_helper")
+    def test_after_close_no_child_is_left(self, small_collection):
+        cfg, shape = HELPER_CASES["one init per epoch"]
+        distilled(small_collection, cfg, shape, 20)
+        dst._helper.close()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.mark.usefixtures("unmemoized")
