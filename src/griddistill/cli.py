@@ -204,13 +204,14 @@ def cmd_train(config: ExperimentConfig, method: str) -> None:
     rows, targets, train_cfg = _train_source(config, method)
     size = len(rows)
     cohort_seed = derive_stream(config.root_seed, f"train:{method}").next_u64()
-    cohort = train_cohort(
-        rows, targets, train_cfg, config.net_shape(), config.student.n_students, cohort_seed
+    cohort, texts = train_cohort(
+        rows, targets, train_cfg, config.net_shape(), config.student.n_students, cohort_seed,
+        texts=True,
     )
     method_dir = _method_dir(config, method)
     os.makedirs(method_dir, exist_ok=True)
-    for i, params in enumerate(cohort):
-        tinynet.save_checkpoint(params, os.path.join(method_dir, f"student_{i}.json"))
+    for i, (params, text) in enumerate(zip(cohort, texts)):
+        tinynet.save_checkpoint(params, os.path.join(method_dir, f"student_{i}.json"), text)
     with datasets.write_atomic(os.path.join(method_dir, "meta.json")) as fh:
         json.dump(
             {
@@ -347,8 +348,8 @@ def resolve_config(args) -> ExperimentConfig:
     one `config_from_dict` pass, so flag values pass the same checks."""
     data = {}
     if args.config:
-        with open(args.config) as fh:
-            data = json.load(fh)
+        with open(args.config, "rb") as fh:
+            data = datasets.parse_json(args.config, fh.read())
     collect, distill = {}, {}
     if getattr(args, "episodes", None) is not None:
         collect["episodes"] = args.episodes

@@ -9,20 +9,13 @@ reals; they start as copies of real observations but are free to leave the
 one-hot manifold.
 """
 
-import atexit
 import copy
-import fcntl
 import json
-import os
-import pickle
-import select
-import signal
-import struct
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import datasets, fields, tinynet
+from . import datasets, fields, helper, tinynet
 from .gridenv import N_ACTIONS
 from .optim import SgdMomentum
 from .rng import LaneCursor, RngStream
@@ -135,10 +128,10 @@ def distill(
     `rng` ends up to one refill past the last word used, so nothing may
     read it after this call.
 
-    When a helper fits beside this process (`_helper_fits`), the matching
-    gradients and the SGD steps run in its distill helper process
-    (`_Helper`) while this process draws the next (theta, real gradient)
-    pairs; otherwise, on one CPU for one, the same loop runs inline. Both
+    When a helper fits beside this process (`helper.fits`), the matching
+    gradients and the SGD steps run in the helper process while this
+    process draws the next (theta, real gradient) pairs and streams them
+    to it; otherwise, on one CPU for one, the same loop runs inline. Both
     give the same bytes."""
     syn = init_synthetic(ds, cfg.synthetic_size, cfg.balanced_init, rng, cfg.learn_labels)
     m = len(syn)
@@ -148,8 +141,11 @@ def distill(
         flat = np.concatenate([flat, syn.label_logits.ravel()])
     task = (flat, syn.labels, cfg, shape)
     items = _real_grads(ds, cfg, shape, LaneCursor(rng))
-    if cfg.epochs and _helper_fits():
-        flat, history = _shared_helper().descend(task, items)
+    if cfg.epochs and helper.fits():
+        pairs = ((theta.theta, g_real) for theta, g_real in items)
+        worker = helper.shared()
+        worker.submit(_descend_rows, task, 2 * shape.param_count, pairs)
+        flat, history = worker.result()
     else:
         flat, history = _descend(*task, items)
     syn.xs = flat[:n_x].reshape(m, shape.in_dim).copy()
@@ -161,24 +157,6 @@ def distill(
         "final_loss": history[-1] if history else None,
     }
     return syn, history
-
-
-def _helper_fits() -> bool:
-    """Whether this process may use two CPUs for each BLAS thread it runs,
-    so that a helper's BLAS and its own need not share a CPU. The thread
-    count is the one OpenBLAS takes at start-up: OPENBLAS_NUM_THREADS,
-    else GOTO_NUM_THREADS, else OMP_NUM_THREADS, else one per CPU. With
-    two BLAS threads each on two CPUs, a full-size distill took 11-45 s
-    on the helper against 5 s inline. Where the OS cannot say which CPUs
-    the process may use (no `os.sched_getaffinity`), it counts as one."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    threads = cpus
-    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
-        value = os.environ.get(var, "").strip()
-        if value.isdigit() and int(value) > 0:
-            threads = int(value)
-            break
-    return cpus >= 2 * threads
 
 
 def _real_grads(ds, cfg, shape, draws):
@@ -220,183 +198,12 @@ def _descend(flat, hard_labels, cfg, shape, items):
     return flat, history
 
 
-_PIPE_BYTES = 1 << 20  # ~13 default-size (theta, real gradient) pairs in flight
-_LENGTH = struct.Struct("<Q")
-
-
-# While a task runs, both ends poll their non-blocking pipes instead of
-# sleeping on them. On a two-vCPU VM, a variant that slept and woke once
-# per pair left the parent's later single-process stages (collect, train,
-# eval) 25-45% slower in 15 of 17 alternating distill-soft benchmark
-# pairs.
-
-
-def _write(fd: int, data) -> None:
-    view = memoryview(data).cast("B")
-    while view:
-        try:
-            view = view[os.write(fd, view) :]
-        except BlockingIOError:
-            pass
-
-
-def _read_into(fd: int, buf) -> None:
-    """Fill `buf` from `fd`; EOFError if the pipe ends first."""
-    view = memoryview(buf).cast("B")
-    while view:
-        try:
-            got = os.readv(fd, [view])
-        except BlockingIOError:
-            continue
-        if not got:
-            raise EOFError
-        view = view[got:]
-
-
-def _send(fd: int, obj) -> None:
-    data = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
-    _write(fd, _LENGTH.pack(len(data)) + data)
-
-
-def _recv(fd: int):
-    head = bytearray(_LENGTH.size)
-    _read_into(fd, head)
-    body = bytearray(_LENGTH.unpack(head)[0])
-    _read_into(fd, body)
-    return pickle.loads(body)
-
-
-class _Helper:
-    """A forked process that runs `_descend` for its parent, one task at a
-    time. A task is a length-prefixed pickle of `_descend`'s start (flat
-    vector, hard labels, config, shape), then each init's theta and real
-    gradient as raw float64 bytes on the same pipe; the reply, a
-    length-prefixed pickle on a second pipe, is (True, (flat, history)) or
-    (False, the exception `_descend` raised). The helper ends at the end
-    of its task pipe: when `close` closes it, or when the parent dies."""
-
-    def __init__(self):
-        task_r, self.tasks = os.pipe()
-        self.results, reply_w = os.pipe()
-        try:
-            fcntl.fcntl(self.tasks, fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
-        except OSError:  # over the user's pipe-buffer limit: the default size still works
-            pass
-        for fd in (task_r, self.tasks, self.results, reply_w):
-            os.set_blocking(fd, False)
-        self.parent = os.getpid()
-        try:
-            self.pid = os.fork()
-        except OSError:
-            for fd in (task_r, self.tasks, self.results, reply_w):
-                os.close(fd)
-            raise
-        if self.pid == 0:
-            os.close(self.tasks)
-            os.close(self.results)
-            code = 1
-            try:
-                code = _serve(task_r, reply_w)
-            finally:
-                os._exit(code)
-        os.close(task_r)
-        os.close(reply_w)
-        atexit.register(self.close)
-
-    @property
-    def closed(self) -> bool:
-        return self.tasks is None
-
-    def descend(self, task, items):
-        """`_descend(*task, items)`, run in the helper while this process
-        draws `items`. A failure of the helper closes it and raises: its
-        own exception, or RuntimeError naming its exit status."""
-        try:
-            try:
-                _send(self.tasks, task)
-                for theta, g_real in items:
-                    _write(self.tasks, theta.theta)
-                    _write(self.tasks, g_real)
-            except BrokenPipeError:
-                pass  # the helper has ended; its reply or exit status says why
-            ok, value = _recv(self.results)
-        except EOFError:
-            code = self.close()
-            cause = f" ({signal.strsignal(-code)})" if code < 0 else ""
-            raise RuntimeError(
-                f"distill helper process {self.pid} ended with exit status {code}{cause}"
-            ) from None
-        except BaseException:
-            self.close()
-            raise
-        if not ok:
-            self.close()
-            raise value
-        return value
-
-    def close(self):
-        """End the helper and reap it; its exit code, or None if this
-        process did not fork it or it was closed already."""
-        if self.closed:
-            return None
-        atexit.unregister(self.close)
-        os.close(self.tasks)
-        os.close(self.results)
-        self.tasks = self.results = None
-        if os.getpid() != self.parent:
-            return None
-        return os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
-
-
-def _serve(tasks: int, replies: int) -> int:
-    """The helper's loop: run each task, send its reply. Returns the exit
-    code: 0 at the end of the task pipe or of the parent's reply pipe, 1
-    after a failed task, which it has reported."""
-    signal.signal(signal.SIGINT, signal.SIG_IGN)  # an interrupt is the parent's to handle
-    try:
-        while True:
-            select.select([tasks], [], [])  # sleep between tasks
-            flat, hard_labels, cfg, shape = _recv(tasks)
-            p = shape.param_count
-            buf = np.empty(2 * p)
-
-            def items():
-                while True:
-                    _read_into(tasks, buf)
-                    yield tinynet.PolicyParams(theta=buf[:p], shape=shape), buf[p:]
-
-            try:
-                reply = (True, _descend(flat, hard_labels, cfg, shape, items()))
-            except EOFError:
-                raise
-            except Exception as exc:  # reported to the parent, which raises it
-                reply = (False, exc)
-            _send(replies, reply)
-            if not reply[0]:
-                return 1
-    except (EOFError, BrokenPipeError):
-        return 0
-
-
-_helper = None  # this process's helper, forked on first use
-
-
-def _shared_helper() -> _Helper:
-    global _helper
-    if _helper is None or _helper.closed:
-        _helper = _Helper()
-    return _helper
-
-
-def _forget_helper():
-    """In a forked child: the parent's helper is not the child's."""
-    global _helper
-    if _helper is not None:
-        _helper.close()
-        _helper = None
-
-
-os.register_at_fork(after_in_child=_forget_helper)
+def _descend_rows(flat, hard_labels, cfg, shape, rows):
+    """`_descend` in the helper, on its stream: each row a theta, then the
+    real gradient at it."""
+    p = shape.param_count
+    items = ((tinynet.PolicyParams(theta=row[:p], shape=shape), row[p:]) for row in rows)
+    return _descend(flat, hard_labels, cfg, shape, items)
 
 
 def save_synthetic(syn: SyntheticDataset, path: str) -> None:

@@ -19,13 +19,20 @@ one stacked Adam update for all of them. Student i still reads only its
 own stream, in the order a lone student reads it, and every stacked
 product is the same BLAS call per row as on that row alone, so each
 student's bytes equal those of `train_student` on its stream.
+
+So a cohort can also be split: when a helper process fits beside this one
+(`helper.fits`) and there are at least two students, the helper trains
+students S//2 .. S-1 as one block, and formats their checkpoint text when
+asked, while this process trains students 0 .. S//2-1; the two halves
+join into one (S, P) block with the bytes the whole cohort gets inline.
+Otherwise the whole cohort trains here.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import fields, tinynet
+from . import fields, helper, tinynet
 from .optim import Adam
 from .rng import RngStream, derive_stream, next_int_arrays
 
@@ -68,7 +75,7 @@ def train_student(
     """One student: fresh init, then cfg.steps of sample / gradient / Adam
     step. targets[i] is row i's action, or its label distribution. The
     one-stream case of `_train_block`."""
-    return _train_block(rows, targets, cfg, shape, [rng])[0]
+    return _students(_train_block(rows, targets, cfg, shape, [rng]), shape)[0]
 
 
 def train_cohort(
@@ -78,22 +85,55 @@ def train_cohort(
     shape: tinynet.NetShape,
     n_students: int,
     root_seed: int,
-) -> list:
+    texts: bool = False,
+):
     """Independent students in index order, student i on its own derived
-    stream `student:i`, trained together as one block."""
+    stream `student:i`, trained together as one block, or as two halves
+    on two processes (see the module docstring). With `texts`, returns
+    (students, each student's `tinynet.checkpoint_text`)."""
     if n_students < 1:
         raise ValueError("n_students must be >= 1")
     streams = [derive_stream(root_seed, f"student:{i}") for i in range(n_students)]
-    return _train_block(rows, targets, cfg, shape, streams)
+    half = n_students // 2
+    if half and helper.fits():
+        worker = helper.shared()
+        worker.submit(_trained, (rows, targets, cfg, shape, streams[half:], texts))
+        try:
+            theta, text = _trained(rows, targets, cfg, shape, streams[:half], texts)
+        except BaseException:
+            worker.close()
+            raise
+        their_theta, their_text = worker.result()
+        theta, text = np.concatenate([theta, their_theta]), text + their_text
+    else:
+        theta, text = _trained(rows, targets, cfg, shape, streams, texts)
+    students = _students(theta, shape)
+    return (students, text) if texts else students
 
 
-def _train_block(rows, targets, cfg, shape, streams) -> list:
-    """Student i on streams[i], all stepped as one (S, P) block. Each stream
-    gives init weights, then the index schedule, drawn for all students at
-    once, at most `_DRAW_WORDS` words per draw (consecutive draws give the
-    same indices as one). Inputs are checked once, here; the loop calls the
-    unchecked kernel that `tinynet.bc_grad` wraps. The students' thetas are
-    read-only rows of one block."""
+def _trained(rows, targets, cfg, shape, streams, texts):
+    """`_train_block`'s (S, P) block, and each row's checkpoint text when
+    `texts` is set (else no text)."""
+    theta = _train_block(rows, targets, cfg, shape, streams)
+    if not texts:
+        return theta, []
+    students = (tinynet.PolicyParams(theta=row, shape=shape) for row in theta)
+    return theta, [tinynet.checkpoint_text(params) for params in students]
+
+
+def _students(theta, shape) -> list:
+    """The rows of a trained block as students, read-only: a saved row is
+    memoized as itself, not a copy."""
+    theta.flags.writeable = False
+    return [tinynet.PolicyParams(theta=row, shape=shape) for row in theta]
+
+
+def _train_block(rows, targets, cfg, shape, streams) -> np.ndarray:
+    """Student i on streams[i], all stepped as one (S, P) block, returned.
+    Each stream gives init weights, then the index schedule, drawn for all
+    students at once, at most `_DRAW_WORDS` words per draw (consecutive
+    draws give the same indices as one). Inputs are checked once, here;
+    the loop calls the unchecked kernel that `tinynet.bc_grad` wraps."""
     rows = np.asarray(rows, dtype=np.float64)
     n = len(rows)
     if n == 0:
@@ -122,5 +162,4 @@ def _train_block(rows, targets, cfg, shape, streams) -> list:
             else:
                 grad = tinynet._grad_kernel(theta, shape, rows[idx], labels[idx], uniform)
             theta = opt.step(theta, grad)
-    theta.flags.writeable = False  # a saved row is memoized as itself, not a copy
-    return [tinynet.PolicyParams(theta=row, shape=shape) for row in theta]
+    return theta

@@ -201,6 +201,14 @@ class TestConfig:
             run_cli(["--out", str(out), *flags])
         assert not out.exists()
 
+    @pytest.mark.parametrize("text", ['{"collect": ', "", "[1,"])
+    def test_malformed_config_json_names_the_file_before_any_output(self, tmp_path, text):
+        path, out = tmp_path / "bad.config.json", tmp_path / "out"
+        path.write_text(text)
+        with pytest.raises(datasets.SchemaError, match=f"^{re.escape(str(path))}: malformed JSON"):
+            run_cli(["--config", str(path), "--out", str(out), "collect"])
+        assert not out.exists()
+
     @pytest.mark.parametrize("name, value", _WRONG_TYPE_CASES)
     def test_every_field_rejects_a_wrong_type_naming_it(self, name, value):
         data = value

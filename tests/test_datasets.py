@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import griddistill
-from griddistill import cli, datasets, distill, expert, tinynet, trainer
+from griddistill import cli, datasets, distill, expert, helper, tinynet, trainer
 from griddistill.datasets import SchemaError
 from griddistill.gridenv import EnvConfig
 from griddistill.rng import derive_stream
@@ -784,20 +784,32 @@ class TestLoadMemo:
         assert len(parses) == 3  # the good file, then the bad one twice
         assert_same_bytes(again, good)
 
+    @pytest.mark.usefixtures("own_helper")
     def test_in_process_run_all_parses_the_offline_dataset_once(
-        self, tmp_path, parses, json_parses
+        self, tmp_path, parses, json_parses, monkeypatch
     ):
+        # on the helper path, which formats half of each cohort's
+        # checkpoints, then inline
         config = os.path.join(os.path.dirname(__file__), "data", "smoke.config.json")
-        out = tmp_path / "out"
-        assert cli.main(["--config", config, "--out", str(out), "run-all"]) == 0
-        assert parses == [(out / "offline.jsonl").read_bytes()]
-        # no checkpoint and no synthetic set it wrote itself: only the
-        # dataset's sidecar, read on every load, and each cohort's meta.json,
-        # which eval reads once and nothing memoizes
-        cohorts = ["bc40", "bc100", "synthetic"]
-        metas = [str(out / "checkpoints" / method / "meta.json") for method in cohorts]
-        assert set(json_parses) == {str(out / "offline.meta.json"), *metas}
-        assert sorted(json_parses.count(path) for path in metas) == [1, 1, 1]
+        for fits in (True, False):
+            if helper._helper is not None:
+                helper._helper.close()
+            monkeypatch.setattr(helper, "fits", lambda: fits)
+            monkeypatch.setattr(datasets, "_memo", {})
+            parses.clear()
+            json_parses.clear()
+            out = tmp_path / f"out-{fits}"
+            assert cli.main(["--config", config, "--out", str(out), "run-all"]) == 0
+            assert (helper._helper is not None and not helper._helper.closed) is fits
+            assert parses == [(out / "offline.jsonl").read_bytes()]
+            # no checkpoint and no synthetic set it wrote itself: only the
+            # config file, the dataset's sidecar, read on every load, and
+            # each cohort's meta.json, which eval reads once and nothing
+            # memoizes
+            cohorts = ["bc40", "bc100", "synthetic"]
+            metas = [str(out / "checkpoints" / method / "meta.json") for method in cohorts]
+            assert set(json_parses) == {config, str(out / "offline.meta.json"), *metas}
+            assert sorted(json_parses.count(path) for path in metas) == [1, 1, 1]
 
 
 def make_checkpoint():

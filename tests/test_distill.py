@@ -7,7 +7,7 @@ import signal
 import numpy as np
 import pytest
 
-from griddistill import checks, cli, datasets, expert, tinynet
+from griddistill import checks, cli, datasets, expert, helper, tinynet
 from griddistill import distill as dst
 from griddistill.gridenv import EnvConfig
 from griddistill.optim import SgdMomentum
@@ -200,26 +200,6 @@ def distilled(ds, cfg, shape, seed):
     return syn.xs.tobytes(), syn.labels.tobytes(), logits, history
 
 
-@pytest.fixture()
-def inline(monkeypatch):
-    """distill runs its loop in this process, as on one CPU."""
-    monkeypatch.setattr(dst, "_helper_fits", lambda: False)
-
-
-@pytest.fixture()
-def own_helper(monkeypatch):
-    """distill takes the helper path, on a helper of the test's own, which
-    is closed after the test; the process's helper so far is closed first,
-    so the test's is this process's only child."""
-    monkeypatch.setattr(dst, "_helper_fits", lambda: True)
-    if dst._helper is not None:
-        dst._helper.close()
-    monkeypatch.setattr(dst, "_helper", None)
-    yield
-    if dst._helper is not None:
-        dst._helper.close()
-
-
 def no_fork():
     raise AssertionError("forked a process")
 
@@ -247,7 +227,7 @@ class TestHelper:
     @pytest.fixture(scope="class")
     def expected(self, small_collection):
         mp = pytest.MonkeyPatch()
-        mp.setattr(dst, "_helper_fits", lambda: False)
+        mp.setattr(helper, "fits", lambda: False)
         try:
             return {
                 name: distilled(small_collection, cfg, shape, 20)
@@ -276,14 +256,14 @@ class TestHelper:
             monkeypatch.delenv(var, raising=False)
         for var, value in env.items():
             monkeypatch.setenv(var, value)
-        assert dst._helper_fits() is fits
+        assert helper.fits() is fits
 
     @pytest.mark.usefixtures("own_helper")
     def test_every_case_on_one_helper_gives_the_inline_bytes(self, small_collection, expected):
         pids = set()
         for name, (cfg, shape) in HELPER_CASES.items():
             assert distilled(small_collection, cfg, shape, 20) == expected[name], name
-            pids.add(dst._helper.pid)
+            pids.add(helper._helper.pid)
         assert len(pids) == 1
 
     @pytest.mark.usefixtures("inline")
@@ -300,7 +280,7 @@ class TestHelper:
             NetShape(in_dim=144), derive_stream(21, "d"),
         )
         assert history == [] and len(syn) == 5
-        assert dst._helper is None
+        assert helper._helper is None
 
     @pytest.mark.usefixtures("own_helper")
     def test_a_killed_helper_raises_and_the_next_call_forks_afresh(
@@ -308,13 +288,13 @@ class TestHelper:
     ):
         cfg, shape = HELPER_CASES["hard labels"]
         distilled(small_collection, cfg, shape, 20)
-        killed = dst._helper.pid
+        killed = helper._helper.pid
         os.kill(killed, signal.SIGKILL)
         with pytest.raises(RuntimeError, match=rf"process {killed} ended with exit status -9 "):
             distilled(small_collection, cfg, shape, 20)
-        assert dst._helper.closed
+        assert helper._helper.closed
         assert distilled(small_collection, cfg, shape, 20) == expected["hard labels"]
-        assert dst._helper.pid != killed
+        assert helper._helper.pid != killed
 
     @pytest.mark.usefixtures("own_helper")
     def test_a_failure_in_the_helper_is_raised_as_its_own(self, small_collection, monkeypatch):
@@ -326,7 +306,7 @@ class TestHelper:
         cfg, shape = HELPER_CASES["hard labels"]
         with pytest.raises(FloatingPointError, match="^matching gradient failed$"):
             distilled(small_collection, cfg, shape, 20)
-        assert dst._helper.closed
+        assert helper._helper.closed
 
     def test_a_failed_distill_command_writes_nothing(self, tmp_path, monkeypatch, own_helper):
         out = tmp_path / "out"
@@ -348,15 +328,15 @@ class TestHelper:
         distilled(small_collection, cfg, shape, 20)
         pid = os.fork()
         if pid == 0:
-            os._exit(0 if dst._helper is None else 1)
+            os._exit(0 if helper._helper is None else 1)
         assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
-        assert not dst._helper.closed
+        assert not helper._helper.closed
 
     @pytest.mark.usefixtures("own_helper")
     def test_after_close_no_child_is_left(self, small_collection):
         cfg, shape = HELPER_CASES["one init per epoch"]
         distilled(small_collection, cfg, shape, 20)
-        dst._helper.close()
+        helper._helper.close()
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 

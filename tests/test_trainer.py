@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from griddistill import datasets, expert, tinynet, trainer
+from griddistill import datasets, expert, helper, tinynet, trainer
 from griddistill import distill as dst
 from griddistill.gridenv import EnvConfig
 from griddistill.optim import Adam
@@ -78,7 +78,9 @@ class TestBlockMatchesStudentsAlone:
 
     def test_schedule_spanning_two_draw_blocks(self, monkeypatch):
         # 4 students at batch 256 draw 128 steps at a time: 130 steps take
-        # two draws, and each student must still read its stream as alone
+        # two draws, and each student must still read its stream as alone;
+        # the whole cohort trains in this process, as one block
+        monkeypatch.setattr(helper, "fits", lambda: False)
         rows, targets = random_source(300, False)
         draws = []
         next_int_arrays = trainer.next_int_arrays
