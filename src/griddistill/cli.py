@@ -204,14 +204,13 @@ def cmd_train(config: ExperimentConfig, method: str) -> None:
     rows, targets, train_cfg = _train_source(config, method)
     size = len(rows)
     cohort_seed = derive_stream(config.root_seed, f"train:{method}").next_u64()
-    cohort, texts = train_cohort(
-        rows, targets, train_cfg, config.net_shape(), config.student.n_students, cohort_seed,
-        texts=True,
+    cohort = train_cohort(
+        rows, targets, train_cfg, config.net_shape(), config.student.n_students, cohort_seed
     )
     method_dir = _method_dir(config, method)
     os.makedirs(method_dir, exist_ok=True)
-    for i, (params, text) in enumerate(zip(cohort, texts)):
-        tinynet.save_checkpoint(params, os.path.join(method_dir, f"student_{i}.json"), text)
+    for i, params in enumerate(cohort):
+        tinynet.save_checkpoint(params, os.path.join(method_dir, f"student_{i}.json"))
     with datasets.write_atomic(os.path.join(method_dir, "meta.json")) as fh:
         json.dump(
             {

@@ -131,8 +131,8 @@ def distill(
     When a helper fits beside this process (`helper.fits`), the matching
     gradients and the SGD steps run in the helper process while this
     process draws the next (theta, real gradient) pairs and streams them
-    to it; otherwise, on one CPU for one, the same loop runs inline. Both
-    give the same bytes."""
+    to it; otherwise (on one CPU for one, or with no helper to be had),
+    the same loop runs inline. Both give the same bytes."""
     syn = init_synthetic(ds, cfg.synthetic_size, cfg.balanced_init, rng, cfg.learn_labels)
     m = len(syn)
     n_x = m * shape.in_dim
@@ -141,13 +141,14 @@ def distill(
         flat = np.concatenate([flat, syn.label_logits.ravel()])
     task = (flat, syn.labels, cfg, shape)
     items = _real_grads(ds, cfg, shape, LaneCursor(rng))
+    worker = None
     if cfg.epochs and helper.fits():
         pairs = ((theta.theta, g_real) for theta, g_real in items)
-        worker = helper.shared()
-        worker.submit(_descend_rows, task, 2 * shape.param_count, pairs)
-        flat, history = worker.result()
-    else:
+        worker = helper.start(_descend_rows, task, 2 * shape.param_count, pairs)
+    if worker is None:
         flat, history = _descend(*task, items)
+    else:
+        flat, history = worker.result()
     syn.xs = flat[:n_x].reshape(m, shape.in_dim).copy()
     if cfg.learn_labels:
         syn.label_logits = flat[n_x:].reshape(m, N_ACTIONS).copy()

@@ -14,11 +14,13 @@ Two stages use it, only where `fits()` holds:
 - distill streams each (theta, real gradient) pair it draws, and the
   helper runs the epoch loop on them (`distill._descend_rows`);
 - training hands the helper the second half of each cohort's students,
-  and trains the first half itself meanwhile (`trainer._trained`).
+  and trains the first half itself meanwhile (`trainer._train_block`).
 
-A failure of the helper closes it: the parent raises the helper's own
-exception, or RuntimeError naming its exit status, and the next task forks
-a fresh helper. The helper ends at the end of its task pipe: when `close`
+Where no helper takes the task (`start` returns None: the fork failed,
+or the reused helper had ended while idle), the caller runs it itself,
+with the same bytes. A failure of the helper during a task closes it: the
+parent raises the helper's own exception, or RuntimeError naming its exit
+status. Either way the next task forks a fresh helper. The helper ends at the end of its task pipe: when `close`
 closes it (at exit, or killing it if a task is still out), or when the
 parent dies. A forked child of the parent does not inherit it.
 """
@@ -84,9 +86,13 @@ def _read_into(fd: int, buf) -> None:
         view = view[got:]
 
 
-def _send(fd: int, obj) -> None:
+def _frame(obj) -> bytes:
     data = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
-    _write(fd, _LENGTH.pack(len(data)) + data)
+    return _LENGTH.pack(len(data)) + data
+
+
+def _send(fd: int, obj) -> None:
+    _write(fd, _frame(obj))
 
 
 def _recv(fd: int):
@@ -134,15 +140,25 @@ class Helper:
     def closed(self) -> bool:
         return self.tasks is None
 
-    def submit(self, fn, args: tuple, width: int = 0, stream=()) -> None:
+    def submit(self, fn, args: tuple, width: int = 0, stream=()) -> bool:
         """Start `fn(*args)` in the helper, or, with a `width`,
         `fn(*args, rows)`, where rows yields what this process writes from
         `stream`: one tuple of float64 arrays per row, `width` values in
-        all. Returns once the stream is written."""
+        all. Returns once the stream is written: True, or False if the
+        helper had ended before it took the task (it is then closed, and
+        nothing of `stream` was read)."""
+        head = _frame((fn, args, width))
+        try:
+            # between tasks the pipe is empty, so this write takes bytes
+            # unless no helper is left to read them
+            head = head[os.write(self.tasks, head) :]
+        except BrokenPipeError:
+            self.close()
+            return False
         self.pending = True
         try:
             try:
-                _send(self.tasks, (fn, args, width))
+                _write(self.tasks, head)
                 for arrays in stream:
                     for array in arrays:
                         _write(self.tasks, array)
@@ -151,6 +167,7 @@ class Helper:
         except BaseException:
             self.close()
             raise
+        return True
 
     def result(self):
         """The submitted task's value. A failure of the helper closes it
@@ -231,6 +248,19 @@ def shared() -> Helper:
     if _helper is None or _helper.closed:
         _helper = Helper()
     return _helper
+
+
+def start(fn, args: tuple, width: int = 0, stream=()):
+    """`submit` the task to this process's helper (`shared`): the helper
+    that took it, or None if none could, and the caller runs the task
+    itself. That is when no process or pipe can be made (EAGAIN, ENOMEM,
+    EMFILE), or when the reused helper had ended while idle; the next task
+    then forks a fresh one."""
+    try:
+        worker = shared()
+    except OSError:
+        return None
+    return worker if worker.submit(fn, args, width, stream) else None
 
 
 def _forget():

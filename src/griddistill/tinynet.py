@@ -289,27 +289,18 @@ def matching_grad_wrt_examples(
     return MatchGrad(grad_x=grad_x, grad_label_logits=grad_logits, loss=loss)
 
 
-def checkpoint_text(params: PolicyParams) -> str:
-    """The JSON checkpoint {shape: {in, hidden, out}, theta: [...]}, with
-    round-trip-exact decimal floats, that `save_checkpoint` writes."""
-    s = params.shape
-    theta = _fmt_array(params.theta)
-    return '{"shape":{"in":%d,"hidden":%d,"out":%d},"theta":%s}\n' % (
-        s.in_dim, s.hidden, s.out_dim, theta
-    )
-
-
-def save_checkpoint(params: PolicyParams, path: str, text: str | None = None) -> None:
-    """Write `checkpoint_text(params)`, or `text` when the caller formatted
-    it already. The memo is primed with what was written
-    (`datasets.prime`), so the next load of the file skips the parse: a
-    read-only copy of theta, or theta itself when nothing can write it."""
-    if text is None:
-        text = checkpoint_text(params)
-    with write_atomic(path) as fh:
-        fh.write(text)
+def save_checkpoint(params: PolicyParams, path: str) -> None:
+    """JSON checkpoint {shape: {in, hidden, out}, theta: [...]} with
+    round-trip-exact decimal floats. The memo is primed with what was
+    written (`datasets.prime`), so the next load of the file skips the
+    parse: a read-only copy of theta, or theta itself when nothing can
+    write it."""
     s = params.shape
     dims = {"in": s.in_dim, "hidden": s.hidden, "out": s.out_dim}
+    theta = _fmt_array(params.theta)
+    text = '{"shape":{"in":%d,"hidden":%d,"out":%d},"theta":%s}\n' % (*dims.values(), theta)
+    with write_atomic(path) as fh:
+        fh.write(text)
     datasets.prime(path, text, lambda: _checkpoint(path, {"shape": dims, "theta": params.theta}))
 
 

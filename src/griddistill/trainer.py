@@ -22,10 +22,10 @@ student's bytes equal those of `train_student` on its stream.
 
 So a cohort can also be split: when a helper process fits beside this one
 (`helper.fits`) and there are at least two students, the helper trains
-students S//2 .. S-1 as one block, and formats their checkpoint text when
-asked, while this process trains students 0 .. S//2-1; the two halves
-join into one (S, P) block with the bytes the whole cohort gets inline.
-Otherwise the whole cohort trains here.
+students S//2 .. S-1 as one block while this process trains students
+0 .. S//2-1; the two halves join into one (S, P) block with the bytes the
+whole cohort gets inline. Otherwise, or when no helper takes the task
+(`helper.start`), the whole cohort trains here.
 """
 
 from dataclasses import dataclass
@@ -85,40 +85,25 @@ def train_cohort(
     shape: tinynet.NetShape,
     n_students: int,
     root_seed: int,
-    texts: bool = False,
-):
+) -> list:
     """Independent students in index order, student i on its own derived
     stream `student:i`, trained together as one block, or as two halves
-    on two processes (see the module docstring). With `texts`, returns
-    (students, each student's `tinynet.checkpoint_text`)."""
+    on two processes (see the module docstring)."""
     if n_students < 1:
         raise ValueError("n_students must be >= 1")
     streams = [derive_stream(root_seed, f"student:{i}") for i in range(n_students)]
     half = n_students // 2
+    worker = None
     if half and helper.fits():
-        worker = helper.shared()
-        worker.submit(_trained, (rows, targets, cfg, shape, streams[half:], texts))
-        try:
-            theta, text = _trained(rows, targets, cfg, shape, streams[:half], texts)
-        except BaseException:
-            worker.close()
-            raise
-        their_theta, their_text = worker.result()
-        theta, text = np.concatenate([theta, their_theta]), text + their_text
-    else:
-        theta, text = _trained(rows, targets, cfg, shape, streams, texts)
-    students = _students(theta, shape)
-    return (students, text) if texts else students
-
-
-def _trained(rows, targets, cfg, shape, streams, texts):
-    """`_train_block`'s (S, P) block, and each row's checkpoint text when
-    `texts` is set (else no text)."""
-    theta = _train_block(rows, targets, cfg, shape, streams)
-    if not texts:
-        return theta, []
-    students = (tinynet.PolicyParams(theta=row, shape=shape) for row in theta)
-    return theta, [tinynet.checkpoint_text(params) for params in students]
+        worker = helper.start(_train_block, (rows, targets, cfg, shape, streams[half:]))
+    if worker is None:
+        return _students(_train_block(rows, targets, cfg, shape, streams), shape)
+    try:
+        theta = _train_block(rows, targets, cfg, shape, streams[:half])
+    except BaseException:
+        worker.close()
+        raise
+    return _students(np.concatenate([theta, worker.result()]), shape)
 
 
 def _students(theta, shape) -> list:

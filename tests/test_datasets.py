@@ -788,8 +788,7 @@ class TestLoadMemo:
     def test_in_process_run_all_parses_the_offline_dataset_once(
         self, tmp_path, parses, json_parses, monkeypatch
     ):
-        # on the helper path, which formats half of each cohort's
-        # checkpoints, then inline
+        # on the helper path, which trains half of each cohort, then inline
         config = os.path.join(os.path.dirname(__file__), "data", "smoke.config.json")
         for fits in (True, False):
             if helper._helper is not None:

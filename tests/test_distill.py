@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import pathlib
@@ -204,6 +205,10 @@ def no_fork():
     raise AssertionError("forked a process")
 
 
+def failing_fork():
+    raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+
 SMOKE_CONFIG = pathlib.Path(__file__).parent / "data" / "smoke.config.json"
 
 HELPER_CASES = {
@@ -284,17 +289,44 @@ class TestHelper:
 
     @pytest.mark.usefixtures("own_helper")
     def test_a_killed_helper_raises_and_the_next_call_forks_afresh(
-        self, small_collection, expected
+        self, small_collection, expected, monkeypatch
     ):
         cfg, shape = HELPER_CASES["hard labels"]
         distilled(small_collection, cfg, shape, 20)
-        killed = helper._helper.pid
-        os.kill(killed, signal.SIGKILL)
+        killed, bc_grad = helper._helper.pid, tinynet.bc_grad
+
+        def killing_the_helper(*args):
+            os.kill(killed, signal.SIGKILL)
+            return bc_grad(*args)
+
+        # this process draws the real gradients, so the helper dies mid-task
+        monkeypatch.setattr(tinynet, "bc_grad", killing_the_helper)
         with pytest.raises(RuntimeError, match=rf"process {killed} ended with exit status -9 "):
             distilled(small_collection, cfg, shape, 20)
         assert helper._helper.closed
+        monkeypatch.setattr(tinynet, "bc_grad", bc_grad)
         assert distilled(small_collection, cfg, shape, 20) == expected["hard labels"]
         assert helper._helper.pid != killed
+
+    @pytest.mark.usefixtures("own_helper")
+    def test_a_helper_ended_while_idle_leaves_the_call_inline(self, small_collection, expected):
+        cfg, shape = HELPER_CASES["hard labels"]
+        worker = helper.shared()
+        os.kill(worker.pid, signal.SIGKILL)
+        os.waitid(os.P_PID, worker.pid, os.WEXITED | os.WNOWAIT)  # dead, not yet reaped
+        assert distilled(small_collection, cfg, shape, 20) == expected["hard labels"]
+        assert worker.closed
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert distilled(small_collection, cfg, shape, 20) == expected["hard labels"]
+        assert helper._helper.pid != worker.pid
+
+    @pytest.mark.usefixtures("own_helper")
+    def test_a_failed_fork_leaves_the_call_inline(self, small_collection, expected, monkeypatch):
+        monkeypatch.setattr(os, "fork", failing_fork)
+        cfg, shape = HELPER_CASES["hard labels"]
+        assert distilled(small_collection, cfg, shape, 20) == expected["hard labels"]
+        assert helper._helper is None
 
     @pytest.mark.usefixtures("own_helper")
     def test_a_failure_in_the_helper_is_raised_as_its_own(self, small_collection, monkeypatch):

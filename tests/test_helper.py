@@ -6,7 +6,7 @@ import pytest
 from griddistill import cli, helper, trainer
 from griddistill.tinynet import NetShape
 
-from test_distill import HELPER_CASES, SMOKE_CONFIG, distilled, no_fork
+from test_distill import HELPER_CASES, SMOKE_CONFIG, distilled, failing_fork, no_fork
 from test_distill import small_collection  # noqa: F401 (a fixture)
 from test_trainer import random_source
 
@@ -24,12 +24,12 @@ COHORTS = {
 
 
 def trained(name):
-    """The cohort's students as bytes, and their checkpoint texts."""
+    """The cohort's students as bytes."""
     n, soft, batch, students = COHORTS[name]
     rows, targets = random_source(n, soft)
     cfg = trainer.TrainConfig(steps=12, batch=batch)
-    cohort, texts = trainer.train_cohort(rows, targets, cfg, SHAPE, students, 7, texts=True)
-    return [params.theta.tobytes() for params in cohort], texts
+    cohort = trainer.train_cohort(rows, targets, cfg, SHAPE, students, 7)
+    return [params.theta.tobytes() for params in cohort]
 
 
 @pytest.fixture(scope="module")
@@ -44,7 +44,7 @@ def expected():
 
 class TestSplitCohort:
     """A cohort split between this process and the helper gives the bytes
-    and checkpoint texts of the whole cohort trained inline."""
+    of the whole cohort trained inline."""
 
     @pytest.mark.usefixtures("own_helper")
     def test_every_case_on_one_helper_gives_the_inline_bytes(self, expected):
@@ -76,6 +76,24 @@ class TestSplitCohort:
         assert trained("gathered") == expected["gathered"]
 
     @pytest.mark.usefixtures("own_helper")
+    def test_a_failed_fork_trains_the_whole_cohort_here(self, expected, monkeypatch):
+        monkeypatch.setattr(os, "fork", failing_fork)
+        assert trained("gathered") == expected["gathered"]
+        assert helper._helper is None
+
+    @pytest.mark.usefixtures("own_helper")
+    def test_a_helper_ended_while_idle_leaves_the_cohort_here(self, expected):
+        worker = helper.shared()
+        os.kill(worker.pid, signal.SIGKILL)
+        os.waitid(os.P_PID, worker.pid, os.WEXITED | os.WNOWAIT)  # dead, not yet reaped
+        assert trained("gathered") == expected["gathered"]
+        assert worker.closed
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert trained("gathered") == expected["gathered"]
+        assert helper._helper.pid != worker.pid
+
+    @pytest.mark.usefixtures("own_helper")
     def test_distill_train_distill_on_one_helper(self, small_collection, expected):
         cfg, shape = HELPER_CASES["hard labels"]
         mp = pytest.MonkeyPatch()
@@ -92,35 +110,35 @@ class TestSplitCohort:
 
     @pytest.mark.usefixtures("own_helper")
     def test_a_failure_in_the_helper_is_raised_as_its_own(self, monkeypatch):
-        parent, train_block = os.getpid(), trainer._train_block
+        parent, draw = os.getpid(), trainer.next_int_arrays
 
         def failing_in_the_helper(*args):
             if os.getpid() != parent:
                 raise FloatingPointError("helper half failed")
-            return train_block(*args)
+            return draw(*args)
 
         # patched before the helper is forked, so the helper runs it
-        monkeypatch.setattr(trainer, "_train_block", failing_in_the_helper)
+        monkeypatch.setattr(trainer, "next_int_arrays", failing_in_the_helper)
         with pytest.raises(FloatingPointError, match="^helper half failed$"):
             trained("gathered")
         assert helper._helper.closed
 
     @pytest.mark.usefixtures("own_helper")
     def test_a_failure_of_this_half_ends_the_busy_helper(self, expected, monkeypatch):
-        parent, train_block = os.getpid(), trainer._train_block
+        parent, draw = os.getpid(), trainer.next_int_arrays
 
         def failing_here(*args):
             if os.getpid() == parent:
                 raise FloatingPointError("own half failed")
-            return train_block(*args)
+            return draw(*args)
 
-        monkeypatch.setattr(trainer, "_train_block", failing_here)
+        monkeypatch.setattr(trainer, "next_int_arrays", failing_here)
         with pytest.raises(FloatingPointError, match="^own half failed$"):
             trained("gathered")
         assert helper._helper.closed
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
-        monkeypatch.setattr(trainer, "_train_block", train_block)
+        monkeypatch.setattr(trainer, "next_int_arrays", draw)
         assert trained("gathered") == expected["gathered"]
 
     def test_a_helper_killed_during_training_fails_the_command_and_writes_nothing(
@@ -131,21 +149,21 @@ class TestSplitCohort:
 
         out, ref = tmp_path / "out", tmp_path / "ref"
         run(out, "collect")
-        worker = helper.shared()  # forked now, so it trains with the real _train_block
-        train_block = trainer._train_block
+        worker = helper.shared()  # forked now, so it draws with the real next_int_arrays
+        draw = trainer.next_int_arrays
 
         def killing_the_helper(*args):
             os.kill(worker.pid, signal.SIGKILL)
-            return train_block(*args)
+            return draw(*args)
 
-        monkeypatch.setattr(trainer, "_train_block", killing_the_helper)
+        monkeypatch.setattr(trainer, "next_int_arrays", killing_the_helper)
         with pytest.raises(RuntimeError, match=rf"process {worker.pid} ended with exit status -9 "):
             run(out, "train", "--method", "bc100")
         assert worker.closed
         assert not (out / "checkpoints").exists()
         assert not list(out.rglob("*.tmp"))
 
-        monkeypatch.setattr(trainer, "_train_block", train_block)
+        monkeypatch.setattr(trainer, "next_int_arrays", draw)
         run(out, "train", "--method", "bc100")
         assert helper._helper.pid != worker.pid
         monkeypatch.setattr(helper, "fits", lambda: False)
