@@ -5,10 +5,10 @@ maps."""
 
 from .distill import DistillConfig, SyntheticDataset
 from .evaluate import EvalConfig, EvalReport, evaluate_cohorts
-from .gridenv import EnvConfig, GridSpec, GridState, generate, observe, step
+from .gridenv import EnvConfig, Maps, generate_maps
 from .rng import RngStream, derive_stream
-from .tinynet import NetShape, PolicyParams, bc_grad, bc_loss, forward, init_params
-from .trainer import TrainConfig, train_cohort, train_student
+from .tinynet import NetShape, PolicyParams, bc_grad, forward, init_params
+from .trainer import TrainConfig, train_cohort
 
 __all__ = [
     "DistillConfig",
@@ -17,22 +17,17 @@ __all__ = [
     "EvalReport",
     "evaluate_cohorts",
     "EnvConfig",
-    "GridSpec",
-    "GridState",
-    "generate",
-    "observe",
-    "step",
+    "Maps",
+    "generate_maps",
     "RngStream",
     "derive_stream",
     "NetShape",
     "PolicyParams",
     "bc_grad",
-    "bc_loss",
     "forward",
     "init_params",
     "TrainConfig",
     "train_cohort",
-    "train_student",
 ]
 
 __version__ = "0.1.0"

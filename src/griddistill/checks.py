@@ -2,17 +2,38 @@
 planner-optimality oracle, runnable from the command line.
 
 The oracles deliberately avoid the code paths they certify: gradients are
-checked against central differences of the loss, and the planner against a
-depth-limited exhaustive search that re-derives the transition rules from
-the map definition alone.
+checked against central differences of the cloning loss (`_bc_loss`, which
+only these checks evaluate), and the planner against a depth-limited
+exhaustive search that re-derives the transition rules from the map's
+walls, hazards, goal and start alone, never from its tables.
 """
+
+import math
 
 import numpy as np
 
 from . import expert, gridenv, tinynet
-from .distill import SyntheticDataset
-from .gridenv import ACTION_MOVES, EnvConfig, GridSpec
+from .gridenv import ACTION_MOVES, EnvConfig
 from .rng import derive_stream, splitmix64
+
+
+def _gauss(rng) -> float:
+    """Standard normal via Box-Muller; draws two uniforms from `rng`."""
+    u1 = rng.next_uniform()
+    u2 = rng.next_uniform()
+    return math.sqrt(-2.0 * math.log(1.0 - u1)) * math.cos(2.0 * math.pi * u2)
+
+
+def _bc_loss(params: tinynet.PolicyParams, xs, labels, weights) -> float:
+    """Weighted cloning loss: (1/sum w) * sum_i w_i * CE(forward(x_i), y_i),
+    with CE of a hard label a being -log p_a: the loss whose gradient
+    `tinynet.bc_grad` computes analytically."""
+    xs, y, w, wsum = tinynet._prepare_batch(params, xs, labels, weights)
+    w1, b1, w2, b2 = tinynet.unpack(params)
+    h = np.maximum(xs @ w1.T + b1, 0.0)
+    logp = tinynet._log_softmax(h @ w2.T + b2)
+    ce = -(y * logp).sum(axis=1)
+    return float((w * ce).sum() / wsum)
 
 
 def finite_diff_grad(f, x: np.ndarray, eps: float) -> np.ndarray:
@@ -44,31 +65,19 @@ def check_bc_grad(n_cases: int = 20, tol: float = 1e-4, root_seed: int = 1234) -
         m = 1 + rng.next_int(4)
         shape = tinynet.NetShape(in_dim=in_dim, hidden=hidden, out_dim=out_dim)
         params = tinynet.init_params(shape, rng)
-        xs = np.array([[rng.next_gauss() for _ in range(in_dim)] for _ in range(m)])
+        xs = np.array([[_gauss(rng) for _ in range(in_dim)] for _ in range(m)])
         labels = rng.next_int_array(out_dim, m)
         weights = np.array([0.25 + rng.next_uniform() for _ in range(m)])
         analytic = tinynet.bc_grad(params, xs, labels, weights)
 
         def loss_at(theta):
-            return tinynet.bc_loss(
-                tinynet.PolicyParams(theta=theta, shape=shape), xs, labels, weights
-            )
+            return _bc_loss(tinynet.PolicyParams(theta=theta, shape=shape), xs, labels, weights)
 
         numeric = finite_diff_grad(loss_at, params.theta.copy(), eps=1e-5)
         worst = max(worst, max_rel_err(analytic, numeric))
     if worst > tol:
         raise AssertionError(f"bc_grad vs finite differences: max rel err {worst:.3e} > {tol}")
     return worst
-
-
-def matching_loss(params: tinynet.PolicyParams, real_xs, real_labels, syn: SyntheticDataset) -> float:
-    """Squared L2 distance between the real-batch and synthetic-batch
-    cloning gradients, flat layout: the objective whose gradient
-    `tinynet.matching_grad_wrt_examples` computes analytically."""
-    g_real = tinynet.bc_grad(params, real_xs, real_labels, np.ones(len(real_xs)))
-    g_syn = tinynet.bc_grad(params, syn.xs, syn.training_labels(), np.ones(len(syn)))
-    r = g_real - g_syn
-    return float(r @ r)
 
 
 def check_matching_grad(n_cases: int = 10, tol: float = 1e-3, root_seed: int = 99) -> float:
@@ -82,12 +91,12 @@ def check_matching_grad(n_cases: int = 10, tol: float = 1e-3, root_seed: int = 9
         params = tinynet.init_params(shape, rng)
         m = 2 + rng.next_int(2)
         learn = case % 2 == 1
-        xs = np.array([[rng.next_gauss() for _ in range(4)] for _ in range(m)])
-        real_xs = np.array([[rng.next_gauss() for _ in range(4)] for _ in range(3)])
+        xs = np.array([[_gauss(rng) for _ in range(4)] for _ in range(m)])
+        real_xs = np.array([[_gauss(rng) for _ in range(4)] for _ in range(3)])
         real_labels = rng.next_int_array(2, 3)
         g_real = tinynet.bc_grad(params, real_xs, real_labels, np.ones(3))
         if learn:
-            labels = np.array([[rng.next_gauss() for _ in range(2)] for _ in range(m)])
+            labels = np.array([[_gauss(rng) for _ in range(2)] for _ in range(m)])
         else:
             labels = rng.next_int_array(2, m)
         res = tinynet.matching_grad_wrt_examples(params, g_real, xs, labels, learn_labels=learn)
@@ -123,13 +132,15 @@ def check_matching_grad(n_cases: int = 10, tol: float = 1e-3, root_seed: int = 9
     return worst
 
 
-def best_return_search(spec: GridSpec, horizon: int) -> float:
-    """Max undiscounted return over every action sequence of length <=
-    horizon, via memoized depth-limited search. Transition rules are
-    re-derived from the map fields, independent of both the environment's
-    step() and the planner."""
-    cfg = spec.config
+def best_return_search(maps: gridenv.Maps, horizon: int) -> float:
+    """Max undiscounted return on the block's one map over every action
+    sequence of length <= horizon, via memoized depth-limited search.
+    Transition rules are re-derived from the map's goal, wall and hazard
+    channels (`maps.static`) and its start, independent of both the block's
+    tables and the planner."""
+    cfg = maps.config
     n = cfg.grid_n
+    goal, walls, hazards = maps.static[0].reshape(3, n, n)
     cache = {}
 
     def best(cell, t):
@@ -141,25 +152,25 @@ def best_return_search(spec: GridSpec, horizon: int) -> float:
         out = -np.inf
         for dr, dc in ACTION_MOVES:
             nr, nc = cell[0] + dr, cell[1] + dc
-            if not (0 <= nr < n and 0 <= nc < n) or spec.walls[nr, nc]:
+            if not (0 <= nr < n and 0 <= nc < n) or walls[nr, nc]:
                 nr, nc = cell
-            if (nr, nc) == spec.goal:
+            if goal[nr, nc]:
                 value = cfg.goal_reward
             else:
                 reward = cfg.step_reward
-                if (nr, nc) in spec.hazards:
+                if hazards[nr, nc]:
                     reward += cfg.hazard_reward
                 value = reward + best((nr, nc), t + 1)
             out = max(out, value)
         cache[key] = out
         return out
 
-    return best(spec.start, 0)
+    return best(divmod(int(maps.start[0]), n), 0)
 
 
-def greedy_rollout_return(spec: GridSpec, gamma: float = 0.99) -> float:
-    """The return of one walk of the planner's greedy table on the map."""
-    maps = gridenv.Maps.of(spec)
+def greedy_rollout_return(maps: gridenv.Maps, gamma: float = 0.99) -> float:
+    """The return of one walk of the planner's greedy table on the block's
+    one map."""
     greedy = expert.solve_maps(maps, gamma)[1]
     steps = maps.walk(maps.start, np.zeros(1, dtype=np.int64), greedy)
     return sum(float(reward[0]) for _, _, _, _, reward, _ in steps)
@@ -174,11 +185,11 @@ def check_planner(n_specs: int = 20, root_seed: int = 4242) -> int:
     while checked < n_specs:
         seed = rng.next_int(1 << 32)
         try:
-            spec = gridenv.generate(config, seed)
+            maps = gridenv.generate_maps(config, [seed])
         except gridenv.GenerationError:
             continue
-        greedy = greedy_rollout_return(spec)
-        optimal = best_return_search(spec, config.horizon)
+        greedy = greedy_rollout_return(maps)
+        optimal = best_return_search(maps, config.horizon)
         if abs(greedy - optimal) > 1e-9:
             raise AssertionError(
                 f"planner suboptimal on seed {seed}: greedy {greedy} vs search {optimal}"

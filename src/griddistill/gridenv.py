@@ -6,27 +6,24 @@ are deterministic; observations are one-hot grid channels rather than
 pixels, laid out channel-major as [agent | goal | wall | hazard], each
 channel a row-major grid_n x grid_n block.
 
-Each map carries its MDP over flat row-major cells (`GridSpec.next_cell`,
-`GridSpec.reward`), and collection, evaluation and the planner all read
-those tables. Maps are made as a block: `generate_maps` keeps every seed's
-stream state as a column of one uint64 array and draws all the pending
-maps' layouts at once in rounds, lane-wise, retrying only the maps whose
-goal one frontier sweep over the round's tables finds unreachable. It
-returns a `Maps`, which stacks the block's tables over global cells; the
-planner sweeps them all at once, and `Maps.walk` steps many episodes over
-them in lockstep, one lane each: all of an eval split's episodes, or all
-of collection's. `Maps.observe` gives the observation rows of any global
-cells (collection's dataset rows), and `Maps.observations` those of every
-cell of a run of maps, which evaluation forwards 8 maps at a time: a
-whole split's stack would add ~10 MB of peak RSS (see
-`evaluate._CHUNK`). `Maps.spec(m)` gives one map as a GridSpec with its
-tables sliced from the block (`generate`); a GridSpec built from its
-fields alone takes the tables of its block of one, `Maps.of`.
-`GridState`, `initial_state`, `step` and `observe` are the reference
-semantics the tables and the walk are tested against.
+Maps are made as a block: `generate_maps` keeps every seed's stream state
+as a column of one uint64 array and draws all the pending maps' layouts at
+once in rounds, lane-wise, retrying only the maps whose goal one frontier
+sweep over the round's tables finds unreachable. It returns a `Maps`, the
+one map type: it stacks the block's MDP tables over global cells, which
+collection, evaluation and the planner all read. The planner sweeps them
+all at once, and `Maps.walk` steps many episodes over them in lockstep,
+one lane each: all of an eval split's episodes, or all of collection's.
+`Maps.observe` gives the observation rows of any global cells
+(collection's dataset rows), and `Maps.observations` those of every cell
+of a run of maps, which evaluation forwards 8 maps at a time: a whole
+split's stack would add ~10 MB of peak RSS (see `evaluate._CHUNK`). The
+tests hold the tables, the walk and the observations to a one-map
+reference that re-derives each move from the map's fields
+(`tests/helpers.py`).
 """
 
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,57 +63,6 @@ class EnvConfig:
         return self.grid_n * self.grid_n * 4
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    """One seed's map, frozen, with its MDP over flat cells s = r * grid_n + c:
-    `next_cell[a, s]` is the cell action a leads to from s, and `reward[a, s]`
-    what step() pays for that move, both read-only (N_ACTIONS, grid_n^2)
-    arrays. They are derived from the other fields: by `Maps.spec` from the
-    block the map was made in, or else as the map's block of one,
-    `Maps.of(spec)`. `walls` is a numpy array, so equality and hashing are
-    written out below."""
-
-    seed: int
-    config: EnvConfig
-    walls: np.ndarray  # bool (n, n)
-    hazards: frozenset  # of (row, col)
-    goal: tuple
-    start: tuple
-    next_cell: np.ndarray = field(init=False, repr=False)  # int64
-    reward: np.ndarray = field(init=False, repr=False)  # float64
-    tables: InitVar[tuple | None] = None  # (next_cell, reward), from the map's block
-
-    def __post_init__(self, tables):
-        if tables is None:
-            maps = Maps.of(self)
-            tables = maps.next.T, maps.reward.T
-        for name, table in zip(("next_cell", "reward"), tables):
-            table.flags.writeable = False
-            object.__setattr__(self, name, table)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, GridSpec)
-            and self.seed == other.seed
-            and self.config == other.config
-            and np.array_equal(self.walls, other.walls)
-            and self.hazards == other.hazards
-            and self.goal == other.goal
-            and self.start == other.start
-        )
-
-    def __hash__(self):
-        return hash((self.seed, self.config, self.goal, self.start))
-
-
-@dataclass(frozen=True)
-class GridState:
-    spec: GridSpec
-    agent: tuple
-    t: int
-    terminated: bool
-
-
 def _next_cells(config: EnvConfig, walls: np.ndarray) -> np.ndarray:
     """(maps, cells, N_ACTIONS) int64: the cell each action leads to from each
     cell of each map, given its walls (maps, cells) as bools; a move into a
@@ -148,12 +94,6 @@ def _reach(next_cell: np.ndarray, cells) -> np.ndarray:
         seen |= fresh
         frontier = np.flatnonzero(fresh)
     return seen
-
-
-def reachable(spec: GridSpec, cell: int) -> np.ndarray:
-    """Bool mask over flat cells of those some action sequence reaches from
-    `cell` on this map."""
-    return _reach(spec.next_cell.T, [cell])
 
 
 def _nth_free(free: np.ndarray, index: np.ndarray) -> np.ndarray:
@@ -230,12 +170,6 @@ def generate_maps(config: EnvConfig, seeds) -> "Maps":
     return Maps(config, seeds, walls, hazards, goal, start)
 
 
-def generate(config: EnvConfig, seed: int) -> GridSpec:
-    """Deterministic map for (config, seed): the block of one of
-    `generate_maps`."""
-    return generate_maps(config, [seed]).spec(0)
-
-
 class Maps:
     """Several maps (one config) stacked for block passes, over global cells
     g = m * cells + c, cell c of map m: `next[g, a]` is the global cell
@@ -243,7 +177,7 @@ class Maps:
     whether g is its map's goal, `start[m]` map m's start cell and
     `static[m]` the goal, wall and hazard channels of its observations, as
     bools. Built from each map's walls and hazards (bool (maps, cells)) and
-    its goal and start cells; `spec(m)` gives one map as a GridSpec."""
+    its goal and start cells."""
 
     def __init__(self, config: EnvConfig, seeds, walls, hazards, goal, start):
         count = len(walls)
@@ -266,38 +200,10 @@ class Maps:
             [self.goal.reshape(count, self.cells), walls, hazards], axis=1
         )
 
-    @classmethod
-    def of(cls, spec: GridSpec) -> "Maps":
-        """The block of one map."""
-        n = spec.config.grid_n
-        hazards = np.zeros((1, n * n), dtype=bool)
-        hazards[0, [r * n + c for r, c in spec.hazards]] = True
-        goal, start = spec.goal[0] * n + spec.goal[1], spec.start[0] * n + spec.start[1]
-        walls = np.reshape(spec.walls, (1, -1))
-        return cls(spec.config, [spec.seed], walls, hazards, [goal], [start])
-
-    def spec(self, m: int) -> GridSpec:
-        """Map m as a GridSpec, for the callers that walk one map, its tables
-        sliced from the block's."""
-        n, base = self.config.grid_n, m * self.cells
-        goal, walls, hazards = self.static[m].reshape(3, self.cells)
-        walls = walls.reshape(n, n).copy()
-        walls.flags.writeable = False
-        rows = slice(base, base + self.cells)
-        return GridSpec(
-            self.seeds[m],
-            self.config,
-            walls,
-            frozenset(divmod(int(c), n) for c in np.flatnonzero(hazards)),
-            divmod(int(np.flatnonzero(goal)[0]), n),
-            divmod(int(self.start[m]) - base, n),
-            ((self.next[rows] - base).T, self.reward[rows].T.copy()),
-        )
-
     def observe(self, cells) -> np.ndarray:
         """The observation of the agent on each of the global cells `cells`,
-        (len(cells), obs_dim), as observe() gives it: a one-hot agent
-        channel, then its map's goal, wall and hazard channels."""
+        (len(cells), obs_dim): a one-hot agent channel, then its map's
+        goal, wall and hazard channels."""
         maps, local = np.divmod(cells, self.cells)
         obs = np.zeros((len(cells), 4 * self.cells))
         obs[np.arange(len(cells)), local] = 1.0
@@ -360,50 +266,3 @@ class Maps:
                     states = states[:, live]
                 if epsilon is not None:
                     epsilon = epsilon[live]
-
-
-def initial_state(spec: GridSpec) -> GridState:
-    return GridState(spec=spec, agent=spec.start, t=0, terminated=False)
-
-
-def step(state: GridState, action: int) -> tuple[GridState, float, bool]:
-    """Deterministic transition. Moves into walls or the boundary leave the
-    agent in place; reaching the goal ends the episode with goal_reward,
-    otherwise the step costs step_reward (plus hazard_reward on a hazard)
-    and the episode ends when the horizon is exhausted.
-    """
-    if state.terminated:
-        raise ValueError("cannot step a terminated state")
-    if not (0 <= action < N_ACTIONS):
-        raise ValueError(f"action index {action} out of range")
-    spec = state.spec
-    cfg = spec.config
-    n = cfg.grid_n
-    dr, dc = ACTION_MOVES[action]
-    nr, nc = state.agent[0] + dr, state.agent[1] + dc
-    if not (0 <= nr < n and 0 <= nc < n) or spec.walls[nr, nc]:
-        nr, nc = state.agent
-    t_next = state.t + 1
-    if (nr, nc) == spec.goal:
-        reward = cfg.goal_reward
-        done = True
-    else:
-        reward = cfg.step_reward
-        if (nr, nc) in spec.hazards:
-            reward += cfg.hazard_reward
-        done = t_next >= cfg.horizon
-    return GridState(spec=spec, agent=(nr, nc), t=t_next, terminated=done), reward, done
-
-
-def observe(state: GridState) -> np.ndarray:
-    """One-hot channel encoding, length grid_n^2 * 4. Pure function."""
-    n = state.spec.config.grid_n
-    obs = np.zeros(4 * n * n, dtype=np.float64)
-    cell = n * n
-    obs[state.agent[0] * n + state.agent[1]] = 1.0
-    obs[cell + state.spec.goal[0] * n + state.spec.goal[1]] = 1.0
-    wall_idx = np.flatnonzero(state.spec.walls.ravel())
-    obs[2 * cell + wall_idx] = 1.0
-    for r, c in state.spec.hazards:
-        obs[3 * cell + r * n + c] = 1.0
-    return obs

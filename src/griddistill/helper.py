@@ -20,9 +20,11 @@ Where no helper takes the task (`start` returns None: the fork failed,
 or the reused helper had ended while idle), the caller runs it itself,
 with the same bytes. A failure of the helper during a task closes it: the
 parent raises the helper's own exception, or RuntimeError naming its exit
-status. Either way the next task forks a fresh helper. The helper ends at the end of its task pipe: when `close`
-closes it (at exit, or killing it if a task is still out), or when the
-parent dies. A forked child of the parent does not inherit it.
+status. Either way the next task forks a fresh helper.
+
+The helper ends at the end of its task pipe: when `close` closes it (at
+exit, or killing it if a task is still out), or when the parent dies. A
+forked child of the parent does not inherit it.
 """
 
 import atexit

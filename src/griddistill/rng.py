@@ -40,8 +40,6 @@ the last with its own bound per column and each rejected word redrawn on
 its own column only.
 """
 
-import math
-
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
@@ -248,12 +246,6 @@ class RngStream:
         """k draws from [0, n) as an int64 array, the same sequence as k
         calls to next_int(n)."""
         return _int_array(self.next_u64_array, n, k)
-
-    def next_gauss(self) -> float:
-        """Standard normal via Box-Muller; consumes two uniforms per call."""
-        u1 = self.next_uniform()
-        u2 = self.next_uniform()
-        return math.sqrt(-2.0 * math.log(1.0 - u1)) * math.cos(2.0 * math.pi * u2)
 
     def shuffle(self, k: int) -> list[int]:
         """Fisher-Yates permutation of 0..k-1."""

@@ -154,19 +154,10 @@ def _prepare_batch(params, xs, labels, weights):
     return xs, y, w, wsum
 
 
-def bc_loss(params: PolicyParams, xs, labels, weights) -> float:
-    """Weighted cloning loss: (1/sum w) * sum_i w_i * CE(forward(x_i), y_i),
-    with CE of a hard label a being -log p_a."""
-    xs, y, w, wsum = _prepare_batch(params, xs, labels, weights)
-    w1, b1, w2, b2 = unpack(params)
-    h = np.maximum(xs @ w1.T + b1, 0.0)
-    logp = _log_softmax(h @ w2.T + b2)
-    ce = -(y * logp).sum(axis=1)
-    return float((w * ce).sum() / wsum)
-
-
 def bc_grad(params: PolicyParams, xs, labels, weights) -> np.ndarray:
-    """Exact analytic gradient of bc_loss w.r.t. theta, flat layout.
+    """Exact analytic gradient w.r.t. theta, flat layout, of the weighted
+    cloning loss (1/sum w) * sum_i w_i * CE(forward(x_i), y_i), with CE of
+    a hard label a being -log p_a.
 
     Softmax-CE composite: output delta is (p - y); the rest is standard
     backprop through the relu layer.

@@ -18,7 +18,8 @@ parameter array, and each step makes one stacked gradient-kernel call and
 one stacked Adam update for all of them. Student i still reads only its
 own stream, in the order a lone student reads it, and every stacked
 product is the same BLAS call per row as on that row alone, so each
-student's bytes equal those of `train_student` on its stream.
+student's bytes equal those of the same student trained alone, as a block
+of one on its stream.
 
 So a cohort can also be split: when a helper process fits beside this one
 (`helper.fits`) and there are at least two students, the helper trains
@@ -34,7 +35,7 @@ import numpy as np
 
 from . import fields, helper, tinynet
 from .optim import Adam
-from .rng import RngStream, derive_stream, next_int_arrays
+from .rng import derive_stream, next_int_arrays
 
 # Index words per schedule draw, for the whole cohort (1 MiB). One draw
 # steps every student's lanes together, so its fixed cost of 512 vector
@@ -63,19 +64,6 @@ class TrainConfig:
     @classmethod
     def for_synthetic(cls):
         return cls(steps=100, batch=15, lr=5e-3)
-
-
-def train_student(
-    rows: np.ndarray,
-    targets: np.ndarray,
-    cfg: TrainConfig,
-    shape: tinynet.NetShape,
-    rng: RngStream,
-) -> tinynet.PolicyParams:
-    """One student: fresh init, then cfg.steps of sample / gradient / Adam
-    step. targets[i] is row i's action, or its label distribution. The
-    one-stream case of `_train_block`."""
-    return _students(_train_block(rows, targets, cfg, shape, [rng]), shape)[0]
 
 
 def train_cohort(

@@ -1,16 +1,180 @@
-"""Dataset queries that only the tests make, and the per-map and
-per-episode references that the block passes over maps and episodes are
-tested against."""
+"""Code that only the tests run: dataset queries; the one-map API
+(`GridSpec`, `GridState`, `initial_state`, `step`, `observe`, `generate`)
+whose `step` and `observe` re-derive every move and observation from the
+map's fields, the reference semantics that the tables, observations and
+lockstep walk of `gridenv.Maps` are held to; the per-map and per-episode
+references that the block passes over maps and episodes replaced; one
+student trained alone (`train_student`); and the gradient-matching
+distance (`matching_loss`)."""
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
-from griddistill import expert, gridenv
+from griddistill import expert, gridenv, tinynet, trainer
 from griddistill.datasets import _from_rows, _run_starts
+from griddistill.gridenv import ACTION_MOVES, N_ACTIONS, EnvConfig, Maps
 from griddistill.rng import RngStream, derive_stream
 
 _STAY = gridenv.ACTIONS.index("STAY")
+
+
+@dataclass(frozen=True)
+class GridSpec:
+    """One seed's map, frozen, with its MDP over flat cells s = r * grid_n + c:
+    `next_cell[a, s]` is the cell action a leads to from s, and `reward[a, s]`
+    what step() pays for that move, both read-only (N_ACTIONS, grid_n^2)
+    arrays. They are derived from the other fields: by `map_spec` from the
+    block the map was made in, or else as the map's block of one,
+    `maps_of(spec)`. `walls` is a numpy array, so equality and hashing are
+    written out below."""
+
+    seed: int
+    config: EnvConfig
+    walls: np.ndarray  # bool (n, n)
+    hazards: frozenset  # of (row, col)
+    goal: tuple
+    start: tuple
+    next_cell: np.ndarray = field(init=False, repr=False)  # int64
+    reward: np.ndarray = field(init=False, repr=False)  # float64
+    tables: InitVar[tuple | None] = None  # (next_cell, reward), from the map's block
+
+    def __post_init__(self, tables):
+        if tables is None:
+            maps = maps_of(self)
+            tables = maps.next.T, maps.reward.T
+        for name, table in zip(("next_cell", "reward"), tables):
+            table.flags.writeable = False
+            object.__setattr__(self, name, table)
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, GridSpec)
+            and self.seed == other.seed
+            and self.config == other.config
+            and np.array_equal(self.walls, other.walls)
+            and self.hazards == other.hazards
+            and self.goal == other.goal
+            and self.start == other.start
+        )
+
+    def __hash__(self):
+        return hash((self.seed, self.config, self.goal, self.start))
+
+
+@dataclass(frozen=True)
+class GridState:
+    spec: GridSpec
+    agent: tuple
+    t: int
+    terminated: bool
+
+
+def maps_of(spec) -> Maps:
+    """The block of one map."""
+    n = spec.config.grid_n
+    hazards = np.zeros((1, n * n), dtype=bool)
+    hazards[0, [r * n + c for r, c in spec.hazards]] = True
+    goal, start = spec.goal[0] * n + spec.goal[1], spec.start[0] * n + spec.start[1]
+    walls = np.reshape(spec.walls, (1, -1))
+    return Maps(spec.config, [spec.seed], walls, hazards, [goal], [start])
+
+
+def map_spec(maps, m) -> GridSpec:
+    """Map m of the block as a GridSpec, its tables sliced from the
+    block's."""
+    n, cells = maps.config.grid_n, maps.cells
+    base = m * cells
+    goal, walls, hazards = maps.static[m].reshape(3, cells)
+    walls = walls.reshape(n, n).copy()
+    walls.flags.writeable = False
+    rows = slice(base, base + cells)
+    return GridSpec(
+        maps.seeds[m],
+        maps.config,
+        walls,
+        frozenset(divmod(int(c), n) for c in np.flatnonzero(hazards)),
+        divmod(int(np.flatnonzero(goal)[0]), n),
+        divmod(int(maps.start[m]) - base, n),
+        ((maps.next[rows] - base).T, maps.reward[rows].T.copy()),
+    )
+
+
+def generate(config, seed) -> GridSpec:
+    """Deterministic map for (config, seed): the block of one of
+    `gridenv.generate_maps`."""
+    return map_spec(gridenv.generate_maps(config, [seed]), 0)
+
+
+def reachable(spec, cell) -> np.ndarray:
+    """Bool mask over flat cells of those some action sequence reaches from
+    `cell` on this map: the frontier sweep `gridenv.generate_maps` checks
+    each layout with, on the map's table."""
+    return gridenv._reach(spec.next_cell.T, [cell])
+
+
+def initial_state(spec) -> GridState:
+    return GridState(spec=spec, agent=spec.start, t=0, terminated=False)
+
+
+def step(state, action) -> tuple:
+    """Deterministic transition. Moves into walls or the boundary leave the
+    agent in place; reaching the goal ends the episode with goal_reward,
+    otherwise the step costs step_reward (plus hazard_reward on a hazard)
+    and the episode ends when the horizon is exhausted.
+    """
+    if state.terminated:
+        raise ValueError("cannot step a terminated state")
+    if not (0 <= action < N_ACTIONS):
+        raise ValueError(f"action index {action} out of range")
+    spec = state.spec
+    cfg = spec.config
+    n = cfg.grid_n
+    dr, dc = ACTION_MOVES[action]
+    nr, nc = state.agent[0] + dr, state.agent[1] + dc
+    if not (0 <= nr < n and 0 <= nc < n) or spec.walls[nr, nc]:
+        nr, nc = state.agent
+    t_next = state.t + 1
+    if (nr, nc) == spec.goal:
+        reward = cfg.goal_reward
+        done = True
+    else:
+        reward = cfg.step_reward
+        if (nr, nc) in spec.hazards:
+            reward += cfg.hazard_reward
+        done = t_next >= cfg.horizon
+    return GridState(spec=spec, agent=(nr, nc), t=t_next, terminated=done), reward, done
+
+
+def observe(state) -> np.ndarray:
+    """One-hot channel encoding, length grid_n^2 * 4. Pure function."""
+    n = state.spec.config.grid_n
+    obs = np.zeros(4 * n * n, dtype=np.float64)
+    cell = n * n
+    obs[state.agent[0] * n + state.agent[1]] = 1.0
+    obs[cell + state.spec.goal[0] * n + state.spec.goal[1]] = 1.0
+    wall_idx = np.flatnonzero(state.spec.walls.ravel())
+    obs[2 * cell + wall_idx] = 1.0
+    for r, c in state.spec.hazards:
+        obs[3 * cell + r * n + c] = 1.0
+    return obs
+
+
+def train_student(rows, targets, cfg, shape, rng) -> tinynet.PolicyParams:
+    """One student: fresh init, then cfg.steps of sample / gradient / Adam
+    step. targets[i] is row i's action, or its label distribution. The
+    one-stream case of `trainer._train_block`."""
+    return trainer._students(trainer._train_block(rows, targets, cfg, shape, [rng]), shape)[0]
+
+
+def matching_loss(params, real_xs, real_labels, syn) -> float:
+    """Squared L2 distance between the real-batch and synthetic-batch
+    cloning gradients, flat layout: the objective whose gradient
+    `tinynet.matching_grad_wrt_examples` computes analytically."""
+    g_real = tinynet.bc_grad(params, real_xs, real_labels, np.ones(len(real_xs)))
+    g_syn = tinynet.bc_grad(params, syn.xs, syn.training_labels(), np.ones(len(syn)))
+    r = g_real - g_syn
+    return float(r @ r)
 
 
 def episode_ids(ds) -> list:
@@ -56,7 +220,7 @@ def generate_reference(config, seed):
         hazards = [
             candidates.pop(stream.next_int(len(candidates))) for _ in range(config.hazard_count)
         ]
-        spec = gridenv.GridSpec(seed, config, walls, frozenset(hazards), goal, start)
+        spec = GridSpec(seed, config, walls, frozenset(hazards), goal, start)
         if _reachable(spec, start[0] * n + start[1])[goal[0] * n + goal[1]]:
             return spec, attempt
     raise gridenv.GenerationError(f"no reachable layout for seed {seed}")
@@ -75,7 +239,7 @@ def maps_reference(specs):
     goal = np.zeros(len(specs) * cells, dtype=bool)
     goal[base + [spec.goal[0] * n + spec.goal[1] for spec in specs]] = True
     start = base + [spec.start[0] * n + spec.start[1] for spec in specs]
-    static = [gridenv.observe(gridenv.initial_state(spec))[cells:] > 0 for spec in specs]
+    static = [observe(initial_state(spec))[cells:] > 0 for spec in specs]
     return (
         next_cell.reshape(-1, gridenv.N_ACTIONS),
         reward.reshape(-1, gridenv.N_ACTIONS),
@@ -92,7 +256,7 @@ class ValueTable:
     collected on entry, after which the episode is over. Greedy ties break
     toward the lowest action index."""
 
-    spec: gridenv.GridSpec
+    spec: GridSpec
     gamma: float
     values: np.ndarray  # (n*n,) float64
     greedy_action: np.ndarray  # (n*n,) int64
@@ -101,7 +265,7 @@ class ValueTable:
 
 def value_iteration(spec, gamma=0.99, tol=1e-8) -> ValueTable:
     """One map's ValueTable: the block of one of `expert.solve_maps`."""
-    values, greedy, residual = expert.solve_maps(gridenv.Maps.of(spec), gamma, tol)
+    values, greedy, residual = expert.solve_maps(maps_of(spec), gamma, tol)
     return ValueTable(spec, gamma, values, greedy, float(residual[0]))
 
 
@@ -157,7 +321,7 @@ def cell_observations(spec):
     included."""
     n = spec.config.grid_n
     return np.stack(
-        [gridenv.observe(gridenv.GridState(spec, divmod(c, n), 0, False)) for c in range(n * n)]
+        [observe(GridState(spec, divmod(c, n), 0, False)) for c in range(n * n)]
     )
 
 
@@ -231,7 +395,7 @@ def collect_rollouts(config, seeds, episodes, epsilons, root_seed, gamma=0.99) -
     for i in range(episodes):
         seed = seeds[i % len(seeds)]
         if seed not in tables:
-            tables[seed] = value_iteration(gridenv.generate(config, seed), gamma)
+            tables[seed] = value_iteration(generate(config, seed), gamma)
         policy = ExpertPolicy(table=tables[seed], epsilon=epsilons[i % len(epsilons)])
         out.append(rollout(policy, tables[seed].spec, derive_stream(root_seed, f"rollout:{i}")))
     return out

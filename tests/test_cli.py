@@ -8,10 +8,11 @@ import sys
 
 import pytest
 
-from griddistill import cli, datasets, expert, gridenv, tinynet
+import griddistill
+from griddistill import checks, cli, datasets, expert, gridenv, optim, rng, tinynet, trainer
 from griddistill import distill as dst
 from griddistill.rng import derive_stream
-from helpers import episode_ids, value_iteration
+from helpers import episode_ids, generate, initial_state, step, value_iteration
 
 SMALL_CONFIG = {
     "env": {"grid_n": 4, "hazard_count": 1, "horizon": 12},
@@ -288,14 +289,14 @@ class TestCollect:
         ds = datasets.load(str(out / "offline.jsonl"))
         assert len(episode_ids(ds)) == 1
         # replay the planner greedily and compare the stored actions
-        spec = gridenv.generate(gridenv.EnvConfig(), 0)
+        spec = generate(gridenv.EnvConfig(), 0)
         table = value_iteration(spec)
-        state = gridenv.initial_state(spec)
+        state = initial_state(spec)
         n = spec.config.grid_n
         for action in ds.action.tolist():
             cell = state.agent[0] * n + state.agent[1]
             assert action == table.greedy_action[cell]
-            state, _, _ = gridenv.step(state, action)
+            state, _, _ = step(state, action)
 
 
 class TestDistillCmd:
@@ -476,7 +477,6 @@ class TestEvalCmd:
             return solve_maps(maps, *args, **kwargs)
 
         monkeypatch.setattr(gridenv, "generate_maps", counting_generate_maps)
-        monkeypatch.setattr(gridenv, "generate", lambda *a: pytest.fail("per-map generate"))
         monkeypatch.setattr(expert, "solve_maps", counting_solve_maps)
         run_cli(["--config", config_path, "--out", str(out), "eval"])
         seeds = [0, 1, 2, 10_000, 10_001]  # SMALL_CONFIG's ID and OOD seeds
@@ -528,6 +528,50 @@ class TestSelfcheck:
         monkeypatch.setattr(tinynet, "bc_grad", broken)
         assert run_cli(["selfcheck"]) == 1
         assert "FAIL" in capsys.readouterr().out
+
+    def test_selfcheck_fails_when_planner_greedy_table_wrong(self, monkeypatch, capsys):
+        # the planner oracle searches the map's fields, not the tables the
+        # planner solves, so a wrong greedy table must fail it
+        true_solve = expert.solve_maps
+
+        def all_stay(maps, *args):
+            values, greedy, residual = true_solve(maps, *args)
+            greedy = greedy.copy()
+            greedy.fill(gridenv.ACTIONS.index("STAY"))
+            return values, greedy, residual
+
+        monkeypatch.setattr(expert, "solve_maps", all_stay)
+        assert run_cli(["selfcheck"]) == 1
+        out = capsys.readouterr().out
+        assert "FAIL planner-optimality" in out
+        assert out.count("PASS") == 3
+
+
+class TestPublicApi:
+    def test_star_import_binds_every_exported_name(self):
+        namespace = {}
+        exec("from griddistill import *", namespace)
+        assert set(griddistill.__all__) <= set(namespace)
+        for name in griddistill.__all__:
+            assert namespace[name] is getattr(griddistill, name), name
+
+    def test_one_map_api_and_test_only_helpers_are_gone(self):
+        # they live on in tests/helpers.py and as private helpers in checks
+        removed = ["GridSpec", "GridState", "generate", "observe", "step", "bc_loss"]
+        for name in [*removed, "train_student"]:
+            assert name not in griddistill.__all__ and not hasattr(griddistill, name), name
+        gone = [
+            (gridenv, [*removed[:5], "initial_state", "reachable"]),
+            (gridenv.Maps, ["of", "spec"]),
+            (tinynet, ["bc_loss"]),
+            (trainer, ["train_student"]),
+            (checks, ["matching_loss"]),
+            (rng.RngStream, ["next_gauss"]),
+        ]
+        for owner, names in gone:
+            for name in names:
+                assert not hasattr(owner, name), (owner.__name__, name)
+        assert hasattr(optim.Adam, "step") and hasattr(gridenv.Maps, "observe")
 
 
 class TestEntryPoint:

@@ -15,7 +15,7 @@ from griddistill.optim import SgdMomentum
 from griddistill.rng import derive_stream
 from griddistill.tinynet import NetShape
 
-from helpers import Episode, from_episodes
+from helpers import Episode, from_episodes, matching_loss
 from test_datasets import toy_dataset
 
 
@@ -86,7 +86,7 @@ class TestMatchingLoss:
         rng = derive_stream(6, "ml")
         params = tinynet.init_params(shape, rng)
         syn = dst.init_synthetic(small_collection, 20, False, rng)
-        loss = checks.matching_loss(params, syn.xs, syn.labels, syn)
+        loss = matching_loss(params, syn.xs, syn.labels, syn)
         assert loss == 0.0
 
     def test_nonnegative(self, small_collection):
@@ -95,7 +95,7 @@ class TestMatchingLoss:
         params = tinynet.init_params(shape, rng)
         syn = dst.init_synthetic(small_collection, 20, False, rng)
         xs, acts = datasets.sample_batch(small_collection, 32, rng)
-        assert checks.matching_loss(params, xs, acts, syn) >= 0.0
+        assert matching_loss(params, xs, acts, syn) >= 0.0
 
     def test_composes_validated_gradients(self):
         # tiny instance: value equals the squared distance of the two
@@ -103,13 +103,13 @@ class TestMatchingLoss:
         shape = NetShape(in_dim=4, hidden=3, out_dim=5)
         rng = derive_stream(8, "ml3")
         params = tinynet.init_params(shape, rng)
-        real_xs = np.array([[rng.next_gauss() for _ in range(4)] for _ in range(6)])
+        real_xs = np.array([[checks._gauss(rng) for _ in range(4)] for _ in range(6)])
         real_labels = np.array([rng.next_int(5) for _ in range(6)], dtype=np.int64)
         syn = dst.SyntheticDataset(
-            xs=np.array([[rng.next_gauss() for _ in range(4)] for _ in range(3)]),
+            xs=np.array([[checks._gauss(rng) for _ in range(4)] for _ in range(3)]),
             labels=np.array([0, 2, 4], dtype=np.int64),
         )
-        got = checks.matching_loss(params, real_xs, real_labels, syn)
+        got = matching_loss(params, real_xs, real_labels, syn)
         g_r = tinynet.bc_grad(params, real_xs, real_labels, np.ones(6))
         g_s = tinynet.bc_grad(params, syn.xs, syn.labels, np.ones(3))
         assert got == pytest.approx(float(np.sum((g_r - g_s) ** 2)), rel=1e-12)

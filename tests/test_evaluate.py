@@ -7,7 +7,18 @@ from griddistill.gridenv import EnvConfig
 from griddistill.rng import RngStream, derive_stream
 from griddistill.tinynet import NetShape, PolicyParams
 
-from helpers import ExpertPolicy, cell_observations, rollout, value_iteration
+from helpers import (
+    ExpertPolicy,
+    cell_observations,
+    generate,
+    initial_state,
+    map_spec,
+    maps_of,
+    observe,
+    rollout,
+    step,
+    value_iteration,
+)
 from test_gridenv import make_spec
 
 
@@ -37,7 +48,7 @@ def walk_one_map(tables, spec, streams=None):
     """Lockstep returns on one map, one lane per (cells, N_ACTIONS) policy
     table in `tables`: argmax lanes without `streams`, else lane l samples
     its table from streams[l]."""
-    maps = gridenv.Maps.of(spec)
+    maps = maps_of(spec)
     lanes = len(tables)
     offset = np.arange(lanes) * maps.cells
     if streams is None:
@@ -139,29 +150,29 @@ class TestRunPolicy:
 
 
 def step_loop_table_return(table, spec, rng):
-    """Reference: gridenv.step from the start, sampling each visited cell's
+    """Reference: step() from the start, sampling each visited cell's
     row of `table` by the running sum."""
     n = spec.config.grid_n
-    state = gridenv.initial_state(spec)
+    state = initial_state(spec)
     total = 0.0
     while not state.terminated:
         action = _sample_from(table[state.agent[0] * n + state.agent[1]], rng)
-        state, reward, _done = gridenv.step(state, action)
+        state, reward, _done = step(state, action)
         total += reward
     return total
 
 
 def step_loop_return(params, spec, action_rule, rng):
     """Reference evaluation: one forward of observe(state) on every step."""
-    state = gridenv.initial_state(spec)
+    state = initial_state(spec)
     total = 0.0
     while not state.terminated:
-        probs = tinynet.forward(params, gridenv.observe(state))
+        probs = tinynet.forward(params, observe(state))
         if action_rule == "argmax":
             action = int(np.argmax(probs))
         else:
             action = _sample_from(probs, rng)
-        state, reward, _done = gridenv.step(state, action)
+        state, reward, _done = step(state, action)
         total += reward
     return total
 
@@ -189,7 +200,7 @@ class TestPolicyTableEquivalence:
         _, walked = split_returns({"m": (students, 1)}, eval_cfg, 3, self.SEEDS)
         assert walked.shape == (2, len(self.SEEDS))
         for m, seed in enumerate(self.SEEDS):
-            spec = gridenv.generate(env, seed)
+            spec = generate(env, seed)
             for i, params in enumerate(students):
                 rng = derive_stream(3, f"eval:ID:{i}:{seed}:0")
                 assert walked[i, m] == step_loop_return(params, spec, action_rule, rng), (seed, i)
@@ -201,7 +212,7 @@ class TestPolicyTableEquivalence:
         planner, students = split_returns({}, eval_cfg, 0, self.SEEDS)
         assert students.shape == (0, len(self.SEEDS))
         for m, seed in enumerate(self.SEEDS):
-            spec = gridenv.generate(env, seed)
+            spec = generate(env, seed)
             policy = ExpertPolicy(table=value_iteration(spec), epsilon=0.0)
             episode = rollout(policy, spec, derive_stream(seed, "eq:planner"))
             assert planner[m] == sum(s[3] for s in episode.steps)
@@ -222,7 +233,7 @@ class TestStudentTables:
         got = evaluate._student_tables(students, maps, sampled)
         assert got.shape[:2] == (2, count)
         for params, tables in zip(students, got):
-            for spec, table in zip(map(maps.spec, range(count)), tables):
+            for spec, table in zip((map_spec(maps, m) for m in range(count)), tables):
                 probs = tinynet.forward(params, cell_observations(spec))
                 want = np.cumsum(probs, axis=1) if sampled else probs.argmax(axis=1)
                 assert table.tobytes() == want.astype(table.dtype).tobytes(), spec.seed
@@ -318,7 +329,7 @@ class TestEvaluateCohort:
         greedy, _ = split_returns({}, eval_config(seeds, range(10_000, 10_001)), 8, seeds)
         assert list(planner) == list(np.repeat(greedy, 3))
         for m, seed in enumerate(seeds):
-            spec = gridenv.generate(env, seed)
+            spec = generate(env, seed)
             for i, params in enumerate(students):
                 for e in range(3):
                     rng = derive_stream(8, f"eval:OOD:{i}:{seed}:{e}")
@@ -364,7 +375,7 @@ class TestEvaluateExpert:
         rep_id, _ = planner_reports(eval_cfg)
         direct = []
         for seed in seeds:
-            spec = gridenv.generate(env, seed)
+            spec = generate(env, seed)
             table = value_iteration(spec)
             ep = rollout(
                 ExpertPolicy(table=table, epsilon=0.0),

@@ -9,7 +9,14 @@ from griddistill.rng import derive_states, derive_stream
 from helpers import (
     collect_rollouts,
     from_episodes,
+    generate,
+    initial_state,
+    map_spec,
+    maps_of,
+    observe,
+    reachable,
     solve_maps_reference,
+    step,
     value_iteration,
     value_iteration_reference,
 )
@@ -43,7 +50,7 @@ class TestValueIteration:
         assert table.values[goal_cell] == 0.0
 
     def test_bellman_residual_converged(self):
-        spec = gridenv.generate(EnvConfig(), 13)
+        spec = generate(EnvConfig(), 13)
         table = value_iteration(spec, tol=1e-8)
         assert table.residual <= 1e-8
 
@@ -61,10 +68,10 @@ class TestValueIteration:
         while checked < 5:
             seed = rng.next_int(1 << 32)
             try:
-                spec = gridenv.generate(config, seed)
+                maps = gridenv.generate_maps(config, [seed])
             except gridenv.GenerationError:
                 continue
-            assert greedy_rollout_return(spec) == pytest.approx(best_return_search(spec, 8))
+            assert greedy_rollout_return(maps) == pytest.approx(best_return_search(maps, 8))
             checked += 1
 
 
@@ -78,7 +85,7 @@ class TestSolveMaps:
     def test_block_matches_per_map_sweep_on_id_and_ood_maps(self, gamma, tol):
         maps = gridenv.generate_maps(EnvConfig(), [*range(200), *range(10000, 10100)])
         values, greedy, residual = expert.solve_maps(maps, gamma, tol)
-        specs = [maps.spec(m) for m in range(len(maps.start))]
+        specs = [map_spec(maps, m) for m in range(len(maps.start))]
         refs = [value_iteration_reference(spec, gamma, tol) for spec in specs]
         assert values.tobytes() == np.concatenate([r[0] for r in refs]).tobytes()
         assert greedy.tobytes() == np.concatenate([r[1] for r in refs]).tobytes()
@@ -128,7 +135,7 @@ def assert_matches_zero_start(spec, gamma=0.99, tol=1e-8):
     table = value_iteration(spec, gamma=gamma, tol=tol)
     ref_values, ref_greedy = zero_start_value_iteration(spec, gamma, tol)
     n = spec.config.grid_n
-    reach = gridenv.reachable(spec, spec.goal[0] * n + spec.goal[1])
+    reach = reachable(spec, spec.goal[0] * n + spec.goal[1])
     assert table.residual <= tol
     assert np.array_equal(table.greedy_action, ref_greedy)
     assert table.values[reach].tobytes() == ref_values[reach].tobytes()
@@ -152,7 +159,7 @@ class TestStayForeverStart:
     def test_matches_zero_start(self, config, seeds):
         maps = gridenv.generate_maps(config, seeds)
         for m in range(len(seeds)):
-            assert_matches_zero_start(maps.spec(m))
+            assert_matches_zero_start(map_spec(maps, m))
 
     def test_walled_in_hazard_and_free_pocket(self):
         # (0, 0) is a hazard and (3, 3) a free cell, each walled off from
@@ -169,7 +176,7 @@ class TestStayForeverStart:
 def first_actions(spec, epsilon, n, label):
     """The first actions of n epsilon-greedy lanes walked from the map's
     start, lane i drawing from stream (i, label)."""
-    maps = gridenv.Maps.of(spec)
+    maps = maps_of(spec)
     greedy = expert.solve_maps(maps)[1]
     states = derive_states(range(n), label).T.copy()
     start = np.repeat(maps.start, n)
@@ -220,13 +227,13 @@ class TestCollect:
         cfg = EnvConfig()
         ds = expert.collect(cfg, [0], 1, [0.0], root_seed=9)
         assert ds.episode_id.tolist() == [0] * len(ds)
-        spec = gridenv.generate(cfg, 0)
+        spec = generate(cfg, 0)
         table = value_iteration(spec)
-        state = gridenv.initial_state(spec)
+        state = initial_state(spec)
         n = cfg.grid_n
         for action in ds.action.tolist():
             assert action == table.greedy_action[state.agent[0] * n + state.agent[1]]
-            state, _, _ = gridenv.step(state, action)
+            state, _, _ = step(state, action)
         assert state.terminated
 
     def test_noisy_collection_replays_through_step(self):
@@ -235,11 +242,11 @@ class TestCollect:
         cfg = EnvConfig()
         ds = expert.collect(cfg, list(range(50)), 200, [0.3], root_seed=17)
         for rows in episodes_of(ds):
-            state = gridenv.initial_state(gridenv.generate(cfg, ds.seed[rows[0]]))
+            state = initial_state(generate(cfg, ds.seed[rows[0]]))
             for row in rows:
-                assert np.array_equal(ds.obs[row], gridenv.observe(state))
-                state, ref_reward, ref_done = gridenv.step(state, int(ds.action[row]))
-                assert np.array_equal(ds.next_obs[row], gridenv.observe(state))
+                assert np.array_equal(ds.obs[row], observe(state))
+                state, ref_reward, ref_done = step(state, int(ds.action[row]))
+                assert np.array_equal(ds.next_obs[row], observe(state))
                 assert (ds.reward[row], ds.done[row]) == (ref_reward, ref_done)
             assert state.terminated
 
@@ -254,7 +261,7 @@ class TestCollect:
         # the noisy ones, together, do not
         off_greedy = [0, 0, 0]
         for i, rows in enumerate(episodes):
-            greedy = value_iteration(gridenv.generate(cfg, seeds[i])).greedy_action
+            greedy = value_iteration(generate(cfg, seeds[i])).greedy_action
             cells = [cell_of(obs, cfg.grid_n) for obs in ds.obs[rows]]
             off_greedy[i % 3] += int((ds.action[rows] != greedy[cells]).sum())
         assert off_greedy[0] == 0 and off_greedy[1] > 0 and off_greedy[2] > off_greedy[1]

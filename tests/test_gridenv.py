@@ -2,9 +2,22 @@ import numpy as np
 import pytest
 
 from griddistill import gridenv
-from griddistill.gridenv import EnvConfig, GridSpec
+from griddistill.gridenv import EnvConfig
 
-from helpers import generate_reference, maps_reference, run_episode
+from helpers import (
+    GridSpec,
+    GridState,
+    generate,
+    generate_reference,
+    initial_state,
+    map_spec,
+    maps_of,
+    maps_reference,
+    observe,
+    reachable,
+    run_episode,
+    step,
+)
 
 
 def make_spec(walls, start, goal, hazards=(), config=None):
@@ -61,25 +74,25 @@ class TestGenerate:
     def test_degenerate_two_by_two(self):
         cfg = EnvConfig(grid_n=2, wall_density=0.0, hazard_count=0)
         for seed in (0, 1, 99):
-            spec = gridenv.generate(cfg, seed)
+            spec = generate(cfg, seed)
             assert not spec.walls.any()
             assert spec.start != spec.goal
 
     def test_regeneration_identical(self):
         cfg = EnvConfig()
-        a = gridenv.generate(cfg, 7)
-        b = gridenv.generate(cfg, 7)
+        a = generate(cfg, 7)
+        b = generate(cfg, 7)
         assert a == b
 
     def test_distinct_seeds_differ(self):
         cfg = EnvConfig()
-        specs = [gridenv.generate(cfg, s) for s in range(20)]
+        specs = [generate(cfg, s) for s in range(20)]
         assert len({(sp.start, sp.goal) for sp in specs}) > 1
 
     def test_default_seeds_all_reachable(self):
         maps = gridenv.generate_maps(EnvConfig(), range(200))
         for seed in range(200):
-            spec = maps.spec(seed)
+            spec = map_spec(maps, seed)
             assert bfs_path_exists(spec.walls, spec.start, spec.goal), f"seed {seed}"
             assert spec.start != spec.goal
             assert not spec.walls[spec.start]
@@ -89,7 +102,7 @@ class TestGenerate:
 
     def test_overdense_config_raises(self):
         with pytest.raises(gridenv.GenerationError):
-            gridenv.generate(EnvConfig(grid_n=2, wall_density=0.0, hazard_count=10), 0)
+            generate(EnvConfig(grid_n=2, wall_density=0.0, hazard_count=10), 0)
 
 
 def assert_same_maps(maps, refs):
@@ -101,7 +114,7 @@ def assert_same_maps(maps, refs):
         assert (got.dtype, got.shape) == (want.dtype, want.shape), name
         assert got.tobytes() == want.tobytes(), name
     for m, ref in enumerate(refs):
-        spec = maps.spec(m)
+        spec = map_spec(maps, m)
         assert spec == ref, ref.seed
         assert spec.next_cell.tobytes() == ref.next_cell.tobytes(), ref.seed
         assert spec.reward.tobytes() == ref.reward.tobytes(), ref.seed
@@ -118,7 +131,7 @@ class TestGenerateMaps:
         refs, layouts = zip(*(generate_reference(cfg, seed) for seed in seeds))
         assert_same_maps(gridenv.generate_maps(cfg, seeds), refs)
         for seed, ref in zip(seeds, refs):
-            spec = gridenv.generate(cfg, seed)
+            spec = generate(cfg, seed)
             assert spec == ref, seed
             assert spec.next_cell.tobytes() == ref.next_cell.tobytes(), seed
             assert spec.reward.tobytes() == ref.reward.tobytes(), seed
@@ -164,8 +177,8 @@ class TestGenerateMaps:
         spec = make_spec(
             [[0, 1, 0], [0, 0, 0], [0, 0, 0]], start=(1, 1), goal=(2, 2), hazards=[(1, 2)]
         )
-        maps = gridenv.Maps.of(spec)
-        assert maps.spec(0) == spec
+        maps = maps_of(spec)
+        assert map_spec(maps, 0) == spec
         block = (maps.next, maps.reward, maps.goal, maps.start, maps.static)
         for got, want in zip(block, maps_reference([spec])):
             assert got.tobytes() == want.tobytes()
@@ -174,69 +187,69 @@ class TestGenerateMaps:
 class TestStep:
     def test_step_into_goal(self):
         spec = make_spec(np.zeros((2, 2)), start=(0, 0), goal=(0, 1))
-        state = gridenv.initial_state(spec)
-        next_state, reward, done = gridenv.step(state, 3)  # RIGHT
+        state = initial_state(spec)
+        next_state, reward, done = step(state, 3)  # RIGHT
         assert reward == 10.0 and done and next_state.terminated
         assert next_state.agent == (0, 1)
 
     def test_blocked_boundary_move(self):
         spec = make_spec(np.zeros((2, 2)), start=(0, 0), goal=(1, 1))
-        state = gridenv.initial_state(spec)
-        next_state, reward, done = gridenv.step(state, 0)  # UP into boundary
+        state = initial_state(spec)
+        next_state, reward, done = step(state, 0)  # UP into boundary
         assert next_state.agent == (0, 0)
         assert reward == pytest.approx(-0.1)
         assert not done
 
     def test_blocked_wall_move(self):
         spec = make_spec([[0, 1], [0, 0]], start=(0, 0), goal=(1, 1))
-        state = gridenv.initial_state(spec)
-        next_state, reward, _ = gridenv.step(state, 3)  # RIGHT into wall
+        state = initial_state(spec)
+        next_state, reward, _ = step(state, 3)  # RIGHT into wall
         assert next_state.agent == (0, 0)
         assert reward == pytest.approx(-0.1)
 
     def test_two_step_episode_return(self):
         spec = make_spec(np.zeros((3, 3)), start=(0, 0), goal=(0, 2))
-        state = gridenv.initial_state(spec)
+        state = initial_state(spec)
         total = 0.0
         for action in (3, 3):
-            state, reward, done = gridenv.step(state, action)
+            state, reward, done = step(state, action)
             total += reward
         assert total == pytest.approx(9.9)
         assert done
 
     def test_hazard_penalty(self):
         spec = make_spec(np.zeros((3, 3)), start=(0, 0), goal=(2, 2), hazards=[(0, 1)])
-        state = gridenv.initial_state(spec)
-        _, reward, _ = gridenv.step(state, 3)  # RIGHT onto hazard
+        state = initial_state(spec)
+        _, reward, _ = step(state, 3)  # RIGHT onto hazard
         assert reward == pytest.approx(-1.1)
 
     def test_horizon_terminates(self):
         cfg = EnvConfig(grid_n=2, wall_density=0.0, hazard_count=0, horizon=3)
         spec = make_spec(np.zeros((2, 2)), start=(0, 0), goal=(1, 1), config=cfg)
-        state = gridenv.initial_state(spec)
+        state = initial_state(spec)
         for _ in range(3):
-            state, _, done = gridenv.step(state, 4)  # STAY
+            state, _, done = step(state, 4)  # STAY
         assert done and state.terminated and state.t == 3
 
     def test_step_terminated_state_raises(self):
         spec = make_spec(np.zeros((2, 2)), start=(0, 0), goal=(0, 1))
-        state = gridenv.initial_state(spec)
-        state, _, _ = gridenv.step(state, 3)
+        state = initial_state(spec)
+        state, _, _ = step(state, 3)
         with pytest.raises(ValueError):
-            gridenv.step(state, 0)
+            step(state, 0)
 
     def test_replay_reproduces_rewards_and_obs(self):
-        spec = gridenv.generate(EnvConfig(), 11)
+        spec = generate(EnvConfig(), 11)
         actions = [0, 3, 3, 1, 2, 4, 1, 1, 3, 0]
 
         def roll():
-            state = gridenv.initial_state(spec)
+            state = initial_state(spec)
             out = []
             for a in actions:
                 if state.terminated:
                     break
-                obs = gridenv.observe(state)
-                state, r, _ = gridenv.step(state, a)
+                obs = observe(state)
+                state, r, _ = step(state, a)
                 out.append((obs.tobytes(), r))
             return out
 
@@ -246,29 +259,29 @@ class TestStep:
 class TestObserve:
     def test_shape_and_one_hot(self):
         spec = make_spec(np.zeros((2, 2)), start=(0, 0), goal=(1, 1))
-        obs = gridenv.observe(gridenv.initial_state(spec))
+        obs = observe(initial_state(spec))
         assert obs.shape == (16,)
         assert set(np.unique(obs)) <= {0.0, 1.0}
         assert obs[:4].sum() == 1.0  # agent channel
         assert obs[4:8].sum() == 1.0  # goal channel
 
     def test_idempotent(self):
-        spec = gridenv.generate(EnvConfig(), 3)
-        state = gridenv.initial_state(spec)
-        assert np.array_equal(gridenv.observe(state), gridenv.observe(state))
+        spec = generate(EnvConfig(), 3)
+        state = initial_state(spec)
+        assert np.array_equal(observe(state), observe(state))
 
     def test_goal_channel_single_one_along_rollout(self):
-        spec = gridenv.generate(EnvConfig(), 5)
-        state = gridenv.initial_state(spec)
+        spec = generate(EnvConfig(), 5)
+        state = initial_state(spec)
         n2 = spec.config.grid_n ** 2
         while not state.terminated:
-            obs = gridenv.observe(state)
+            obs = observe(state)
             assert obs[n2 : 2 * n2].sum() == 1.0
-            state, _, _ = gridenv.step(state, 3)
+            state, _, _ = step(state, 3)
 
     def test_channels_match_spec_fields(self):
-        spec = gridenv.generate(EnvConfig(), 17)
-        obs = gridenv.observe(gridenv.initial_state(spec))
+        spec = generate(EnvConfig(), 17)
+        obs = observe(initial_state(spec))
         n = spec.config.grid_n
         n2 = n * n
         assert obs[spec.start[0] * n + spec.start[1]] == 1.0
@@ -288,11 +301,11 @@ class TestCellObservations:
         picked = np.array([5, 700, 0, 719, 5])
         assert maps.observe(picked).tobytes() == table.reshape(-1, 144)[picked].tobytes()
         for m in range(20):
-            spec = maps.spec(m)
+            spec = map_spec(maps, m)
             for r in range(n):
                 for c in range(n):
-                    state = gridenv.GridState(spec=spec, agent=(r, c), t=0, terminated=False)
-                    want = gridenv.observe(state)
+                    state = GridState(spec=spec, agent=(r, c), t=0, terminated=False)
+                    want = observe(state)
                     assert table[m, r * n + c].tobytes() == want.tobytes()
 
 
@@ -306,16 +319,16 @@ class TestTables:
             for c in range(n):
                 if spec.walls[r, c]:
                     continue
-                state = gridenv.GridState(spec=spec, agent=(r, c), t=0, terminated=False)
+                state = GridState(spec=spec, agent=(r, c), t=0, terminated=False)
                 for a in range(gridenv.N_ACTIONS):
-                    nxt, reward, _ = gridenv.step(state, a)
+                    nxt, reward, _ = step(state, a)
                     assert spec.next_cell[a, r * n + c] == nxt.agent[0] * n + nxt.agent[1]
                     assert spec.reward[a, r * n + c] == reward
 
     def test_generated_id_and_ood_maps_match_step(self):
         maps = gridenv.generate_maps(EnvConfig(), [*range(200), *range(10000, 10100)])
         for m in range(len(maps.start)):
-            self.assert_tables_match_step(maps.spec(m))
+            self.assert_tables_match_step(map_spec(maps, m))
 
     def test_hand_map_boundary_wall_hazard_goal(self):
         spec = make_spec(
@@ -328,7 +341,7 @@ class TestTables:
         assert spec.next_cell[1, 5] == 8 and spec.reward[1, 5] == 10.0  # DOWN onto the goal
 
     def test_tables_are_read_only(self):
-        spec = gridenv.generate(EnvConfig(), 7)
+        spec = generate(EnvConfig(), 7)
         with pytest.raises(ValueError):
             spec.next_cell[0, 0] = 1
         with pytest.raises(ValueError):
@@ -341,16 +354,16 @@ class TestReachable:
         n = cfg.grid_n
         maps = gridenv.generate_maps(cfg, [*range(200), *range(10000, 10100)])
         for m in range(len(maps.start)):
-            spec = maps.spec(m)
-            mask = gridenv.reachable(spec, spec.start[0] * n + spec.start[1])
+            spec = map_spec(maps, m)
+            mask = reachable(spec, spec.start[0] * n + spec.start[1])
             for r in range(n):
                 for c in range(n):
                     assert mask[r * n + c] == bfs_path_exists(spec.walls, spec.start, (r, c))
 
     def test_walled_off_corner(self):
         spec = make_spec([[0, 1, 0], [1, 0, 0], [0, 0, 0]], start=(1, 1), goal=(2, 2))
-        assert gridenv.reachable(spec, 0).tolist() == [True] + [False] * 8
-        assert np.flatnonzero(gridenv.reachable(spec, 4)).tolist() == [2, 4, 5, 6, 7, 8]
+        assert reachable(spec, 0).tolist() == [True] + [False] * 8
+        assert np.flatnonzero(reachable(spec, 4)).tolist() == [2, 4, 5, 6, 7, 8]
 
 
 class TestRunEpisode:
@@ -358,7 +371,7 @@ class TestRunEpisode:
     walk is held to."""
 
     def test_steps_chain_and_end_on_done(self):
-        spec = gridenv.generate(EnvConfig(), 11)
+        spec = generate(EnvConfig(), 11)
         n = spec.config.grid_n
         seen = []
 
@@ -376,7 +389,7 @@ class TestRunEpisode:
 
     @pytest.mark.parametrize("action", [-1, gridenv.N_ACTIONS])
     def test_out_of_range_action_raises(self, action):
-        spec = gridenv.generate(EnvConfig(), 11)
+        spec = generate(EnvConfig(), 11)
         with pytest.raises(ValueError, match="out of range"):
             run_episode(spec, lambda cell: action)
 
@@ -404,7 +417,7 @@ class TestWalk:
                 if (lane == k).any()
             ]
             base = (k % 7) * maps.cells
-            want = run_episode(maps.spec(k % 7), lambda c, a=k % 5: a)
+            want = run_episode(map_spec(maps, k % 7), lambda c, a=k % 5: a)
             assert got == [(s + base, a, s2 + base, r, d) for s, a, s2, r, d in want], k
         if horizon == 3:
             assert len(records) == 3 and len(records[-1][0]) > 0

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from griddistill import tinynet
-from griddistill.checks import finite_diff_grad, max_rel_err
+from griddistill.checks import _bc_loss, _gauss, finite_diff_grad, max_rel_err
 from griddistill.datasets import SchemaError
 from griddistill.rng import derive_stream
 from griddistill.tinynet import NetShape, PolicyParams
@@ -78,7 +78,7 @@ class TestForward:
         rng = derive_stream(3, "fwd")
         for _ in range(20):
             params = tinynet.init_params(shape, rng)
-            x = np.array([rng.next_gauss() for _ in range(10)])
+            x = np.array([_gauss(rng) for _ in range(10)])
             p = tinynet.forward(params, x)
             assert abs(p.sum() - 1.0) < 1e-12
             assert np.all(p > 0.0)
@@ -116,14 +116,14 @@ class TestBcLoss:
         params = PolicyParams(theta=np.zeros(shape.param_count), shape=shape)
         xs = np.ones((3, 4))
         labels = np.array([0, 2, 4])
-        loss = tinynet.bc_loss(params, xs, labels, np.ones(3))
+        loss = _bc_loss(params, xs, labels, np.ones(3))
         assert loss == pytest.approx(math.log(5.0), rel=1e-12)
 
     def test_soft_label_equal_to_forward_gives_entropy(self):
         params = hand_params()
         x = np.array([[1.0, 0.0]])
         p = tinynet.forward(params, x[0])
-        loss = tinynet.bc_loss(params, x, p[None, :], np.ones(1))
+        loss = _bc_loss(params, x, p[None, :], np.ones(1))
         entropy = -(p * np.log(p)).sum()
         assert loss == pytest.approx(entropy, rel=1e-12)
 
@@ -139,32 +139,32 @@ class TestBcLoss:
             return -(z[a] - denom)
 
         expected = (0.3 * ce([1.75, -1.0], 0) + 0.7 * ce([0.05, -0.05], 1)) / 1.0
-        loss = tinynet.bc_loss(params, xs, labels, weights)
+        loss = _bc_loss(params, xs, labels, weights)
         assert loss == pytest.approx(expected, rel=1e-12)
 
     def test_batch_permutation_invariance(self):
         shape = NetShape(in_dim=5, hidden=4, out_dim=3)
         rng = derive_stream(11, "perm")
         params = tinynet.init_params(shape, rng)
-        xs = np.array([[rng.next_gauss() for _ in range(5)] for _ in range(6)])
+        xs = np.array([[_gauss(rng) for _ in range(5)] for _ in range(6)])
         labels = np.array([rng.next_int(3) for _ in range(6)], dtype=np.int64)
         weights = np.array([rng.next_uniform() + 0.1 for _ in range(6)])
         perm = np.array(rng.shuffle(6))
-        a = tinynet.bc_loss(params, xs, labels, weights)
-        b = tinynet.bc_loss(params, xs[perm], labels[perm], weights[perm])
+        a = _bc_loss(params, xs, labels, weights)
+        b = _bc_loss(params, xs[perm], labels[perm], weights[perm])
         assert a == pytest.approx(b, rel=1e-12)
 
     def test_all_zero_weights_rejected(self):
         params = hand_params()
         with pytest.raises(ValueError):
-            tinynet.bc_loss(params, np.ones((2, 2)), np.array([0, 1]), np.zeros(2))
+            _bc_loss(params, np.ones((2, 2)), np.array([0, 1]), np.zeros(2))
 
     def test_bad_soft_labels_rejected(self):
         params = hand_params()
         with pytest.raises(ValueError):
-            tinynet.bc_loss(params, np.ones((1, 2)), np.array([[0.6, 0.6]]), np.ones(1))
+            _bc_loss(params, np.ones((1, 2)), np.array([[0.6, 0.6]]), np.ones(1))
         with pytest.raises(ValueError):
-            tinynet.bc_loss(params, np.ones((1, 2)), np.array([[-0.1, 1.1]]), np.ones(1))
+            _bc_loss(params, np.ones((1, 2)), np.array([[-0.1, 1.1]]), np.ones(1))
 
 
 class TestBcGrad:
@@ -179,12 +179,12 @@ class TestBcGrad:
             m = 1 + rng.next_int(3)
             shape = NetShape(in_dim=in_dim, hidden=hidden, out_dim=out_dim)
             params = tinynet.init_params(shape, rng)
-            xs = np.array([[rng.next_gauss() for _ in range(in_dim)] for _ in range(m)])
+            xs = np.array([[_gauss(rng) for _ in range(in_dim)] for _ in range(m)])
             labels = np.array([rng.next_int(out_dim) for _ in range(m)], dtype=np.int64)
             weights = np.array([0.2 + rng.next_uniform() for _ in range(m)])
             analytic = tinynet.bc_grad(params, xs, labels, weights)
             numeric = finite_diff_grad(
-                lambda th: tinynet.bc_loss(
+                lambda th: _bc_loss(
                     PolicyParams(theta=th, shape=shape), xs, labels, weights
                 ),
                 params.theta.copy(),
@@ -200,7 +200,7 @@ class TestBcGrad:
         g = tinynet.bc_grad(params, xs, np.array([2]), np.ones(1))
         assert np.all(np.isfinite(g))
         numeric = finite_diff_grad(
-            lambda th: tinynet.bc_loss(PolicyParams(theta=th, shape=shape), xs, np.array([2]), np.ones(1)),
+            lambda th: _bc_loss(PolicyParams(theta=th, shape=shape), xs, np.array([2]), np.ones(1)),
             params.theta.copy(),
             eps=1e-5,
         )
@@ -217,7 +217,7 @@ class TestBcGrad:
         shape = NetShape(in_dim=4, hidden=3, out_dim=3)
         rng = derive_stream(41, "lin")
         params = tinynet.init_params(shape, rng)
-        xs = np.array([[rng.next_gauss() for _ in range(4)] for _ in range(2)])
+        xs = np.array([[_gauss(rng) for _ in range(4)] for _ in range(2)])
         labels = np.array([0, 2])
         g_batch = tinynet.bc_grad(params, xs, labels, np.ones(2))
         g0 = tinynet.bc_grad(params, xs[:1], labels[:1], np.ones(1))
@@ -296,7 +296,7 @@ class TestMatchingGrad:
         shape = NetShape(in_dim=5, hidden=4, out_dim=3)
         rng = derive_stream(50, "stat")
         params = tinynet.init_params(shape, rng)
-        xs = np.array([[rng.next_gauss() for _ in range(5)] for _ in range(3)])
+        xs = np.array([[_gauss(rng) for _ in range(5)] for _ in range(3)])
         labels = np.array([0, 1, 2])
         g_real = tinynet.bc_grad(params, xs, labels, np.ones(3))
         res = tinynet.matching_grad_wrt_examples(params, g_real, xs, labels)
@@ -311,9 +311,9 @@ class TestMatchingGrad:
             shape = NetShape(in_dim=4, hidden=3, out_dim=2)
             params = tinynet.init_params(shape, rng)
             m = 2
-            xs = np.array([[rng.next_gauss() for _ in range(4)] for _ in range(m)])
+            xs = np.array([[_gauss(rng) for _ in range(4)] for _ in range(m)])
             labels = np.array([rng.next_int(2) for _ in range(m)], dtype=np.int64)
-            real_xs = np.array([[rng.next_gauss() for _ in range(4)] for _ in range(3)])
+            real_xs = np.array([[_gauss(rng) for _ in range(4)] for _ in range(3)])
             real_labels = np.array([rng.next_int(2) for _ in range(3)], dtype=np.int64)
             g_real = tinynet.bc_grad(params, real_xs, real_labels, np.ones(3))
             res = tinynet.matching_grad_wrt_examples(params, g_real, xs, labels)
@@ -332,7 +332,7 @@ class TestMatchingGrad:
         rng = derive_stream(52, "zero")
         params = tinynet.init_params(shape, rng)
         m = 2
-        xs = np.array([[rng.next_gauss() for _ in range(4)] for _ in range(m)])
+        xs = np.array([[_gauss(rng) for _ in range(4)] for _ in range(m)])
         labels = np.array([0, 1])
         res = tinynet.matching_grad_wrt_examples(
             params, np.zeros(shape.param_count), xs, labels
@@ -350,9 +350,9 @@ class TestMatchingGrad:
         rng = derive_stream(53, "logits")
         params = tinynet.init_params(shape, rng)
         m = 3
-        xs = np.array([[rng.next_gauss() for _ in range(4)] for _ in range(m)])
-        logits = np.array([[rng.next_gauss() for _ in range(3)] for _ in range(m)])
-        real_xs = np.array([[rng.next_gauss() for _ in range(4)] for _ in range(4)])
+        xs = np.array([[_gauss(rng) for _ in range(4)] for _ in range(m)])
+        logits = np.array([[_gauss(rng) for _ in range(3)] for _ in range(m)])
+        real_xs = np.array([[_gauss(rng) for _ in range(4)] for _ in range(4)])
         real_labels = np.array([rng.next_int(3) for _ in range(4)], dtype=np.int64)
         g_real = tinynet.bc_grad(params, real_xs, real_labels, np.ones(4))
         res = tinynet.matching_grad_wrt_examples(params, g_real, xs, logits, learn_labels=True)

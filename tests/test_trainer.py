@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 
 from griddistill import datasets, expert, helper, tinynet, trainer
+from griddistill.checks import _bc_loss
 from griddistill import distill as dst
 from griddistill.gridenv import EnvConfig
 from griddistill.optim import Adam
 from griddistill.rng import derive_stream
 from griddistill.tinynet import NetShape
 
+from helpers import train_student
 from test_distill import constant_dataset
 
 
@@ -106,7 +108,7 @@ class TestTrainStudent:
     def test_zero_steps_returns_init(self, tiny_collection):
         shape = NetShape(in_dim=144)
         cfg = trainer.TrainConfig(steps=0, batch=4)
-        params = trainer.train_student(*columns(tiny_collection), cfg, shape, derive_stream(1, "s"))
+        params = train_student(*columns(tiny_collection), cfg, shape, derive_stream(1, "s"))
         ref = tinynet.init_params(shape, derive_stream(1, "s"))
         assert np.array_equal(params.theta, ref.theta)
 
@@ -116,7 +118,7 @@ class TestTrainStudent:
         rows, targets = columns(tiny_collection)
         # n >= batch: the gathered batch, sampled through the dataset
         cfg = trainer.TrainConfig(steps=3, batch=8)
-        params = trainer.train_student(rows, targets, cfg, shape, derive_stream(6, "s"))
+        params = train_student(rows, targets, cfg, shape, derive_stream(6, "s"))
         rng = derive_stream(6, "s")
         theta = tinynet.init_params(shape, rng).theta
         opt = Adam(shape=shape.param_count, lr=cfg.lr)
@@ -130,7 +132,7 @@ class TestTrainStudent:
         # Until the size rule, this case gathered the batch as above; the
         # two differ only by rounding (test_count_weights_match_gathered_batch).
         cfg = trainer.TrainConfig(steps=3, batch=256)
-        params = trainer.train_student(rows, targets, cfg, shape, derive_stream(6, "s"))
+        params = train_student(rows, targets, cfg, shape, derive_stream(6, "s"))
         rng = derive_stream(6, "s")
         theta = tinynet.init_params(shape, rng).theta
         opt = Adam(shape=shape.param_count, lr=cfg.lr)
@@ -171,7 +173,7 @@ class TestTrainStudent:
         shape = NetShape(in_dim=144)
         cfg = trainer.TrainConfig(steps=20, batch=batch)
         labels = syn.training_labels()
-        params = trainer.train_student(syn.xs, labels, cfg, shape, derive_stream(5, "s"))
+        params = train_student(syn.xs, labels, cfg, shape, derive_stream(5, "s"))
         ref = reference_student(syn.xs, labels, cfg, shape, derive_stream(5, "s"))
         assert params.theta.tobytes() == ref.tobytes()
 
@@ -198,7 +200,7 @@ class TestTrainStudent:
             built.clear()
             draws.clear()
             cfg = trainer.TrainConfig(steps=30, batch=batch)
-            trainer.train_student(
+            train_student(
                 *columns(tiny_collection), cfg, NetShape(in_dim=144), derive_stream(8, "s")
             )
             assert len(built) == 2, batch  # the init and the result
@@ -207,14 +209,14 @@ class TestTrainStudent:
     def test_diverged_student_raises_at_the_end(self, tiny_collection):
         cfg = trainer.TrainConfig(steps=5, batch=8, lr=1e308)
         with np.errstate(all="ignore"), pytest.raises(ValueError, match="non-finite"):
-            trainer.train_student(
+            train_student(
                 *columns(tiny_collection), cfg, NetShape(in_dim=144), derive_stream(8, "s")
             )
 
     def test_rows_of_another_width_rejected(self, tiny_collection):
         rows, targets = columns(tiny_collection)
         with pytest.raises(ValueError, match=r"expected \(n, 144\)"):
-            trainer.train_student(
+            train_student(
                 rows[:, :100], targets, trainer.TrainConfig(), NetShape(in_dim=144),
                 derive_stream(0, "s"),
             )
@@ -223,17 +225,17 @@ class TestTrainStudent:
         ds = constant_dataset(n_rows=1)
         shape = NetShape(in_dim=6, hidden=8, out_dim=5)
         cfg = trainer.TrainConfig(steps=1000, batch=4, lr=5e-3)
-        params = trainer.train_student(*columns(ds), cfg, shape, derive_stream(2, "s"))
+        params = train_student(*columns(ds), cfg, shape, derive_stream(2, "s"))
         xs = ds.obs[:1]
         labels = ds.action[:1]
-        final = tinynet.bc_loss(params, xs, labels, np.ones(1))
+        final = _bc_loss(params, xs, labels, np.ones(1))
         assert final <= 0.01
 
     def test_same_seed_identical_params(self, tiny_collection):
         shape = NetShape(in_dim=144)
         cfg = trainer.TrainConfig(steps=20, batch=8)
-        a = trainer.train_student(*columns(tiny_collection), cfg, shape, derive_stream(3, "s"))
-        b = trainer.train_student(*columns(tiny_collection), cfg, shape, derive_stream(3, "s"))
+        a = train_student(*columns(tiny_collection), cfg, shape, derive_stream(3, "s"))
+        b = train_student(*columns(tiny_collection), cfg, shape, derive_stream(3, "s"))
         assert np.array_equal(a.theta, b.theta)
 
     def test_synthetic_source_with_soft_labels(self, tiny_collection):
@@ -242,7 +244,7 @@ class TestTrainStudent:
         )
         shape = NetShape(in_dim=144)
         cfg = trainer.TrainConfig(steps=5, batch=3)
-        params = trainer.train_student(
+        params = train_student(
             syn.xs, syn.training_labels(), cfg, shape, derive_stream(5, "s")
         )
         assert np.all(np.isfinite(params.theta))
@@ -250,7 +252,7 @@ class TestTrainStudent:
     def test_empty_source_rejected(self):
         shape = NetShape(in_dim=4)
         with pytest.raises(ValueError, match="empty"):
-            trainer.train_student(
+            train_student(
                 np.zeros((0, 4)),
                 np.zeros(0, dtype=np.int64),
                 trainer.TrainConfig(),
@@ -261,7 +263,7 @@ class TestTrainStudent:
     def test_targets_must_pair_with_rows(self, tiny_collection):
         rows, targets = columns(tiny_collection)
         with pytest.raises(ValueError, match="differ in length"):
-            trainer.train_student(
+            train_student(
                 rows, targets[1:], trainer.TrainConfig(), NetShape(in_dim=144),
                 derive_stream(0, "s"),
             )
@@ -269,7 +271,7 @@ class TestTrainStudent:
     def test_no_nan_parameters(self, tiny_collection):
         shape = NetShape(in_dim=144)
         cfg = trainer.TrainConfig(steps=50, batch=16)
-        params = trainer.train_student(*columns(tiny_collection), cfg, shape, derive_stream(6, "s"))
+        params = train_student(*columns(tiny_collection), cfg, shape, derive_stream(6, "s"))
         assert np.all(np.isfinite(params.theta))
 
 
@@ -282,7 +284,7 @@ class TestTrainCohort:
             cohort = trainer.train_cohort(*columns(tiny_collection), cfg, shape, 4, root_seed=99)
             assert len(cohort) == 4
             for i, params in enumerate(cohort):
-                direct = trainer.train_student(
+                direct = train_student(
                     *columns(tiny_collection), cfg, shape, derive_stream(99, f"student:{i}")
                 )
                 assert params.theta.tobytes() == direct.theta.tobytes(), (batch, i)
