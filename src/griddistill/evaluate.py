@@ -21,6 +21,13 @@ come from one `rng.derive_states` call. The planner always acts greedily.
 Reports carry both pooled statistics over every episode and the mean of
 per-student statistics; the CSV holds the pooled numbers, the markdown
 tables the per-student ones.
+
+The two splits share nothing: each has its own seeds, maps and episode
+streams. So when a helper process fits beside this one (`helper.fits`),
+the helper scores the OOD split while this process scores the ID split,
+the larger one, and the reports are the bytes both splits give inline.
+Otherwise, or when no helper takes the task (`helper.start`), both splits
+run here.
 """
 
 import os
@@ -28,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import expert, fields, gridenv, tinynet
+from . import expert, fields, gridenv, helper, tinynet
 from .datasets import write_atomic
 from .gridenv import N_ACTIONS, EnvConfig
 from .rng import derive_states
@@ -196,11 +203,22 @@ def evaluate_cohorts(
     for method, (students, _) in cohorts.items():
         if not students:
             raise ValueError(f"cohort {method!r} is empty")
+    args = (cohorts, env_config, eval_cfg, gamma, root_seed)
+    splits = (("ID", eval_cfg.id_seeds), ("OOD", eval_cfg.ood_seeds))
+    worker = None
+    if helper.fits():
+        worker = helper.start(_split_returns, (*args, *splits[1]))
+    if worker is None:
+        split_returns = [_split_returns(*args, *split) for split in splits]
+    else:
+        try:
+            split_returns = [_split_returns(*args, *splits[0])]
+        except BaseException:
+            worker.close()
+            raise
+        split_returns.append(worker.result())
     by_split = []
-    for split, seeds in (("ID", eval_cfg.id_seeds), ("OOD", eval_cfg.ood_seeds)):
-        planner, returns = _split_returns(
-            cohorts, env_config, eval_cfg, gamma, root_seed, split, seeds
-        )
+    for (split, _), (planner, returns) in zip(splits, split_returns):
         reports = [_report("expert", split, [planner], 0)]
         first = 0
         for method, (students, size) in cohorts.items():

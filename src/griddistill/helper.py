@@ -8,13 +8,17 @@ a stream: rows of `width` raw float64 values that the parent writes after
 the header while the helper reads them. The function then takes, as its
 last argument, an iterator over the rows, each read into the same buffer.
 The reply, a length-prefixed pickle on a second pipe, is (True, the
-function's value) or (False, the exception it raised).
+function's value) or (False, the exception it raised). A value that
+cannot be pickled, or an exception that would not unpickle as itself,
+comes back as RuntimeError naming the function and what was lost.
 
-Two stages use it, only where `fits()` holds:
+Three stages use it, only where `fits()` holds:
 - distill streams each (theta, real gradient) pair it draws, and the
   helper runs the epoch loop on them (`distill._descend_rows`);
 - training hands the helper the second half of each cohort's students,
-  and trains the first half itself meanwhile (`trainer._train_block`).
+  and trains the first half itself meanwhile (`trainer._train_block`);
+- eval hands the helper the OOD split, and scores the ID split itself
+  meanwhile (`evaluate._split_returns`).
 
 Where no helper takes the task (`start` returns None: the fork failed,
 or the reused helper had ended while idle), the caller runs it itself,
@@ -91,10 +95,6 @@ def _read_into(fd: int, buf) -> None:
 def _frame(obj) -> bytes:
     data = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
     return _LENGTH.pack(len(data)) + data
-
-
-def _send(fd: int, obj) -> None:
-    _write(fd, _frame(obj))
 
 
 def _recv(fd: int):
@@ -228,16 +228,33 @@ def _serve(tasks: int, replies: int) -> int:
             if width:
                 args = (*args, _rows(tasks, width))
             try:
-                reply = (True, fn(*args))
+                ok, value = True, fn(*args)
             except EOFError:
                 raise
             except Exception as exc:  # reported to the parent, which raises it
-                reply = (False, exc)
-            _send(replies, reply)
-            if not reply[0]:
+                ok, value = False, exc
+            ok, reply = _reply(fn, ok, value)
+            _write(replies, reply)
+            if not ok:
                 return 1
     except (EOFError, BrokenPipeError):
         return 0
+
+
+def _reply(fn, ok: bool, value) -> tuple:
+    """(ok, the framed reply (ok, value)). A value that cannot be pickled,
+    or an exception that does not unpickle (one whose class cannot be
+    rebuilt from its `args`), is replaced by RuntimeError naming the task's
+    function and that error or exception, and ok is then False."""
+    try:
+        reply = _frame((ok, value))
+        if not ok:
+            pickle.loads(memoryview(reply)[_LENGTH.size :])
+        return ok, reply
+    except Exception as exc:
+        lost = exc if ok else value
+        error = RuntimeError(f"{fn.__qualname__}: {type(lost).__name__}: {lost}")
+        return False, _frame((False, error))
 
 
 _helper = None  # this process's helper, forked on first use

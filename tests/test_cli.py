@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import griddistill
-from griddistill import checks, cli, datasets, expert, gridenv, optim, rng, tinynet, trainer
+from griddistill import checks, cli, datasets, expert, gridenv, helper, optim, rng, tinynet, trainer
 from griddistill import distill as dst
 from griddistill.rng import derive_stream
 from helpers import episode_ids, generate, initial_state, step, value_iteration
@@ -463,25 +463,46 @@ class TestEvalCmd:
         with pytest.raises(datasets.SchemaError, match=f"^{re.escape(str(path))}: network shape"):
             run_cli(["--config", config_path, "--out", str(out), "eval"])
 
-    def test_each_map_generated_and_solved_once(self, trained, monkeypatch):
+    def test_each_map_generated_and_solved_once(self, trained, monkeypatch, tmp_path, request):
+        """Inline, and split between this process (ID) and the helper (OOD)."""
         config_path, out = trained
-        generated, solved = [], []
+        log = tmp_path / "calls.jsonl"
         generate_maps, solve_maps = gridenv.generate_maps, expert.solve_maps
 
+        def record(kind, values):  # from whichever process makes the call
+            with open(log, "a") as fh:
+                fh.write(json.dumps([os.getpid(), kind, values]) + "\n")
+
         def counting_generate_maps(config, seeds):
-            generated.extend(seeds)
+            record("generated", list(seeds))
             return generate_maps(config, seeds)
 
         def counting_solve_maps(maps, *args, **kwargs):
-            solved.append(len(maps.start))
+            record("solved", len(maps.start))
             return solve_maps(maps, *args, **kwargs)
+
+        def calls():
+            by_pid = {}
+            for line in log.read_text().splitlines():
+                pid, kind, values = json.loads(line)
+                by_pid.setdefault(pid, []).append((kind, values))
+            log.unlink()
+            return by_pid
 
         monkeypatch.setattr(gridenv, "generate_maps", counting_generate_maps)
         monkeypatch.setattr(expert, "solve_maps", counting_solve_maps)
+        monkeypatch.setattr(helper, "fits", lambda: False)
         run_cli(["--config", config_path, "--out", str(out), "eval"])
-        seeds = [0, 1, 2, 10_000, 10_001]  # SMALL_CONFIG's ID and OOD seeds
-        assert sorted(generated) == seeds
-        assert solved == [3, 2]  # one block per split
+        # SMALL_CONFIG's ID and OOD seeds, each split one block
+        ids, oods = ("generated", [0, 1, 2]), ("generated", [10_000, 10_001])
+        assert calls() == {os.getpid(): [ids, ("solved", 3), oods, ("solved", 2)]}
+
+        request.getfixturevalue("own_helper")  # forked after the patches, so it counts too
+        run_cli(["--config", config_path, "--out", str(out), "eval"])
+        assert calls() == {
+            os.getpid(): [ids, ("solved", 3)],
+            helper._helper.pid: [oods, ("solved", 2)],
+        }
 
     def test_rerun_eval_byte_identical(self, tmp_path):
         config_path = write_small_config(tmp_path)
